@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -104,8 +103,8 @@ def _cmd_sigma1(args):
 
 def _cmd_polyhedron(args):
     graph, _, digest = _load_graph_and_char(args.path, None)
-    poly = complement_polyhedron(graph, threads=args.threads)
-    inputs = {"graph_sha256": digest, "threads": args.threads}
+    poly = complement_polyhedron(graph)
+    inputs = {"graph_sha256": digest}
     lines = [f"pieces: {len(poly.pieces)}"]
     for piece in poly.pieces:
         origin = piece.origin
@@ -210,7 +209,7 @@ def _cmd_groebner(args):
     for p in MOD_P_PRIMES:
         try:
             mod_p[str(p)] = unit_ideal_mod_p(gens, p, laurent=args.laurent)
-        except (InputError, MathError, ArithmeticError, ZeroDivisionError):
+        except (InputError, MathError, ArithmeticError):
             mod_p[str(p)] = None
     inputs = {
         "variables": list(variables),
@@ -231,15 +230,6 @@ def _cmd_groebner(args):
 # ---------------------------------------------------------------------------
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("ARTIN_SIGMA_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InputError(f"ARTIN_SIGMA_THREADS must be an integer, got {raw!r}") from None
-    return max(1, n)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="artin-sigma",
@@ -258,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("polyhedron", parents=[common], help="complement polyhedron pieces")
     p.add_argument("path", help="graph file ('-' for stdin)")
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(body=_cmd_polyhedron)
 
     p = sub.add_parser("hypothesis", parents=[common], help="structural cycle condition")
@@ -298,8 +287,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "polyhedron" and args.threads is None:
-            args.threads = _default_threads()
         start = time.perf_counter()
         inputs, result, text_lines = args.body(args)
         elapsed_ms = int(round((time.perf_counter() - start) * 1000))

@@ -232,7 +232,7 @@ def laurent_unit_ideal(gens, order=DEFAULT_ORDER):
 def to_prime_field(p: LaurentPoly, prime: int) -> LaurentPoly:
     """Map integer/rational coefficients into GF(prime).
 
-    Raises TypeError when a denominator vanishes mod prime.
+    Raises ZeroDivisionError when a denominator vanishes mod prime.
     """
     field = PrimeField(prime)
     terms = {e: field.coerce(c) for e, c in p.terms.items()}

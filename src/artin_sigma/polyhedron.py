@@ -10,7 +10,6 @@ away from Y1).  Membership of a character is decided exactly.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -101,11 +100,11 @@ def _rref(rows):
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        rows[r] = [x * inv if x else x for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -120,11 +119,6 @@ def _in_rowspan(vector, rref_rows, pivots) -> bool:
             f = vec[c]
             vec = [x - f * y for x, y in zip(vec, row)]
     return not any(vec)
-
-
-def _piece_rank(piece: SubSphere, graph: LabeledGraph) -> int:
-    rows, _ = _rref([f.vector(graph) for f in piece.forms])
-    return len(rows)
 
 
 def subsphere_contained(a: SubSphere, b: SubSphere, graph: LabeledGraph) -> bool:
@@ -167,8 +161,8 @@ def dominance_pieces(graph: LabeledGraph) -> list:
 def _cut_candidates_for(graph: LabeledGraph, rest: tuple):
     """Subset-minimal even-label cuts of the full subgraph on ``rest``.
 
-    Yields (cut_edges, piece-forms-fragment) in deterministic order, the
-    empty cut first when the subgraph is already disconnected.
+    Returns each cut as a tuple of edges, in deterministic order, the empty
+    cut first when the subgraph is already disconnected.
     """
     sub = full_subgraph(graph, rest)
     removable = [e for e in sub.edges if e[2] > 2 and e[2] % 2 == 0]
@@ -188,51 +182,28 @@ def _cut_candidates_for(graph: LabeledGraph, rest: tuple):
     return out
 
 
-def disconnection_pieces(graph: LabeledGraph, threads: int = 1) -> list:
-    """Pieces from vanishing sets Y1 plus even-label cuts disconnecting the
-    rest.  Enumerated by increasing |Y1| then cut size; a candidate whose
-    solution set lands inside an earlier piece is dropped, as is any piece
-    forcing the whole character to vanish."""
+def disconnection_pieces(graph: LabeledGraph) -> list:
+    """Candidate pieces from vanishing sets Y1 plus even-label cuts
+    disconnecting the rest, enumerated by increasing |Y1| then cut size.
+    Nothing is pruned here; ``complement_polyhedron`` does that."""
     verts = graph.vertices
     n = len(verts)
     idx = graph.index
-
-    y1_list = []
+    pieces = []
     for size in range(0, max(n - 1, 0)):
         for y1 in combinations(verts, size):
-            if n - len(y1) >= 2:
-                y1_list.append(y1)
-
-    def candidates_for(y1):
-        rest = tuple(v for v in verts if v not in y1)
-        cands = []
-        for cut in _cut_candidates_for(graph, rest):
-            forms = list(_unit_forms(graph, y1))
-            for u, v, _ in cut:
-                forms.append(LinearForm.from_mapping({u: 1, v: 1}, graph))
-            origin = PieceOrigin(
-                DISCONNECTION,
-                tuple(sorted(y1, key=idx.__getitem__)),
-                tuple((u, v) for u, v, _ in cut),
-            )
-            cands.append(SubSphere(tuple(forms), origin))
-        return cands
-
-    if threads > 1 and len(y1_list) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_y1 = list(pool.map(candidates_for, y1_list))
-    else:
-        per_y1 = [candidates_for(y1) for y1 in y1_list]
-
-    kept = []
-    for cands in per_y1:
-        for piece in cands:
-            if _piece_rank(piece, graph) == n:
-                continue
-            if any(subsphere_contained(piece, k, graph) for k in kept):
-                continue
-            kept.append(piece)
-    return kept
+            rest = tuple(v for v in verts if v not in y1)
+            for cut in _cut_candidates_for(graph, rest):
+                forms = list(_unit_forms(graph, y1))
+                for u, v, _ in cut:
+                    forms.append(LinearForm.from_mapping({u: 1, v: 1}, graph))
+                origin = PieceOrigin(
+                    DISCONNECTION,
+                    tuple(sorted(y1, key=idx.__getitem__)),
+                    tuple((u, v) for u, v, _ in cut),
+                )
+                pieces.append(SubSphere(tuple(forms), origin))
+    return pieces
 
 
 @dataclass(frozen=True)
@@ -255,22 +226,25 @@ def _piece_sort_key(piece: SubSphere, graph: LabeledGraph):
     return (len(piece.forms), forms_key, piece.origin.kind)
 
 
-def complement_polyhedron(graph: LabeledGraph, threads: int = 1) -> SphericalPolyhedron:
-    """All pieces, globally pruned: pieces whose solution set lies inside
-    another piece's are removed (ties keep the enumeration-earlier piece),
-    and the result is sorted canonically."""
-    candidates = dominance_pieces(graph) + disconnection_pieces(graph, threads=threads)
+def complement_polyhedron(graph: LabeledGraph) -> SphericalPolyhedron:
+    """All candidate pieces, pruned once: a piece whose solution set lies
+    inside another piece's is removed, as is any piece forcing the whole
+    character to vanish.  Candidates are visited by (rank, canonical key),
+    ties keeping the enumeration-earlier piece, and the result is sorted
+    canonically."""
     n = len(graph.vertices)
-    ranked = [(p, _piece_rank(p, graph)) for p in candidates]
-    ranked = [(p, r) for p, r in ranked if r < n]
-    ranked.sort(key=lambda pr: (pr[1], _piece_sort_key(pr[0], graph)))
+    ranked = []
+    for piece in dominance_pieces(graph) + disconnection_pieces(graph):
+        rows, pivots = _rref([f.vector(graph) for f in piece.forms])
+        if len(rows) < n:
+            ranked.append((len(rows), _piece_sort_key(piece, graph), piece, rows, pivots))
+    ranked.sort(key=lambda r: r[:2])
     kept = []
-    for piece, _ in ranked:
-        if any(subsphere_contained(piece, k, graph) for k in kept):
-            continue
-        kept.append(piece)
-    kept.sort(key=lambda p: _piece_sort_key(p, graph))
-    return SphericalPolyhedron(graph, tuple(kept))
+    for _, key, piece, rows, pivots in ranked:
+        if not any(all(_in_rowspan(v, rows, pivots) for v in k_vectors) for _, _, k_vectors in kept):
+            kept.append((key, piece, [f.vector(graph) for f in piece.forms]))
+    kept.sort(key=lambda k: k[0])
+    return SphericalPolyhedron(graph, tuple(piece for _, piece, _ in kept))
 
 
 def polyhedron_contains(polyhedron: SphericalPolyhedron, chi: Character) -> bool:

@@ -84,19 +84,27 @@ def random_even_graph(rng, max_vertices=6, labels=(2, 4, 6), p=0.5):
 
 def random_character(rng, graph):
     """Random rational character: components in [-5, 5], denominators <= 4,
-    respecting equality across odd-labeled edges, never identically zero."""
+    respecting equality across odd-labeled edges, never identically zero.
+    Odd-label classes are merged with union-find, as abelianization_map
+    does; each class takes the value drawn for its first vertex."""
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    parent = list(range(len(graph.vertices)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for u, v, label in graph.edges:
+        if label % 2 == 1:
+            a, b = find(index[u]), find(index[v])
+            parent[max(a, b)] = min(a, b)
     while True:
-        raw = {}
-        for v in graph.vertices:
+        raw = []
+        for _ in graph.vertices:
             den = rng.randint(1, 4)
-            raw[v] = Fraction(rng.randint(-5 * den, 5 * den), den)
-        merged = dict(raw)
-        changed = True
-        while changed:
-            changed = False
-            for u, v, label in graph.edges:
-                if label % 2 == 1 and merged[u] != merged[v]:
-                    merged[v] = merged[u]
-                    changed = True
-        if any(merged.values()):
-            return character(graph, merged)
+            raw.append(Fraction(rng.randint(-5 * den, 5 * den), den))
+        values = {v: raw[find(i)] for i, v in enumerate(graph.vertices)}
+        if any(values.values()):
+            return character(graph, values)

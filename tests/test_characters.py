@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,10 @@ from artin_sigma import (
     lf_subgraph,
     living_subgraph,
     parse_character,
+    parse_graph,
     parse_rational,
 )
+from conftest import random_character, random_labeled_graph
 
 
 def test_parse_rational():
@@ -131,3 +134,19 @@ def test_character_equality_and_hash(f3):
     b = Character(f3, (Fraction(1), Fraction(-1)))
     assert a == b
     assert hash(a) == hash(b)
+
+
+def test_random_character_merges_shared_odd_endpoint():
+    # two label-3 edges into c: a pairwise copy of values never settles here
+    g = parse_graph("v a\nv b\nv c\ne a c 3\ne b c 3\n")
+    rng = random.Random(11)
+    for _ in range(20):
+        values = random_character(rng, g).values
+        assert values["a"] == values["b"] == values["c"]
+    rng = random.Random(11)
+    for _ in range(12):
+        g = random_labeled_graph(rng, max_vertices=6)
+        values = random_character(rng, g).values
+        for u, v, label in g.edges:
+            if label % 2 == 1:
+                assert values[u] == values[v], (g, u, v)

@@ -1,7 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
+import pytest
+
+import artin_sigma
 from artin_sigma import parse_poly
 from artin_sigma.cli import main
 
@@ -36,6 +40,19 @@ def run_json(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def run_module(argv, **kwargs):
+    """Run ``python -m artin_sigma.cli`` on the package these tests import."""
+    src = os.path.dirname(os.path.dirname(artin_sigma.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "artin_sigma.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        **kwargs,
+    )
 
 
 def graph_file(tmp_path, text, name="g.artin"):
@@ -122,14 +139,12 @@ def test_polyhedron_text_format(tmp_path, capsys):
     assert "a + b" in out
 
 
-def test_polyhedron_threads_flag_and_env(tmp_path, capsys, monkeypatch):
+def test_polyhedron_inputs_and_removed_flag(tmp_path, capsys):
     path = graph_file(tmp_path, F5_TEXT)
-    base = run_json(capsys, ["polyhedron", path])["result"]["pieces"]
-    flagged = run_json(capsys, ["polyhedron", path, "--threads", "3"])
-    assert flagged["result"]["pieces"] == base
-    monkeypatch.setenv("ARTIN_SIGMA_THREADS", "2")
-    env = run_json(capsys, ["polyhedron", path])
-    assert env["result"]["pieces"] == base
+    assert list(run_json(capsys, ["polyhedron", path])["inputs"]) == ["graph_sha256"]
+    with pytest.raises(SystemExit) as exc:
+        main(["polyhedron", path, "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_hypothesis_command(tmp_path, capsys):
@@ -259,12 +274,7 @@ def test_groebner_mod_p_degeneration(capsys):
 
 
 def test_cli_via_subprocess_stdin():
-    proc = subprocess.run(
-        [sys.executable, "-m", "artin_sigma.cli", "sigma1", "-"],
-        input=F3_TEXT,
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module(["sigma1", "-"], input=F3_TEXT)
     assert proc.returncode == 0
     blob = json.loads(proc.stdout)
     assert blob["result"]["status"] == "out"
@@ -275,11 +285,7 @@ def test_cli_via_subprocess_stdin():
 def test_cli_subprocess_bad_input_exit_code(tmp_path):
     path = tmp_path / "bad.artin"
     path.write_text("v a\nv a\n")
-    proc = subprocess.run(
-        [sys.executable, "-m", "artin_sigma.cli", "sigma1", str(path)],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module(["sigma1", str(path)])
     assert proc.returncode == 2
     assert json.loads(proc.stderr)["error"] == "input"
 

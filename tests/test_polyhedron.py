@@ -6,6 +6,7 @@ import pytest
 
 from artin_sigma import (
     InputError,
+    LabeledGraph,
     LinearForm,
     character,
     complement_polyhedron,
@@ -17,7 +18,7 @@ from artin_sigma import (
     polyhedron_from_json,
     subsphere_contained,
 )
-from conftest import random_even_graph, random_character
+from conftest import random_character, random_even_graph, random_labeled_graph
 from oracles import complement_member_bruteforce, fraction_rank, in_span
 
 
@@ -198,6 +199,46 @@ def test_json_coefficients_are_strings(f5):
             assert all(isinstance(c, str) for c in form.values())
 
 
-def test_threads_do_not_change_result(f1, f4):
-    for g in (f1, f4):
-        assert complement_polyhedron(g, threads=3) == complement_polyhedron(g)
+def _pruned_by_oracle(g):
+    """The documented prune, rebuilt from the raw candidates: drop pieces of
+    full rank, visit the rest by (rank, canonical key) with enumeration order
+    breaking ties, drop a candidate whose row span holds every form of a kept
+    piece, and list the kept pieces by canonical key."""
+    idx = g.index
+
+    def key(piece):
+        forms = tuple(tuple((idx[v], c) for v, c in f.coeffs) for f in piece.forms)
+        return (len(piece.forms), forms, piece.origin.kind)
+
+    candidates = dominance_pieces(g) + disconnection_pieces(g)
+    ranked = sorted(
+        (fraction_rank(forms_as_rows(p, g)), key(p), i, p) for i, p in enumerate(candidates)
+    )
+    kept = []
+    for rank, k, _, piece in ranked:
+        if rank == len(g.vertices):
+            continue
+        rows = forms_as_rows(piece, g)
+        if any(all(in_span(vec, rows) for vec in forms_as_rows(q, g)) for _, q in kept):
+            continue
+        kept.append((k, piece))
+    kept.sort(key=lambda kp: kp[0])
+    return tuple(piece for _, piece in kept)
+
+
+def test_single_prune_matches_oracle():
+    rng = random.Random(2024)
+    graphs = [random_labeled_graph(rng, max_vertices=6) for _ in range(30)]
+    names = tuple(f"c{i}" for i in range(6))
+    graphs.append(LabeledGraph(names, tuple((names[i], names[(i + 1) % 6], 4) for i in range(6))))
+    # kept pieces here include 4 edge sums of rank 3 (a 4-cycle of cut edges),
+    # so canonical order differs from visiting order
+    graphs.append(parse_graph(
+        "v g0\nv g1\nv g2\nv g3\nv g4\ne g0 g2 4\ne g0 g3 6\ne g1 g2 4\n"
+        "e g1 g3 6\ne g1 g4 4\ne g2 g3 6\ne g2 g4 4\ne g3 g4 6\n"
+    ))
+    for g in graphs:
+        pieces = complement_polyhedron(g).pieces
+        assert pieces == _pruned_by_oracle(g), g
+        for a in pieces:
+            assert not any(b is not a and subsphere_contained(a, b, g) for b in pieces), g
