@@ -23,10 +23,10 @@ from math import lcm
 
 from .characters import Character, living_subgraph
 from .errors import InputError, MathError
-from .fields import QQ, ZZ, CyclotomicField
+from .fields import QQ, ZZ, CycloNum, CyclotomicField
 from .graphs import LabeledGraph, all_labels_even, connected_components
 from .laurent import LaurentPoly
-from .linalg import PolyMatrix
+from .linalg import PolyMatrix, matrix_rank, rank_mod_p
 
 NOT_FINITELY_GENERATED = "not_finitely_generated"
 INCONCLUSIVE = "inconclusive"
@@ -430,6 +430,13 @@ class Specialization:
     images: dict
     domain: object
 
+    def x_images(self) -> dict:
+        """Each vertex image as a one-term Laurent polynomial in x."""
+        return {
+            v: LaurentPoly.monomial(coeff, (exp,), ("x",), self.domain)
+            for v, (coeff, exp) in self.images.items()
+        }
+
 
 def specialization_data(forest: BipartiteForest, chi) -> Specialization:
     values = _integral_values(chi, forest.vertices)
@@ -476,19 +483,134 @@ def specialization_data(forest: BipartiteForest, chi) -> Specialization:
 def specialize(pres: ModulePresentation, forest: BipartiteForest, chi) -> PolyMatrix:
     """Map every relation coefficient through the vertex images, landing in
     one Laurent variable x over Q or a cyclotomic field."""
-    spec = specialization_data(forest, chi)
-    target = ("x",)
-    poly_images = {
-        v: LaurentPoly.monomial(coeff, (exp,), target, spec.domain)
-        for v, (coeff, exp) in spec.images.items()
-    }
-    rows = [[entry.substitute(poly_images) for entry in row] for row in pres.rows]
-    return PolyMatrix(rows)
+    return _specialized_matrix(pres, specialization_data(forest, chi).x_images())
+
+
+def _specialized_matrix(pres: ModulePresentation, images: dict) -> PolyMatrix:
+    return PolyMatrix([[entry.substitute(images) for entry in row] for row in pres.rows])
+
+
+# ---------------------------------------------------------------------------
+# rank certificates
+
+WITNESS_MODULAR = "witness+modular"
+BAREISS = "bareiss"
+
+# The modular lower bound sends x to _EVALUATION_POINT and zeta_M to a
+# primitive M-th root of unity modulo the first prime p = 1 (mod M) above
+# _PRIME_FLOOR.
+_PRIME_FLOOR = 2**31
+_EVALUATION_POINT = 3
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the first twelve prime bases, exact for n < 3.1e23."""
+    if n < 2:
+        return False
+    for q in _MILLER_RABIN_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes_with_roots(order: int):
+    """Yield (p, r) for the primes p = 1 (mod order) above the floor, in
+    increasing order, with r a primitive order-th root of unity mod p."""
+    factors = [q for q in range(2, order + 1) if order % q == 0 and _is_prime(q)]
+    p = _PRIME_FLOOR + 1 + (-_PRIME_FLOOR) % order
+    while True:
+        if _is_prime(p):
+            h = 2
+            while True:
+                r = pow(h, (p - 1) // order, p)
+                if all(pow(r, order // q, p) != 1 for q in factors):
+                    break
+                h += 1
+            yield p, r
+        p += order
+
+
+def _power_basis(coeff) -> tuple:
+    """Rational coordinates of a coefficient in the power basis of zeta."""
+    return coeff.coords if isinstance(coeff, CycloNum) else (coeff,)
+
+
+def _residue(coeff, p: int, zeta: int) -> int:
+    """Image in F_p of a rational or cyclotomic coefficient, zeta -> zeta."""
+    total = 0
+    for q in reversed(_power_basis(coeff)):
+        if q.denominator % p == 0:
+            raise ZeroDivisionError(f"denominator of {q} vanishes mod {p}")
+        total = (total * zeta + q.numerator * pow(q.denominator, -1, p)) % p
+    return total
+
+
+def _modular_rank(matrix: PolyMatrix, order: int) -> int:
+    """Rank of the specialized matrix at x = _EVALUATION_POINT modulo the first
+    usable prime: a ring homomorphism, so never above the exact rank."""
+    for p, zeta in _primes_with_roots(order):
+        try:
+            rows = [
+                [
+                    sum(_residue(c, p, zeta) * pow(_EVALUATION_POINT, e, p)
+                        for (e,), c in entry.terms.items())
+                    for entry in row
+                ]
+                for row in matrix.entries
+            ]
+        except ZeroDivisionError:
+            continue
+        return rank_mod_p(rows, p)
+
+
+def _witness(images: dict, generators: tuple, domain) -> list:
+    """u_{v,w} = (phi(v) - 1)(phi(w) - 1) for each generator (v, w)."""
+    one = LaurentPoly.constant(domain.one, ("x",), domain)
+    return [(images[v] - one) * (images[w] - one) for v, w in generators]
+
+
+def _kills(matrix: PolyMatrix, witness: list, zero: LaurentPoly) -> bool:
+    """True when the witness is nonzero and every row of the matrix kills it."""
+    if not any(witness):
+        return False
+    for row in matrix.entries:
+        if sum((e * u for e, u in zip(row, witness) if e), zero):
+            return False
+    return True
+
+
+def _entry_string(poly: LaurentPoly) -> str:
+    """A specialized entry as a Laurent polynomial in x and zeta over Q, from
+    each coefficient's coordinates in the power basis of zeta."""
+    terms = {}
+    for (e,), c in poly.terms.items():
+        for i, q in enumerate(_power_basis(c)):
+            if q:
+                terms[(e, i)] = q
+    return LaurentPoly(("x", "zeta"), terms, QQ).to_string()
 
 
 @dataclass(frozen=True)
 class Certificate:
-    """Outcome of the non-finite-generation test for a forest and character."""
+    """Outcome of the non-finite-generation test for a forest and character.
+
+    ``rank_method`` says how the rank was proved; ``witness`` holds the
+    ((v, w), entry string) pairs of the verified kernel vector, or None when
+    it failed its check."""
 
     order: int
     roots: tuple
@@ -496,6 +618,8 @@ class Certificate:
     generators: int
     rank: int
     conclusion: str
+    rank_method: str
+    witness: tuple
 
     def to_json_dict(self) -> dict:
         return {
@@ -505,21 +629,36 @@ class Certificate:
             "generators": self.generators,
             "rank": self.rank,
             "conclusion": self.conclusion,
+            "rank_method": self.rank_method,
+            "witness": None if self.witness is None
+            else {f"({v},{w})": s for (v, w), s in self.witness},
         }
 
 
 def certify_not_finitely_generated(forest: BipartiteForest, chi) -> Certificate:
     """Rank certificate: with g generators and specialized relation rank r,
-    r < g certifies non-finite generation of the kernel-restricted module."""
+    r < g certifies non-finite generation of the kernel-restricted module.
+
+    The rank is proved in two exact steps.  The witness u_{v,w} =
+    (phi(v) - 1)(phi(w) - 1) is nonzero and every specialized row kills it
+    (edge rows vanish, difference rows cancel), so r <= g - 1.  The modular
+    image of the matrix cannot have a larger rank, so an F_p rank of g - 1
+    gives r >= g - 1.  When either step fails, Bareiss elimination gives r.
+    """
     pres = forest_presentation(forest)
     spec = specialization_data(forest, chi)
-    matrix = specialize(pres, forest, chi)
+    images = spec.x_images()
+    matrix = _specialized_matrix(pres, images)
     g = len(pres.generators)
-    if matrix.nrows:
-        r = matrix.rank()
+    witness = _witness(images, pres.generators, spec.domain)
+    if not _kills(matrix, witness, LaurentPoly.zero(("x",), spec.domain)):
+        witness = None
+    if witness is not None and _modular_rank(matrix, spec.order) == g - 1:
+        r, method = g - 1, WITNESS_MODULAR
     else:
-        r = 0
-    values = _integral_values(chi, forest.vertices)
-    base_exps = tuple((b, values[b]) for b in forest.basepoints)
+        r, method = matrix_rank(matrix), BAREISS
+    base_exps = tuple((b, spec.images[b][1]) for b in forest.basepoints)
     conclusion = NOT_FINITELY_GENERATED if r < g else INCONCLUSIVE
-    return Certificate(spec.order, spec.roots, base_exps, g, r, conclusion)
+    report = None if witness is None else tuple(
+        zip(pres.generators, map(_entry_string, witness)))
+    return Certificate(spec.order, spec.roots, base_exps, g, r, conclusion, method, report)

@@ -1,8 +1,10 @@
 """Brute-force reference implementations, kept deliberately independent of the
 package internals: plain dicts, sets, and Fractions only.  Slow is fine."""
 
+import re
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 
 def bfs_connected(vertices, edge_pairs) -> bool:
@@ -94,40 +96,161 @@ def in_span(vector, rows) -> bool:
     return fraction_rank(list(rows) + [list(vector)]) == base
 
 
+def _trim(p):
+    p = [Fraction(x) for x in p]
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def poly_divmod(num, den):
+    """Quotient and remainder of univariate polynomials given as coefficient
+    lists (ascending), Fraction coefficients."""
+    num = _trim(num)
+    den = _trim(den)
+    quot = [Fraction(0)] * max(0, len(num) - len(den) + 1)
+    while len(num) >= len(den):
+        shift = len(num) - len(den)
+        factor = num[-1] / den[-1]
+        quot[shift] = factor
+        num = _trim(
+            [c - factor * den[i - shift] if 0 <= i - shift < len(den) else c
+             for i, c in enumerate(num)]
+        )
+        if not num:
+            break
+    return quot, num
+
+
 def poly_gcd_univariate(a, b):
     """Monic gcd of two univariate polynomials given as coefficient lists
     (ascending), Fraction coefficients."""
-
-    def trim(p):
-        p = [Fraction(x) for x in p]
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    def divmod_(num, den):
-        num = trim(num)
-        den = trim(den)
-        quot = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-        while len(num) >= len(den):
-            shift = len(num) - len(den)
-            factor = num[-1] / den[-1]
-            quot[shift] = factor
-            num = trim(
-                [c - factor * den[i - shift] if 0 <= i - shift < len(den) else c
-                 for i, c in enumerate(num)]
-            )
-            if not num:
-                break
-        return quot, num
-
-    a, b = trim(a), trim(b)
+    a, b = _trim(a), _trim(b)
     while b:
-        _, r = divmod_(a, b)
+        _, r = poly_divmod(a, b)
         a, b = b, r
     if a:
         lead = a[-1]
         a = [c / lead for c in a]
     return a
+
+
+def cyclotomic_coefficients(n):
+    """Ascending coefficients of the n-th cyclotomic polynomial: t^n - 1 with
+    the common roots of t^d - 1 divided out for each proper divisor d of n."""
+    poly = _trim([-1] + [0] * (n - 1) + [1])
+    for d in range(1, n):
+        if n % d == 0:
+            common = poly_gcd_univariate(poly, [-1] + [0] * (d - 1) + [1])
+            poly, _ = poly_divmod(poly, common)
+    return poly
+
+
+def parse_x_zeta(text):
+    """{(x exponent, zeta exponent): Fraction} from terms such as
+    ``1/2*x^-2*zeta^3`` joined by ' + ' and ' - '."""
+    text = text.strip()
+    first = 1
+    if text.startswith("-"):
+        first, text = -1, text[1:]
+    parts = re.split(r" ([+-]) ", text)
+    signs = [first] + [1 if s == "+" else -1 for s in parts[1::2]]
+    out = {}
+    for sign, term in zip(signs, parts[0::2]):
+        coeff, xe, ze = Fraction(sign), 0, 0
+        for factor in term.split("*"):
+            name, _, power = factor.partition("^")
+            if name == "x":
+                xe += int(power or 1)
+            elif name == "zeta":
+                ze += int(power or 1)
+            else:
+                coeff *= Fraction(factor)
+        out[(xe, ze)] = out.get((xe, ze), 0) + coeff
+    return out
+
+
+def forest_witness_holds(left, right, edges, values, basepoints, witness) -> bool:
+    """Check a certificate's kernel witness on the forest's relation rows.
+
+    Each vertex goes to zeta^j * x^values[v]: a basepoint to x^values[b], and
+    across a tree edge labeled 2m the two images multiply to zeta^(M/m), with
+    M the lcm of the half-labels.  The rows are the cyclotomic sum of each
+    edge and the left and right difference rows over all generator pairs.
+    Elements of Q(zeta_M)[x^+-1] are dicts {(x exp, zeta exp mod M): coeff};
+    zero means zero modulo the M-th cyclotomic polynomial.  True when the
+    witness ({"(v,w)": entry string}) is nonzero and every row kills it."""
+    halves = [label // 2 for _, _, label in edges]
+    order = lcm(*halves)
+    phi = cyclotomic_coefficients(order)
+
+    def is_zero(elem):
+        by_x = {}
+        for (xe, ze), c in elem.items():
+            by_x.setdefault(xe, [0] * order)[ze % order] += c
+        return all(not poly_divmod(poly, phi)[1] for poly in by_x.values())
+
+    def mul(a, b):
+        out = {}
+        for (x1, z1), c1 in a.items():
+            for (x2, z2), c2 in b.items():
+                key = (x1 + x2, (z1 + z2) % order)
+                out[key] = out.get(key, 0) + c1 * c2
+        return out
+
+    def add(a, b):
+        out = dict(a)
+        for key, c in b.items():
+            out[key] = out.get(key, 0) + c
+        return out
+
+    adj = {v: [] for v in list(left) + list(right)}
+    for v, w, label in edges:
+        adj[v].append((w, label))
+        adj[w].append((v, label))
+    image = {}
+    for base in basepoints:
+        image[base] = (values[base], 0)
+        stack = [base]
+        while stack:
+            cur = stack.pop()
+            xe, ze = image[cur]
+            for nbr, label in adj[cur]:
+                if nbr not in image:
+                    image[nbr] = (-xe, (order // (label // 2) - ze) % order)
+                    stack.append(nbr)
+    if any(image[v][0] != values[v] for v in adj):
+        return False
+
+    def minus_one(v, sign=1):
+        return {image[v]: Fraction(sign), (0, 0): Fraction(-sign)}
+
+    rows = []
+    for v, w, label in edges:
+        step = mul({image[v]: 1}, {image[w]: 1})
+        total, power = {}, {(0, 0): Fraction(1)}
+        for _ in range(label // 2):
+            total, power = add(total, power), mul(power, step)
+        rows.append({(v, w): total})
+    for i, v in enumerate(left):
+        for t in left[i + 1:]:
+            for w in right:
+                rows.append({(v, w): minus_one(t), (t, w): minus_one(v, -1)})
+    for v in left:
+        for i, w in enumerate(right):
+            for s in right[i + 1:]:
+                rows.append({(v, w): minus_one(s), (v, s): minus_one(w, -1)})
+
+    u = {(v, w): parse_x_zeta(witness[f"({v},{w})"]) for v in left for w in right}
+    if all(is_zero(entry) for entry in u.values()):
+        return False
+    for row in rows:
+        total = {}
+        for gen, entry in row.items():
+            total = add(total, mul(entry, u[gen]))
+        if not is_zero(total):
+            return False
+    return True
 
 
 def complement_member_bruteforce(graph_vertices, graph_edges, values) -> bool:

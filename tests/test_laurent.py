@@ -184,3 +184,11 @@ def test_prime_field():
         PrimeField(6)
     with pytest.raises(ZeroDivisionError):
         f5.coerce(Fraction(1, 5))
+
+
+def test_cyclotomic_polynomials_vs_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    for n in range(1, 61):
+        expected = sympy.Poly(sympy.cyclotomic_poly(n, t), t).all_coeffs()[::-1]
+        assert cyclotomic_polynomial(n) == tuple(int(c) for c in expected)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from artin_sigma import InputError, LaurentPoly, PolyMatrix, QQ, ZZ, matrix_rank, parse_poly
-from artin_sigma.linalg import exact_divide
+from artin_sigma.linalg import exact_divide, rank_mod_p
 from oracles import fraction_rank
 
 X = ("x",)
@@ -109,3 +109,70 @@ def test_matrix_validation():
 def test_rank_needs_field_or_integers():
     # ZZ entries are promoted to QQ silently
     assert matrix_rank(const_matrix([[2, 4], [1, 2]])) == 1
+
+
+def test_rank_mod_p():
+    assert rank_mod_p([], 7) == 0
+    assert rank_mod_p([[0, 0], [0, 0]], 7) == 0
+    # full rank over Q, but the determinant 3 vanishes mod 3
+    assert rank_mod_p([[1, 1], [1, 4]], 3) == 1
+    assert rank_mod_p([[1, 1], [1, 4]], 5) == 2
+    rng = random.Random(31)
+    for _ in range(60):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+        raw = [[rng.randint(-6, 6) for _ in range(nc)] for _ in range(nr)]
+        assert rank_mod_p(raw, 1_000_003) == fraction_rank(raw)
+
+
+def _poly_product_matrix(rng, n, r, m):
+    """Coefficient lists (ascending, in x) of A*B for random n-by-r and r-by-m
+    matrices of quadratics, so the rank is at most r."""
+    a = [[[rng.randint(-2, 2) for _ in range(3)] for _ in range(r)] for _ in range(n)]
+    b = [[[rng.randint(-2, 2) for _ in range(3)] for _ in range(m)] for _ in range(r)]
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            coeffs = [0] * 5
+            for k in range(r):
+                for d1, c1 in enumerate(a[i][k]):
+                    for d2, c2 in enumerate(b[k][j]):
+                        coeffs[d1 + d2] += c1 * c2
+            row.append(coeffs)
+        out.append(row)
+    return out
+
+
+def test_rank_vs_sympy_univariate():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    # Matrix.rank() eliminates over symbolic expressions and takes ~40x as
+    # long; DomainMatrix ranks the same matrix exactly over QQ(x)
+    x = sympy.Symbol("x")
+    rng = random.Random(404)
+    ranks = set()
+    for _ in range(40):
+        n, r, m = rng.randint(1, 4), rng.randint(1, 3), rng.randint(1, 4)
+        coeffs = _poly_product_matrix(rng, n, r, m)
+        ours = [[LaurentPoly(X, {(d,): c for d, c in enumerate(e)}, QQ) for e in row] for row in coeffs]
+        theirs = sympy.Matrix([[sum(c * x**d for d, c in enumerate(e)) for e in row] for row in coeffs])
+        rank = matrix_rank(ours)
+        assert rank == DomainMatrix.from_Matrix(theirs).to_field().rank()
+        ranks.add(rank)
+    assert ranks >= {1, 2, 3}
+
+
+def test_rank_mod_p_vs_sympy():
+    pytest.importorskip("sympy")
+    from sympy import GF
+    from sympy.polys.matrices import DomainMatrix
+
+    rng = random.Random(405)
+    for p in (2, 3, 7):
+        for _ in range(30):
+            nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+            raw = [[rng.randint(-6, 6) for _ in range(nc)] for _ in range(nr)]
+            field = GF(p)
+            expected = DomainMatrix([[field(v) for v in row] for row in raw], (nr, nc), field).rank()
+            assert rank_mod_p(raw, p) == expected

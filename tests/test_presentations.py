@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import isqrt
 
 import pytest
 
@@ -10,6 +11,7 @@ from artin_sigma import (
     InputError,
     LaurentPoly,
     MathError,
+    PolyMatrix,
     QQ,
     ZZ,
     bipartition_presentation,
@@ -18,14 +20,17 @@ from artin_sigma import (
     dead_edge_forest,
     forest_presentation,
     koszul_differential,
+    matrix_rank,
     parse_graph,
     specialize,
 )
+from artin_sigma import presentations
 from artin_sigma.presentations import (
     Specialization,
     apply_differential,
     specialization_data,
 )
+from oracles import cyclotomic_coefficients, forest_witness_holds
 
 
 def single_edge_forest(m=2):
@@ -392,6 +397,13 @@ def test_certificate_json_shape():
     assert blob["rank"] == 0
     assert blob["conclusion"] == "not_finitely_generated"
     assert blob["basepoint_exponents"] == {"v": 1}
+    assert list(blob) == [
+        "M", "roots", "basepoint_exponents", "generators", "rank", "conclusion",
+        "rank_method", "witness",
+    ]
+    assert blob["rank_method"] == "witness+modular"
+    # phi(v) = x and phi(w) = zeta * x^-1, so u = (x - 1)(zeta*x^-1 - 1)
+    assert blob["witness"] == {"(v,w)": "-x + zeta + 1 - x^-1*zeta"}
 
 
 def test_basepoint_independence():
@@ -453,3 +465,87 @@ def test_random_forest_certificates_always_conclude():
         cert = certify_not_finitely_generated(forest, chi)
         assert cert.rank < cert.generators
         assert cert.conclusion == "not_finitely_generated"
+
+
+def test_certificate_rank_matches_bareiss():
+    # Bareiss on the specialized matrix is the oracle; a silent fallback to it
+    # inside the certificate shows up as a wrong rank_method
+    rng = random.Random(1618)
+    for _ in range(25):
+        forest, chi = random_forest_with_character(rng)
+        cert = certify_not_finitely_generated(forest, chi)
+        matrix = specialize(forest_presentation(forest), forest, chi)
+        assert cert.rank == matrix_rank(matrix)
+        assert cert.rank_method == "witness+modular"
+
+
+def mixed_forest():
+    forest = BipartiteForest(("v", "t"), ("w", "s"), (("v", "w", 4), ("t", "w", 6)))
+    return forest, {"v": 1, "t": 1, "w": -1, "s": 2}
+
+
+def test_modular_shortfall_falls_back_to_bareiss(monkeypatch):
+    forest, chi = mixed_forest()
+    fast = certify_not_finitely_generated(forest, chi)
+    assert fast.rank_method == "witness+modular"
+    monkeypatch.setattr(presentations, "rank_mod_p", lambda rows, p: len(rows[0]) - 2)
+    slow = certify_not_finitely_generated(forest, chi)
+    assert slow.rank_method == "bareiss"
+    assert slow.rank == fast.rank == fast.generators - 1 == 3
+    assert slow.witness == fast.witness
+
+
+def test_failed_witness_falls_back_to_bareiss(monkeypatch):
+    forest, chi = mixed_forest()
+    monkeypatch.setattr(presentations, "_kills", lambda *args: False)
+    cert = certify_not_finitely_generated(forest, chi)
+    assert cert.rank_method == "bareiss"
+    assert cert.witness is None and cert.to_json_dict()["witness"] is None
+    assert cert.rank == 3
+
+
+def test_witness_check_rejects_a_non_kernel_vector():
+    forest, chi = mixed_forest()
+    pres = forest_presentation(forest)
+    spec = specialization_data(forest, chi)
+    images = spec.x_images()
+    matrix = presentations._specialized_matrix(pres, images)
+    witness = presentations._witness(images, pres.generators, spec.domain)
+    zero = LaurentPoly.zero(("x",), spec.domain)
+    one = LaurentPoly.constant(spec.domain.one, ("x",), spec.domain)
+    assert presentations._kills(matrix, witness, zero)
+    assert not presentations._kills(matrix, [zero] * len(witness), zero)
+    assert not presentations._kills(matrix, [witness[0] + one] + witness[1:], zero)
+
+
+def test_witness_passes_independent_check():
+    rng = random.Random(577)
+    perturbed = 0
+    for _ in range(30):
+        forest, chi = random_forest_with_character(rng)
+        witness = certify_not_finitely_generated(forest, chi).to_json_dict()["witness"]
+        args = (forest.left, forest.right, forest.edges, chi, forest.basepoints)
+        assert forest_witness_holds(*args, witness)
+        assert not forest_witness_holds(*args, {k: "0" for k in witness})
+        if len(witness) >= 2:
+            key = next(iter(witness))
+            assert not forest_witness_holds(*args, dict(witness, **{key: witness[key] + " + 1"}))
+            perturbed += 1
+    assert perturbed >= 10
+
+
+def test_modular_prime_and_root_of_unity():
+    # the lower bound is sound only if zeta goes to a root of Phi_M mod p
+    for order in (1, 2, 3, 4, 6, 10, 12, 60):
+        p, r = next(presentations._primes_with_roots(order))
+        assert p > 2**31 and (p - 1) % order == 0
+        assert all(p % q for q in range(2, isqrt(p) + 1))
+        assert [d for d in range(1, order + 1) if pow(r, d, p) == 1] == [order]
+        phi = cyclotomic_coefficients(order)
+        assert sum(c * pow(r, i, p) for i, c in enumerate(phi)) % p == 0
+
+
+def test_modular_rank_skips_a_prime_dividing_a_denominator():
+    p, _ = next(presentations._primes_with_roots(1))
+    entry = LaurentPoly.constant(Fraction(1, p), ("x",), QQ)
+    assert presentations._modular_rank(PolyMatrix([[entry]]), 1) == 1
