@@ -24,8 +24,6 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-import networkx as nx
-
 from .errors import InputError
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -250,27 +248,50 @@ class Block:
 def blocks(graph: LabeledGraph) -> list:
     """Biconnected components in canonical order; they partition the edges.
 
-    Isolated vertices span no edges and therefore appear in no block.
+    Isolated vertices span no edges and therefore appear in no block.  An
+    iterative depth-first search keeps the tree and back edges on a stack
+    and pops one block whenever a child's low point does not reach above
+    its parent (Hopcroft and Tarjan, 1973).
     """
-    if not graph.edges:
-        return []
-    g = nx.Graph()
-    g.add_nodes_from(graph.vertices)
-    for u, v, _ in graph.edges:
-        g.add_edge(u, v)
+    adj = graph.adjacency
     idx = graph.index
+    disc: dict = {}
+    low: dict = {}
+    edge_stack = []
+    comps = []
+    for root in graph.vertices:
+        if root in disc:
+            continue
+        disc[root] = low[root] = len(disc)
+        stack = [(root, None, iter(adj[root]))]
+        while stack:
+            v, parent, nbrs = stack[-1]
+            for w in nbrs:
+                if w not in disc:
+                    disc[w] = low[w] = len(disc)
+                    edge_stack.append((v, w))
+                    stack.append((w, v, iter(adj[w])))
+                    break
+                if w != parent and disc[w] < disc[v]:
+                    low[v] = min(low[v], disc[w])
+                    edge_stack.append((v, w))
+            else:
+                stack.pop()
+                if parent is None:
+                    continue
+                low[parent] = min(low[parent], low[v])
+                if low[v] >= disc[parent]:
+                    comp = []
+                    while not comp or comp[-1] != (parent, v):
+                        comp.append(edge_stack.pop())
+                    comps.append(comp)
     out = []
-    for comp in nx.biconnected_component_edges(g):
-        edge_list = []
-        verts = set()
-        for u, v in comp:
-            if idx[u] > idx[v]:
-                u, v = v, u
-            edge_list.append((u, v, graph.label(u, v)))
-            verts.update((u, v))
-        edge_list.sort(key=lambda e: (idx[e[0]], idx[e[1]]))
-        vertices = tuple(sorted(verts, key=idx.__getitem__))
-        out.append(Block(vertices, tuple(edge_list)))
+    for comp in comps:
+        pairs = sorted(((u, v) if idx[u] < idx[v] else (v, u) for u, v in comp),
+                       key=lambda e: (idx[e[0]], idx[e[1]]))
+        verts = sorted({x for e in pairs for x in e}, key=idx.__getitem__)
+        edges = tuple((u, v, graph._labels[(u, v)]) for u, v in pairs)
+        out.append(Block(tuple(verts), edges))
     out.sort(key=lambda b: tuple(idx[v] for v in b.vertices) + (len(b.edges),))
     return out
 
@@ -289,36 +310,124 @@ STRICT = "strict"
 HYPOTHESIS_MODES = (SIMPLE_CYCLE, STRICT)
 
 
+def _failing_blocks(graph: LabeledGraph, mode: str) -> list:
+    """Blocks of the label>2 subgraph that contain a qualifying cycle.
+
+    Every simple cycle lies inside one block, and a block with more than one
+    edge is 2-connected, so it has a cycle; it has an even one unless it is
+    itself an odd cycle.
+    """
+    if mode not in HYPOTHESIS_MODES:
+        raise InputError(f"unknown hypothesis mode {mode!r}")
+    out = []
+    for block in blocks(high_label_subgraph(graph)):
+        if len(block.edges) == 1:
+            continue
+        odd_cycle = len(block.edges) == len(block.vertices) and len(block.vertices) % 2 == 1
+        if mode == SIMPLE_CYCLE and odd_cycle:
+            continue
+        out.append(block)
+    return out
+
+
 @lru_cache(maxsize=4096)
 def check_hypothesis(graph: LabeledGraph, mode: str = SIMPLE_CYCLE) -> bool:
     """Structural test on the subgraph H spanned by label>2 edges.
 
     ``simple-cycle``: no simple cycle of even length exists in H, decided by
     the block criterion (every block is a single edge or an odd cycle).
-    ``strict``: H is a forest.  strict implies simple-cycle.
+    ``strict``: H is a forest (every block is a single edge).  strict implies
+    simple-cycle.
     """
-    if mode not in HYPOTHESIS_MODES:
-        raise InputError(f"unknown hypothesis mode {mode!r}")
-    high = high_label_subgraph(graph)
-    if mode == STRICT:
-        return cycle_rank(high) == 0
-    for block in blocks(high):
-        if len(block.edges) == 1:
-            continue
-        if len(block.edges) == len(block.vertices) and len(block.vertices) % 2 == 1:
-            continue
-        return False
-    return True
+    return not _failing_blocks(graph, mode)
 
 
-def _canonical_cycle(cycle, idx):
-    """Rotate/orient a vertex cycle deterministically: smallest vertex first,
-    then the smaller neighbor second."""
-    k = len(cycle)
-    start = min(range(k), key=lambda i: idx[cycle[i]])
-    fwd = [cycle[(start + i) % k] for i in range(k)]
-    bwd = [cycle[(start - i) % k] for i in range(k)]
-    return min(fwd, bwd, key=lambda c: [idx[v] for v in c])
+def _cycle_minima(adj: dict, idx: dict) -> list:
+    """The vertices that are the smallest vertex of some cycle, by index.
+
+    Vertices join a union-find from the highest index down; a vertex closes
+    a cycle above itself exactly when two of its higher neighbours are
+    already connected.
+    """
+    root: dict = {}
+
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    out = []
+    for v in sorted(adj, key=idx.__getitem__, reverse=True):
+        parts = [find(w) for w in adj[v] if idx[w] > idx[v]]
+        if len(set(parts)) < len(parts):
+            out.append(v)
+        root[v] = v
+        for r in parts:
+            root[r] = v
+    return out[::-1]
+
+
+def _reach(adj: dict, start, idx: dict):
+    """Breadth-first search from ``start`` through higher-index vertices.
+
+    Returns the distances and the length of the shortest cycle through
+    ``start`` in that region (None if there is none): an edge joining the
+    subtrees of two different neighbours of ``start`` closes a cycle of
+    length dist + dist + 1, and the shortest cycle has such an edge.
+    """
+    dist = {start: 0}
+    branch = {}
+    frontier = [start]
+    shortest = None
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in adj[v]:
+                if idx[w] <= idx[start]:
+                    continue
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    branch[w] = w if v == start else branch[v]
+                    nxt.append(w)
+                elif v != start and branch[w] != branch[v]:
+                    length = dist[v] + dist[w] + 1
+                    if shortest is None or length < shortest:
+                        shortest = length
+        frontier = nxt
+    return dist, shortest
+
+
+def _closed_path(adj: dict, start, dist: dict, length: int, idx: dict):
+    """The first cycle of exactly ``length`` vertices through ``start`` whose
+    other vertices have higher index, or None.
+
+    Neighbours are tried in index order, so the first closed path is the
+    least index list.  It is in canonical rotation: ``start`` is its smallest
+    vertex, and its second vertex is smaller than its last, because its
+    reverse is a later path.  A vertex too far from ``start`` to close the
+    cycle in time is not entered.
+    """
+    path = [start]
+    on_path = {start}
+    frames = [iter(adj[start])]
+    while frames:
+        if len(path) == length:
+            if start in adj[path[-1]]:
+                return tuple(path)
+            nbrs = ()
+        else:
+            nbrs = frames[-1]
+        for w in nbrs:
+            if idx[w] > idx[start] and w not in on_path and dist[w] <= length - len(path):
+                path.append(w)
+                on_path.add(w)
+                frames.append(iter(adj[w]))
+                break
+        else:
+            frames.pop()
+            on_path.discard(path.pop())
+    return None
 
 
 def hypothesis_witness(graph: LabeledGraph, mode: str = SIMPLE_CYCLE):
@@ -326,24 +435,34 @@ def hypothesis_witness(graph: LabeledGraph, mode: str = SIMPLE_CYCLE):
 
     For ``simple-cycle`` the witness is an even simple cycle in the label>2
     subgraph; for ``strict`` it is any simple cycle there.  Deterministic:
-    the shortest qualifying cycle in canonical rotation.
+    the shortest qualifying cycle, and among those the least index list in
+    canonical rotation (smallest vertex first, smaller neighbour second).
+
+    Only the edges of failing blocks are searched: every simple cycle lies
+    in one block.  Lengths are tried in increasing order, from the shortest
+    cycle through any start vertex, each by a search bounded by that length.
     """
-    if check_hypothesis(graph, mode):
+    failing = _failing_blocks(graph, mode)
+    if not failing:
         return None
-    high = high_label_subgraph(graph)
-    g = nx.Graph()
-    g.add_nodes_from(high.vertices)
-    for u, v, _ in high.edges:
-        g.add_edge(u, v)
     idx = graph.index
-    best = None
-    for cycle in nx.simple_cycles(g):
-        if len(cycle) < 3:
-            continue
-        if mode == SIMPLE_CYCLE and len(cycle) % 2 == 1:
-            continue
-        cand = _canonical_cycle(list(cycle), idx)
-        key = (len(cand), [idx[v] for v in cand])
-        if best is None or key < best[0]:
-            best = (key, cand)
-    return tuple(best[1]) if best else None
+    adj: dict = {}
+    for block in failing:
+        for u, v, _ in block.edges:
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+    for nbrs in adj.values():
+        nbrs.sort(key=idx.__getitem__)
+    searches = [(start, *_reach(adj, start, idx)) for start in _cycle_minima(adj, idx)]
+    low = min(shortest for _, _, shortest in searches)
+    if mode == SIMPLE_CYCLE:
+        lengths = range(max(4, low + low % 2), len(adj) + 1, 2)
+    else:
+        lengths = range(low, len(adj) + 1)
+    for length in lengths:
+        for start, dist, shortest in searches:
+            if shortest <= length:
+                cycle = _closed_path(adj, start, dist, length, idx)
+                if cycle:
+                    return cycle
+    return None

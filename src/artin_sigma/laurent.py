@@ -37,8 +37,12 @@ def _coeff_pow(c, e: int, domain):
     """c**e in the domain; negative e needs an invertible coefficient."""
     if e >= 0:
         out = domain.one
-        for _ in range(e):
-            out = out * c
+        while e:
+            if e & 1:
+                out = out * c
+            e >>= 1
+            if e:
+                c = c * c
         return out
     if domain.is_field:
         return _coeff_pow(domain.one / c, -e, domain)
@@ -335,13 +339,18 @@ class LaurentPoly:
             sign = "+"
             if isinstance(coeff, (int, Fraction)) and coeff < 0:
                 sign, coeff = "-", -coeff
+            text = str(coeff)
+            if isinstance(coeff, CycloNum):
+                nonzero = [c for c in coeff.coords if c]
+                if len(nonzero) > 1:
+                    text = f"({text})"
+                elif nonzero[0] < 0:
+                    sign, coeff = "-", -coeff
+                    text = str(coeff)
             if mono:
-                if coeff == 1:
-                    body = mono
-                else:
-                    body = f"{coeff}*{mono}"
+                body = mono if coeff == 1 else f"{text}*{mono}"
             else:
-                body = str(coeff)
+                body = text
             chunks.append((sign, body))
         first_sign, first_body = chunks[0]
         out = ("-" if first_sign == "-" else "") + first_body

@@ -42,17 +42,22 @@ def run_json(capsys, argv):
     return json.loads(out)
 
 
-def run_module(argv, **kwargs):
-    """Run ``python -m artin_sigma.cli`` on the package these tests import."""
+def run_python(args, **kwargs):
+    """Run the interpreter with the package these tests import on its path."""
     src = os.path.dirname(os.path.dirname(artin_sigma.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "artin_sigma.cli", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
         **kwargs,
     )
+
+
+def run_module(argv, **kwargs):
+    """Run ``python -m artin_sigma.cli`` on the package these tests import."""
+    return run_python(["-m", "artin_sigma.cli", *argv], **kwargs)
 
 
 def graph_file(tmp_path, text, name="g.artin"):
@@ -297,3 +302,9 @@ def test_json_output_is_deterministic(tmp_path, capsys):
     first.pop("timing_ms")
     second.pop("timing_ms")
     assert first == second
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    proc = run_python(["-c", "import sys, artin_sigma.cli; print('networkx' in sys.modules)"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

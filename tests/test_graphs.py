@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -18,7 +19,7 @@ from artin_sigma import (
     parse_graph,
 )
 from conftest import F1_TEXT, random_labeled_graph
-from oracles import bfs_connected, has_any_simple_cycle, has_even_simple_cycle
+from oracles import all_simple_cycles, bfs_connected, has_any_simple_cycle, has_even_simple_cycle
 
 
 def test_parse_minimal(f3):
@@ -201,3 +202,111 @@ def test_is_connected_vs_bruteforce_random():
 def test_f1_text_used_by_fixture():
     g = parse_graph(F1_TEXT)
     assert g.label("u", "v") == 4 and g.label("u", "w") == 2
+
+
+def _shuffled_graph(rng, max_vertices=8):
+    """A random labeled graph whose declaration order is not its name order."""
+    g = random_labeled_graph(rng, max_vertices=max_vertices, p=rng.choice([0.3, 0.5, 0.8]))
+    order = list(g.vertices)
+    rng.shuffle(order)
+    return LabeledGraph(tuple(order), g.edges)
+
+
+def _expected_witness(graph, mode, cycles):
+    """The shortest qualifying cycle with the least index list."""
+    idx = graph.index
+    keep = [c for c in cycles if mode == "strict" or len(c) % 2 == 0]
+    if not keep:
+        return None
+    return tuple(min(keep, key=lambda c: (len(c), [idx[v] for v in c])))
+
+
+def test_blocks_and_witness_vs_oracle():
+    # Two distinct edges share a block exactly when some simple cycle
+    # passes through both.
+    rng = random.Random(4242)
+    for _ in range(300):
+        g = _shuffled_graph(rng)
+        pairs = [(u, v) for u, v, _ in g.edges]
+        on_cycle = [{frozenset((c[i - 1], c[i])) for i in range(len(c))}
+                    for c in all_simple_cycles(g.vertices, pairs)]
+        found = blocks(g)
+        block_of = {}
+        for n, block in enumerate(found):
+            for u, v, label in block.edges:
+                assert label == g.label(u, v)
+                block_of[frozenset((u, v))] = n
+        assert set(block_of) == set(map(frozenset, pairs))
+        assert sum(len(b.edges) for b in found) == len(pairs)
+        for e in block_of:
+            for f in block_of:
+                if e != f:
+                    together = any(e in cyc and f in cyc for cyc in on_cycle)
+                    assert (block_of[e] == block_of[f]) == together, (g, e, f)
+        high = high_label_subgraph(g)
+        high_cycles = all_simple_cycles(high.vertices, [(u, v) for u, v, _ in high.edges])
+        # the oracle lists each cycle from its smallest vertex in declaration
+        # order, second vertex before the last: the canonical rotation
+        for mode in ("simple-cycle", "strict"):
+            assert hypothesis_witness(g, mode) == _expected_witness(g, mode, high_cycles), (g, mode)
+
+
+def test_blocks_and_witness_vs_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(77)
+    for _ in range(300):
+        g = _shuffled_graph(rng)
+        ng = nx.Graph()
+        ng.add_nodes_from(g.vertices)
+        ng.add_edges_from((u, v) for u, v, _ in g.edges)
+        expected = sorted(sorted(tuple(sorted(e)) for e in comp)
+                          for comp in nx.biconnected_component_edges(ng))
+        got = sorted(sorted(tuple(sorted((u, v))) for u, v, _ in b.edges) for b in blocks(g))
+        assert got == expected
+        high = high_label_subgraph(g)
+        nh = nx.Graph()
+        nh.add_nodes_from(high.vertices)
+        nh.add_edges_from((u, v) for u, v, _ in high.edges)
+        idx = g.index
+        canonical = []
+        for c in nx.simple_cycles(nh):
+            if len(c) < 3:
+                continue
+            k = len(c)
+            start = min(range(k), key=lambda i: idx[c[i]])
+            fwd = [c[(start + i) % k] for i in range(k)]
+            canonical.append(min(fwd, [fwd[0]] + fwd[:0:-1], key=lambda p: [idx[v] for v in p]))
+        for mode in ("simple-cycle", "strict"):
+            assert hypothesis_witness(g, mode) == _expected_witness(g, mode, canonical), (g, mode)
+
+
+def test_witness_prefers_a_shorter_cycle_in_a_later_block():
+    # a hexagon on the first-declared vertices, then a square sharing f
+    hexagon = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "f"), ("f", "a")]
+    square = [("f", "g"), ("g", "h"), ("h", "i"), ("i", "f")]
+    g = LabeledGraph(tuple("abcdefghi"), tuple((u, v, 4) for u, v in hexagon + square))
+    assert [len(b.edges) for b in blocks(g)] == [6, 4]
+    for mode in ("simple-cycle", "strict"):
+        assert hypothesis_witness(g, mode) == ("f", "g", "h", "i")
+
+
+def test_witness_at_a_cut_vertex_takes_the_least_cycle():
+    # the block (a, b, e, f, g) sorts before the triangle (a, c, d), yet
+    # (a, c, d) is the least triangle through the shared vertex a
+    edges = [("a", "b"), ("b", "e"), ("e", "f"), ("f", "a"), ("f", "g"), ("g", "a"),
+             ("a", "c"), ("c", "d"), ("d", "a")]
+    g = LabeledGraph(tuple("abcdefg"), tuple((u, v, 4) for u, v in edges))
+    assert [b.vertices for b in blocks(g)] == [tuple("abefg"), tuple("acd")]
+    assert hypothesis_witness(g, "strict") == ("a", "c", "d")
+    assert hypothesis_witness(g, "simple-cycle") == ("a", "b", "e", "f")
+
+
+@pytest.mark.parametrize(
+    "mode, expected", [("simple-cycle", ("v0", "v1", "v2", "v3")), ("strict", ("v0", "v1", "v2"))]
+)
+def test_witness_on_complete_graph_is_fast(mode, expected):
+    names = tuple(f"v{i}" for i in range(12))
+    k12 = LabeledGraph(names, tuple((a, b, 4) for i, a in enumerate(names) for b in names[i + 1:]))
+    start = time.perf_counter()
+    assert hypothesis_witness(k12, mode) == expected
+    assert time.perf_counter() - start < 5.0

@@ -13,6 +13,7 @@ from artin_sigma import (
     cyclotomic_polynomial,
     parse_poly,
 )
+from artin_sigma.laurent import _coeff_pow
 
 VARS = ("x", "y")
 
@@ -192,3 +193,37 @@ def test_cyclotomic_polynomials_vs_sympy():
     for n in range(1, 61):
         expected = sympy.Poly(sympy.cyclotomic_poly(n, t), t).all_coeffs()[::-1]
         assert cyclotomic_polynomial(n) == tuple(int(c) for c in expected)
+
+
+@pytest.mark.parametrize(
+    "domain, base",
+    [
+        (QQ, Fraction(-3, 2)),
+        (PrimeField(7), PrimeField(7).coerce(3)),
+        (CyclotomicField(12), CyclotomicField(12).element([Fraction(1, 2), -3, Fraction(2, 3), 5])),
+    ],
+    ids=["Fraction", "FpElement", "CycloNum"],
+)
+def test_coeff_pow_matches_repeated_multiplication(domain, base):
+    for e in (0, 1, 2, 7, -3):
+        factor = base if e >= 0 else domain.one / base
+        expected = domain.one
+        for _ in range(abs(e)):
+            expected = expected * factor
+        assert _coeff_pow(base, e, domain) == expected, e
+
+
+def test_to_string_cyclotomic_coefficients():
+    field = CyclotomicField(3)
+    zeta = field.zeta
+    p = LaurentPoly(("x",), {(1,): zeta + 1, (0,): field.coerce(-1)}, field)
+    assert p.to_string() == "(1 + zeta)*x - 1"
+    q = LaurentPoly(("x",), {(2,): -zeta, (1,): -3 * field.one, (0,): 1 - zeta, (-1,): 2 * zeta}, field)
+    assert q.to_string() == "-zeta*x^2 - 3*x + (1 - zeta) + 2*zeta*x^-1"
+
+
+def test_to_string_other_domains_unchanged():
+    gf7 = PrimeField(7)
+    assert parse_poly("3*x^2 - 1/2*x*y^-1 - 5", VARS).to_string() == "3*x^2 - 1/2*x*y^-1 - 5"
+    assert parse_poly("-x + 4*y - 1", VARS, ZZ).to_string() == "-x + 4*y - 1"
+    assert parse_poly("3*x^2 - x - 5", VARS, gf7).to_string() == "3*x^2 + 6*x + 2"
