@@ -430,16 +430,18 @@ class CyclotomicField:
 
     def zeta_power(self, k: int) -> CycloNum:
         k %= self.order
-        out = self.one
-        for _ in range(k):
-            out = self._reduce_product(out.coords, self._t_coords())
-        return out
-
-    def _t_coords(self):
         if self.degree == 1:
             # t is congruent to a constant modulo a linear cyclotomic polynomial
-            return (Fraction(-self.phi[0]),)
-        return tuple(Fraction(1) if i == 1 else Fraction(0) for i in range(self.degree))
+            return self.coerce(Fraction(-self.phi[0]) ** k)
+        # multiply by t k times: a shift, plus t^degree's row when the top
+        # coordinate overflows; the coordinates stay integers
+        coords = [1] + [0] * (self.degree - 1)
+        for _ in range(k):
+            top = coords.pop()
+            coords.insert(0, 0)
+            if top:
+                coords = [c + top * r for c, r in zip(coords, self._red[0])]
+        return CycloNum(self, coords)
 
     def element(self, coords) -> CycloNum:
         return CycloNum(self, coords)

@@ -9,7 +9,7 @@ of all variables through an auxiliary variable t_aux and the extra generator
 
 from __future__ import annotations
 
-from fractions import Fraction
+import heapq
 
 from .errors import InputError
 from .fields import QQ, ZZ, PrimeField, unify_domains
@@ -69,7 +69,11 @@ def _prepare(gens, order):
 
 
 def reduce_poly(f: LaurentPoly, basis, order=DEFAULT_ORDER) -> LaurentPoly:
-    """Normal form of f modulo the basis (full multivariate division)."""
+    """Normal form of f modulo the basis (full multivariate division).
+
+    The division runs on a private copy of f's term dict; neither f nor
+    any basis element is modified.
+    """
     key = order if callable(order) else _order_key(order)
     if not basis:
         return f
@@ -78,20 +82,30 @@ def reduce_poly(f: LaurentPoly, basis, order=DEFAULT_ORDER) -> LaurentPoly:
         dom = unify_domains(dom, g.domain)
     if dom == ZZ:
         dom = QQ
-    work = f.coerce_to(dom)
-    table = [(g.coerce_to(dom),) + leading_term(g.coerce_to(dom), key) for g in basis if not g.is_zero()]
+    work = dict(f.coerce_to(dom).terms)
+    table = []
+    for g in basis:
+        g = g.coerce_to(dom)
+        if g.terms:
+            table.append((g.terms,) + leading_term(g, key))
+    zero = dom.zero
     rem_terms: dict = {}
-    while work.terms:
-        lm, lc = leading_term(work, key)
-        for g, glm, glc in table:
+    while work:
+        lm = max(work, key=key)
+        lc = work[lm]
+        for gterms, glm, glc in table:
             if _divides(glm, lm):
+                # work -= (lc / glc) * x^(lm - glm) * g, term by term
+                q = lc / glc
                 diff = tuple(a - b for a, b in zip(lm, glm))
-                mono = LaurentPoly.monomial(lc / glc, diff, work.variables, dom)
-                work = work - mono * g
+                for e, c in gterms.items():
+                    m = tuple(a + b for a, b in zip(e, diff))
+                    v = work.pop(m, zero) - q * c
+                    if v:
+                        work[m] = v
                 break
         else:
-            rem_terms[lm] = lc
-            work = work - LaurentPoly.monomial(lc, lm, work.variables, dom)
+            rem_terms[lm] = work.pop(lm)
     return LaurentPoly(f.variables, rem_terms, dom)
 
 
@@ -118,16 +132,18 @@ def buchberger(gens, order=DEFAULT_ORDER) -> list[LaurentPoly]:
     basis = list(polys)
     lms = [leading_term(p, key)[0] for p in basis]
 
-    def lcm_of(i, j):
-        return tuple(max(a, b) for a, b in zip(lms[i], lms[j]))
+    def pairs_with(j):
+        for i in range(j):
+            lcm = tuple(max(a, b) for a, b in zip(lms[i], lms[j]))
+            yield key(lcm), i, j, lcm
 
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    # pairs pop in (key(lcm), i, j) order, each key computed once on push
+    queue = [pair for j in range(len(basis)) for pair in pairs_with(j)]
+    heapq.heapify(queue)
     done = set()
-    while pairs:
-        i, j = min(pairs, key=lambda ij: (key(lcm_of(*ij)), ij))
-        pairs.discard((i, j))
+    while queue:
+        _, i, j, lcm = heapq.heappop(queue)
         done.add((i, j))
-        lcm = lcm_of(i, j)
         # product criterion: coprime leading monomials reduce to zero anyway
         if lcm == tuple(a + b for a, b in zip(lms[i], lms[j])):
             continue
@@ -153,8 +169,8 @@ def buchberger(gens, order=DEFAULT_ORDER) -> list[LaurentPoly]:
             return [one]
         basis.append(r)
         lms.append(leading_term(r, key)[0])
-        n = len(basis) - 1
-        pairs.update((i2, n) for i2 in range(n))
+        for pair in pairs_with(len(basis) - 1):
+            heapq.heappush(queue, pair)
 
     # minimalize: drop elements whose leading monomial another element divides
     # (on ties the earliest element survives; divisibility is transitive, so

@@ -24,7 +24,7 @@ from math import lcm
 from .characters import Character, living_subgraph
 from .errors import InputError, MathError
 from .fields import QQ, ZZ, CycloNum, CyclotomicField
-from .graphs import LabeledGraph, all_labels_even, connected_components
+from .graphs import all_labels_even, connected_components
 from .laurent import LaurentPoly
 from .linalg import PolyMatrix, matrix_rank, rank_mod_p
 

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+import artin_sigma.groebner as groebner
 from artin_sigma import (
     InputError,
     LaurentPoly,
+    PrimeField,
     QQ,
     buchberger,
     is_unit_ideal,
@@ -14,7 +16,7 @@ from artin_sigma import (
     reduce_poly,
     unit_ideal_mod_p,
 )
-from artin_sigma.groebner import leading_term, s_polynomial, saturation_variable
+from artin_sigma.groebner import ORDER_KEYS, leading_term, s_polynomial, saturation_variable, to_prime_field
 from oracles import poly_gcd_univariate
 
 UV = ("u", "v")
@@ -148,3 +150,96 @@ def test_basis_is_interreduced_and_monic():
         others = basis[:i] + basis[i + 1:]
         if others:
             assert reduce_poly(b, others) == b
+
+
+@pytest.mark.parametrize("domain", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+def test_reduce_and_buchberger_leave_inputs_unchanged(domain):
+    # reduce_poly divides on a working dict; it must be a private copy
+    gens = [parse_poly(t, UV, domain) for t in ("u^2 + v", "u*v - 1", "2*v^2 + u")]
+    f = parse_poly("u^3*v + 3*u*v^2 - u + 1", UV, domain)
+    before = [dict(p.terms) for p in gens + [f]]
+    r = reduce_poly(f, gens)
+    assert not r.is_zero()
+    basis = buchberger(gens)
+    basis_before = [dict(b.terms) for b in basis]
+    reduce_poly(f, basis)
+    buchberger(basis)
+    assert [p.terms for p in gens + [f]] == before
+    assert [b.terms for b in basis] == basis_before
+
+
+def _random_ideal(rng, nvars):
+    """2-4 generators of total degree <= 3 with 1-4 terms, integer coefficients."""
+    monomials = _exponents(nvars, 3)
+    gens = []
+    for _ in range(rng.randint(2, 4)):
+        chosen = rng.sample(monomials, rng.randint(1, 4))
+        gens.append({e: rng.choice((-3, -2, -1, 1, 2, 3)) for e in chosen})
+    return gens
+
+
+def _exponents(nvars, degree):
+    if nvars == 0:
+        return [()]
+    return [(d,) + rest for d in range(degree + 1) for rest in _exponents(nvars - 1, degree - d)]
+
+
+def _sympy_reduced_basis(sympy, gens, symbols, order, modulus):
+    """sympy's reduced basis made monic, coefficients as Fractions or residues in [0, p)."""
+    exprs = [sum(c * sympy.prod([x ** k for x, k in zip(symbols, e)]) for e, c in g.items()) for g in gens]
+    options = {"order": order} if modulus is None else {"order": order, "modulus": modulus}
+    out = set()
+    for poly in sympy.groebner(exprs, *symbols, **options).polys:
+        if poly.is_zero:
+            continue
+        terms = {e: sympy.Rational(c) for e, c in poly.terms()}
+        lc = terms[max(terms, key=ORDER_KEYS[order])]
+        if modulus is None:
+            monic = {e: Fraction(int((c / lc).p), int((c / lc).q)) for e, c in terms.items()}
+        else:
+            inv = pow(int(lc), -1, modulus)
+            monic = {e: int(c) * inv % modulus for e, c in terms.items()}
+        out.add(frozenset(monic.items()))
+    return out
+
+
+def test_buchberger_vs_sympy_groebner():
+    # reduced Groebner bases are unique, so ours must equal sympy's exactly
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(5150)
+    for case in range(40):
+        nvars = rng.randint(2, 3)
+        variables = ("x", "y", "z")[:nvars]
+        symbols = sympy.symbols(variables)
+        gens = _random_ideal(rng, nvars)
+        polys = [LaurentPoly(variables, g, QQ) for g in gens]
+        for order in ("grevlex", "lex"):
+            ours = {frozenset(b.terms.items()) for b in buchberger(polys, order)}
+            assert ours == _sympy_reduced_basis(sympy, gens, symbols, order, None), (case, order, gens)
+            for p in (2, 3, 5, 7, 11):
+                mapped = [to_prime_field(g, p) for g in polys]
+                ours = {frozenset((e, c.val) for e, c in b.terms.items()) for b in buchberger(mapped, order)}
+                assert ours == _sympy_reduced_basis(sympy, gens, symbols, order, p), (case, order, p, gens)
+
+
+@pytest.mark.parametrize("order, expected", [("grevlex", (7, 69)), ("lex", (8, 45))])
+def test_pair_order_fixes_the_s_polynomials_formed(monkeypatch, order, expected):
+    # pairs pop in (order key of lcm, i, j) order; another order forms other
+    # S-polynomials, so these counts pin the selection, not only the answer
+    calls = []
+    original = groebner.s_polynomial
+
+    def counted(f, g, key=groebner.DEFAULT_ORDER):
+        calls.append((f, g))
+        return original(f, g, key)
+
+    monkeypatch.setattr(groebner, "s_polynomial", counted)
+    crit2 = [P(t, UVSW) for t in ("1 + u*v", "1 + s*u + (s*u)^2", "1 + v*w", "1 + s*w")]
+    X = ("x0", "x1", "x2", "x3")
+    cycle4 = [P(f"1 + {X[i]}*{X[i - 3]} + ({X[i]}*{X[i - 3]})^2", X) for i in range(4)]
+    counts = []
+    for gens in (crit2, cycle4):
+        calls.clear()
+        laurent_unit_ideal(gens, order)
+        counts.append(len(calls))
+    assert tuple(counts) == expected

@@ -164,6 +164,23 @@ def test_zeta_power_sums_vanish():
         assert total == field.zero, (m, M)
 
 
+def test_zeta_power_matches_repeated_products():
+    # reference: multiply by t through the generic product, one step at a time
+    for order in range(1, 61):
+        field = CyclotomicField(order)
+        if field.degree == 1:
+            t = (Fraction(-field.phi[0]),)
+        else:
+            t = tuple(Fraction(int(i == 1)) for i in range(field.degree))
+        powers = [field.one]
+        for _ in range(2 * order - 1):
+            powers.append(field._reduce_product(powers[-1].coords, t))
+        assert powers[order] == field.one, order
+        for k in range(-order, 2 * order):
+            expect = powers[k] if k >= 0 else powers[k + order]
+            assert field.zeta_power(k) == expect, (order, k)
+
+
 def test_cyclo_inverse():
     rng = random.Random(12)
     field = CyclotomicField(12)
