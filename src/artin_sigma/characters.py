@@ -120,35 +120,18 @@ def lf_subgraph(chi: Character) -> LabeledGraph:
     return full_subgraph(chi.graph, chi.support())
 
 
-@dataclass(frozen=True)
-class DeadEdgeSet:
+def dead_edges(chi: Character) -> tuple:
     """Edges killed by a character: label even and > 2, endpoint values
     summing to zero."""
-
-    graph: LabeledGraph
-    edges: tuple
-
-    def __iter__(self):
-        return iter(self.edges)
-
-    def __len__(self):
-        return len(self.edges)
-
-    def __contains__(self, item):
-        return item in self.edges
-
-
-def dead_edges(chi: Character) -> DeadEdgeSet:
-    out = []
     vals = chi.values
-    for u, v, label in chi.graph.edges:
-        if label > 2 and label % 2 == 0 and vals[u] + vals[v] == 0:
-            out.append((u, v, label))
-    return DeadEdgeSet(chi.graph, tuple(out))
+    return tuple((u, v, label) for u, v, label in chi.graph.edges
+                 if label > 2 and label % 2 == 0 and vals[u] + vals[v] == 0)
 
 
 def living_subgraph(chi: Character) -> LabeledGraph:
     """The support subgraph with dead edges removed (vertex set unchanged)."""
-    lf = lf_subgraph(chi)
-    dead = set(dead_edges(chi).edges)
-    return LabeledGraph(lf.vertices, tuple(e for e in lf.edges if e not in dead))
+    support = chi.support()
+    inside = set(support)
+    dead = set(dead_edges(chi))
+    return LabeledGraph(support, tuple(e for e in chi.graph.edges
+                                       if e[0] in inside and e[1] in inside and e not in dead))

@@ -15,7 +15,7 @@ conjectural completion, flagged by its own status value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .characters import Character, lf_subgraph, living_subgraph
 from .graphs import (
@@ -48,14 +48,7 @@ class Diagnostics:
     cycle_rank: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "lf_connected": self.lf_connected,
-            "lf_dominant": self.lf_dominant,
-            "l_connected": self.l_connected,
-            "even": self.even,
-            "hypothesis_holds": self.hypothesis_holds,
-            "cycle_rank": self.cycle_rank,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -65,11 +58,7 @@ class Verdict:
     diagnostics: Diagnostics
 
     def to_json_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "provenance": self.provenance,
-            "diagnostics": self.diagnostics.to_json_dict(),
-        }
+        return asdict(self)
 
 
 def conjecture_predicate(chi: Character) -> bool:

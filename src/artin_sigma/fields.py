@@ -14,6 +14,18 @@ from functools import lru_cache
 from .errors import InputError
 
 
+def power(base, e: int, one):
+    """base**e for e >= 0 by square-and-multiply, starting from ``one``."""
+    out = one
+    while e:
+        if e & 1:
+            out = out * base
+        e >>= 1
+        if e:
+            base = base * base
+    return out
+
+
 def _divisors(n: int) -> list[int]:
     out = [d for d in range(1, n + 1) if n % d == 0]
     return out
@@ -353,14 +365,7 @@ class CycloNum:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        out = self.field.one
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(self, e, self.field.one)
 
     def __bool__(self):
         return any(self.coords)

@@ -20,6 +20,7 @@ from functools import cached_property, reduce
 
 from .errors import InputError
 from .fields import ZZ
+from .graphs import LabeledGraph, connected_components
 from .laurent import LaurentPoly
 
 
@@ -314,26 +315,9 @@ class AbelianizationMap:
 
 
 def abelianization_map(graph) -> AbelianizationMap:
-    index = {v: i for i, v in enumerate(graph.vertices)}
-    parent = list(range(len(graph.vertices)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for u, v, label in graph.edges:
-        if label % 2 == 1:
-            a, b = find(index[u]), find(index[v])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-
-    groups: dict = {}
-    for i, v in enumerate(graph.vertices):
-        groups.setdefault(find(i), []).append(v)
-    classes = tuple(tuple(groups[r]) for r in sorted(groups))
-    return AbelianizationMap(graph, classes)
+    """Classes are the components of the odd-label subgraph."""
+    odd = LabeledGraph(graph.vertices, tuple(e for e in graph.edges if e[2] % 2))
+    return AbelianizationMap(graph, tuple(connected_components(odd)))
 
 
 def abelianize(element, amap: AbelianizationMap) -> LaurentPoly:

@@ -90,6 +90,8 @@ class LabeledGraph:
             raise InputError(f"unknown vertex {v!r}") from None
 
     def has_edge(self, u: str, v: str) -> bool:
+        if u not in self.index or v not in self.index:
+            raise InputError("unknown vertex")
         if self.index[u] > self.index[v]:
             u, v = v, u
         return (u, v) in self._labels
@@ -138,10 +140,9 @@ def parse_artin(text: str):
             for name in (u, v):
                 if name not in declared:
                     raise InputError(f"line {lineno}: vertex {name!r} used before declaration")
-            try:
-                label = int(label_text)
-            except ValueError:
-                raise InputError(f"line {lineno}: bad label {label_text!r}") from None
+            if not (label_text.isascii() and label_text.isdigit()):
+                raise InputError(f"line {lineno}: bad label {label_text!r}")
+            label = int(label_text)
             if label < 2:
                 raise InputError(f"line {lineno}: label must be >= 2")
             edges.append((u, v, label))
@@ -173,22 +174,8 @@ def full_subgraph(graph: LabeledGraph, vertex_set) -> LabeledGraph:
 
 
 def is_connected(graph: LabeledGraph) -> bool:
-    """Breadth-first connectivity; the empty graph counts as connected."""
-    verts = graph.vertices
-    if len(verts) <= 1:
-        return True
-    adj = graph.adjacency
-    seen = {verts[0]}
-    frontier = [verts[0]]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return len(seen) == len(verts)
+    """At most one component; the empty graph counts as connected."""
+    return len(connected_components(graph)) <= 1
 
 
 def is_dominant(graph: LabeledGraph, vertex_set) -> bool:
@@ -210,26 +197,24 @@ def is_dominant(graph: LabeledGraph, vertex_set) -> bool:
 
 
 def connected_components(graph: LabeledGraph) -> list:
+    """Components in order of their first vertex, each in declaration order."""
     adj = graph.adjacency
-    seen = set()
+    comp_of: dict = {}
     comps = []
     for start in graph.vertices:
-        if start in seen:
+        if start in comp_of:
             continue
-        comp = [start]
-        seen.add(start)
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        comp.append(w)
-                        nxt.append(w)
-            frontier = nxt
-        comps.append(tuple(sorted(comp, key=graph.index.__getitem__)))
-    return comps
+        comp_of[start] = len(comps)
+        stack = [start]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in comp_of:
+                    comp_of[w] = len(comps)
+                    stack.append(w)
+        comps.append([])
+    for v in graph.vertices:
+        comps[comp_of[v]].append(v)
+    return [tuple(c) for c in comps]
 
 
 def cycle_rank(graph: LabeledGraph) -> int:

@@ -16,7 +16,7 @@ import re
 from fractions import Fraction
 
 from .errors import InputError
-from .fields import QQ, ZZ, CycloNum, FpElement, PrimeField, unify_domains
+from .fields import QQ, ZZ, CycloNum, FpElement, PrimeField, power, unify_domains
 
 
 def _infer_domain(value):
@@ -36,14 +36,7 @@ def _infer_domain(value):
 def _coeff_pow(c, e: int, domain):
     """c**e in the domain; negative e needs an invertible coefficient."""
     if e >= 0:
-        out = domain.one
-        while e:
-            if e & 1:
-                out = out * c
-            e >>= 1
-            if e:
-                c = c * c
-        return out
+        return power(c, e, domain.one)
     if domain.is_field:
         return _coeff_pow(domain.one / c, -e, domain)
     if c == 1 or c == -1:
@@ -190,14 +183,7 @@ class LaurentPoly:
             inv_coeff = _coeff_pow(coeff, -1, self.domain)
             inv = LaurentPoly.monomial(inv_coeff, tuple(-x for x in exps), self.variables, self.domain)
             return inv ** (-e)
-        out = LaurentPoly.constant(self.domain.one, self.variables, self.domain)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(self, e, LaurentPoly.constant(self.domain.one, self.variables, self.domain))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, FpElement, CycloNum)):

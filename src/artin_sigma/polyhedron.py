@@ -254,18 +254,30 @@ def polyhedron_contains(polyhedron: SphericalPolyhedron, chi: Character) -> bool
 
 
 def polyhedron_from_json(graph: LabeledGraph, data: dict) -> SphericalPolyhedron:
-    """Rebuild a polyhedron from its JSON dict (inverse of to_json_dict)."""
+    """Rebuild a polyhedron from its JSON dict (inverse of to_json_dict).
+
+    A missing key, a value of the wrong shape or an unknown piece kind is an
+    InputError."""
     pieces = []
-    for pd in data["pieces"]:
-        forms = []
-        for fd in pd["forms"]:
-            mapping = {v: parse_rational(str(c)) for v, c in fd.items()}
-            forms.append(LinearForm.from_mapping(mapping, graph))
-        od = pd["origin"]
-        origin = PieceOrigin(
-            od["kind"],
-            tuple(od["zero_set"]),
-            tuple((u, v) for u, v in od.get("cut_edges", [])),
-        )
-        pieces.append(SubSphere(tuple(forms), origin))
+    try:
+        for pd in data["pieces"]:
+            forms = []
+            for fd in pd["forms"]:
+                mapping = {v: parse_rational(str(c)) for v, c in fd.items()}
+                forms.append(LinearForm.from_mapping(mapping, graph))
+            od = pd["origin"]
+            if od["kind"] not in (DOMINANCE, DISCONNECTION):
+                raise InputError(f"unknown piece kind {od['kind']!r}")
+            origin = PieceOrigin(
+                od["kind"],
+                tuple(od["zero_set"]),
+                tuple((u, v) for u, v in od.get("cut_edges", [])),
+            )
+            pieces.append(SubSphere(tuple(forms), origin))
+    except InputError:
+        raise
+    except KeyError as exc:
+        raise InputError(f"polyhedron JSON lacks the key {exc.args[0]!r}") from None
+    except (AttributeError, TypeError, ValueError):
+        raise InputError("malformed polyhedron JSON") from None
     return SphericalPolyhedron(graph, tuple(pieces))

@@ -21,10 +21,10 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .characters import Character, living_subgraph
+from .characters import Character, dead_edges, living_subgraph
 from .errors import InputError, MathError
 from .fields import QQ, ZZ, CycloNum, CyclotomicField
-from .graphs import all_labels_even, connected_components
+from .graphs import LabeledGraph, all_labels_even, connected_components, cycle_rank
 from .laurent import LaurentPoly
 from .linalg import PolyMatrix, matrix_rank, rank_mod_p
 
@@ -48,12 +48,8 @@ class BipartiteForest:
         right = tuple(self.right)
         if not left or not right:
             raise InputError("both sides of the forest must be nonempty")
-        names = left + right
-        if len(set(names)) != len(names):
-            raise InputError("duplicate vertex across the forest sides")
         lset, rset = set(left), set(right)
         norm_edges = []
-        seen_pairs = set()
         for edge in self.edges:
             try:
                 v, w, label = edge
@@ -65,52 +61,32 @@ class BipartiteForest:
                 raise InputError(f"edge ({v!r}, {w!r}) must join the two sides")
             if not isinstance(label, int) or label < 4 or label % 2:
                 raise InputError(f"forest edge label must be even and >= 4, got {label!r}")
-            if (v, w) in seen_pairs:
-                raise InputError(f"duplicate forest edge ({v!r}, {w!r})")
-            seen_pairs.add((v, w))
             norm_edges.append((v, w, label))
-        pos = {v: i for i, v in enumerate(names)}
-        norm_edges.sort(key=lambda e: (pos[e[0]], pos[e[1]]))
-
-        parent = list(range(len(names)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for v, w, _ in norm_edges:
-            a, b = find(pos[v]), find(pos[w])
-            if a == b:
-                raise MathError("forest edges contain a cycle")
-            parent[max(a, b)] = min(a, b)
-
-        comp_members: dict = {}
-        for i, name in enumerate(names):
-            comp_members.setdefault(find(i), []).append(name)
-        comps = [tuple(comp_members[r]) for r in sorted(comp_members)]
+        # the graph rejects bad names, duplicate vertices and duplicate edges
+        graph = LabeledGraph(left + right, tuple(norm_edges))
+        if cycle_rank(graph) != 0:
+            raise MathError("forest edges contain a cycle")
+        comps = connected_components(graph)
+        comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
 
         basepoints = self.basepoints
         if basepoints is None:
             basepoints = tuple(c[0] for c in comps)
         else:
-            basepoints = tuple(basepoints)
             by_comp = {}
             for b in basepoints:
-                if b not in pos:
+                if b not in comp_of:
                     raise InputError(f"basepoint {b!r} is not a forest vertex")
-                root = find(pos[b])
-                if root in by_comp:
-                    raise InputError(f"two basepoints in one component: {by_comp[root]!r}, {b!r}")
-                by_comp[root] = b
+                if comp_of[b] in by_comp:
+                    raise InputError(f"two basepoints in one component: {by_comp[comp_of[b]]!r}, {b!r}")
+                by_comp[comp_of[b]] = b
             if len(by_comp) != len(comps):
                 raise InputError("every component needs exactly one basepoint")
-            basepoints = tuple(by_comp[find(pos[c[0]])] for c in comps)
+            basepoints = tuple(by_comp[i] for i in range(len(comps)))
 
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
-        object.__setattr__(self, "edges", tuple(norm_edges))
+        object.__setattr__(self, "edges", graph.edges)
         object.__setattr__(self, "basepoints", basepoints)
         object.__setattr__(self, "_components", tuple(comps))
 
@@ -186,24 +162,31 @@ def _cyclotomic_sum_row(v, w, label, variables):
     return total
 
 
-def forest_presentation(forest: BipartiteForest) -> ModulePresentation:
-    """The defining presentation: cyclotomic-sum rows for tree edges plus the
-    two difference families over all generator pairs."""
+def _edge_rows(forest: BipartiteForest):
+    """The generators (v, w) for v left and w right, their positions, the
+    zero entry, and one cyclotomic-sum row per tree edge with its labels."""
     variables = forest.vertices
     generators = tuple((v, w) for v in forest.left for w in forest.right)
     gen_pos = {g: i for i, g in enumerate(generators)}
     zero = LaurentPoly.zero(variables, ZZ)
     rows = []
     labels = []
-
-    def new_row():
-        return [zero] * len(generators)
-
     for v, w, label in forest.edges:
-        row = new_row()
+        row = [zero] * len(generators)
         row[gen_pos[(v, w)]] = _cyclotomic_sum_row(v, w, label, variables)
         rows.append(row)
         labels.append(f"edge:{v}~{w}")
+    return generators, gen_pos, zero, rows, labels
+
+
+def forest_presentation(forest: BipartiteForest) -> ModulePresentation:
+    """The defining presentation: cyclotomic-sum rows for tree edges plus the
+    two difference families over all generator pairs."""
+    variables = forest.vertices
+    generators, gen_pos, zero, rows, labels = _edge_rows(forest)
+
+    def new_row():
+        return [zero] * len(generators)
 
     one = LaurentPoly.constant(1, variables, ZZ)
     for i, v in enumerate(forest.left):
@@ -337,11 +320,12 @@ def dead_edge_forest(chi: Character, bipartition=None) -> BipartiteForest:
         side_a, side_b = side_b, side_a
     left = tuple(v for v in graph.vertices if v in side_a)
     right = tuple(v for v in graph.vertices if v in side_b)
+    dead = set(dead_edges(chi))
     cross = []
     for u, v, label in graph.edges:
         if (u in side_a) == (v in side_a):
             continue
-        if label % 2 or label <= 2 or chi.values[u] + chi.values[v] != 0:
+        if (u, v, label) not in dead:
             raise MathError(f"cross edge ({u}, {v}) is not dead")
         cross.append((u, v, label) if u in side_a else (v, u, label))
     return BipartiteForest(left, right, tuple(cross))
@@ -361,19 +345,8 @@ def bipartition_presentation(chi: Character, bipartition=None) -> ModulePresenta
         raise MathError("construction requires every edge label to be even")
     forest = dead_edge_forest(chi, bipartition)
     variables = forest.vertices
-    generators = tuple((v, w) for v in forest.left for w in forest.right)
-    gen_pos = {g: i for i, g in enumerate(generators)}
+    generators, gen_pos, zero, rows, labels = _edge_rows(forest)
     lset = set(forest.left)
-    zero = LaurentPoly.zero(variables, ZZ)
-    rows = []
-    labels = []
-
-    for v, w, label in forest.edges:
-        row = [zero] * len(generators)
-        row[gen_pos[(v, w)]] = _cyclotomic_sum_row(v, w, label, variables)
-        rows.append(row)
-        labels.append(f"edge:{v}~{w}")
-
     for v, w in generators:
         for t in variables:
             if t == v or t == w:

@@ -150,3 +150,18 @@ def test_random_character_merges_shared_odd_endpoint():
         for u, v, label in g.edges:
             if label % 2 == 1:
                 assert values[u] == values[v], (g, u, v)
+
+
+def test_dead_edges_is_a_tuple_and_living_subgraph_drops_them():
+    rng = random.Random(31)
+    for _ in range(300):
+        g = random_labeled_graph(rng, max_vertices=7, labels=(2, 3, 4, 6))
+        chi = random_character(rng, g)
+        dead = dead_edges(chi)
+        assert isinstance(dead, tuple)
+        assert dead == tuple(e for e in g.edges if e[2] in (4, 6)
+                             and chi.value(e[0]) == -chi.value(e[1]))
+        lf = lf_subgraph(chi)
+        living = living_subgraph(chi)
+        assert living.vertices == lf.vertices
+        assert living.edges == tuple(e for e in lf.edges if e not in dead)

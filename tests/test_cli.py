@@ -308,3 +308,13 @@ def test_cli_import_leaves_networkx_unloaded():
     proc = run_python(["-c", "import sys, artin_sigma.cli; print('networkx' in sys.modules)"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("label", ["+4", "1_0", "٤"])
+def test_cli_rejects_non_ascii_decimal_labels(tmp_path, capsys, label):
+    path = tmp_path / "g.artin"
+    path.write_text(f"v a\nv b\ne a b {label}\nc a 1\nc b -1\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, ["sigma1", str(path)])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "input", "message": f"line 3: bad label {label!r}"}

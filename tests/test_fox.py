@@ -237,3 +237,29 @@ def test_standard_and_commutator_rows_are_associates(f3):
                 ratio = LaurentPoly.monomial(Fraction(cc, cs), exps, s.variables, QQ)
             assert ratio * s.coerce_to(QQ) == c.coerce_to(QQ)
         assert ratio is not None
+
+
+def test_abelianization_classes_are_odd_label_closures():
+    # oracle: merge the classes of an odd edge's endpoints until nothing
+    # changes; classes in order of their first vertex, members in vertex order
+    from conftest import random_labeled_graph
+
+    rng = random.Random(23)
+    for _ in range(200):
+        g = random_labeled_graph(rng, max_vertices=8, labels=(2, 3, 4, 5), p=0.3)
+        cls = {v: {v} for v in g.vertices}
+        changed = True
+        while changed:
+            changed = False
+            for u, v, label in g.edges:
+                if label % 2 and cls[u] is not cls[v]:
+                    merged = cls[u] | cls[v]
+                    for x in merged:
+                        cls[x] = merged
+                    changed = True
+        expected = []
+        for v in g.vertices:
+            members = tuple(x for x in g.vertices if x in cls[v])
+            if members[0] == v:
+                expected.append(members)
+        assert abelianization_map(g).classes == tuple(expected)

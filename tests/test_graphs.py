@@ -310,3 +310,17 @@ def test_witness_on_complete_graph_is_fast(mode, expected):
     start = time.perf_counter()
     assert hypothesis_witness(k12, mode) == expected
     assert time.perf_counter() - start < 5.0
+
+
+def test_has_edge_rejects_unknown_vertex(f3):
+    assert f3.has_edge("b", "a")
+    for u, v in (("a", "z"), ("z", "a"), ("y", "z")):
+        with pytest.raises(InputError, match="unknown vertex"):
+            f3.has_edge(u, v)
+
+
+@pytest.mark.parametrize("label", ["+4", "1_0", "٤", "４", "4.0", "0x4"])
+def test_parse_artin_accepts_ascii_decimal_labels_only(label):
+    with pytest.raises(InputError, match=r"line 3: bad label"):
+        parse_artin(f"v a\nv b\ne a b {label}\n")
+    assert parse_artin("v a\nv b\ne a b 04\n")[0].edges == (("a", "b", 4),)

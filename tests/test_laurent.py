@@ -244,3 +244,18 @@ def test_to_string_other_domains_unchanged():
     assert parse_poly("3*x^2 - 1/2*x*y^-1 - 5", VARS).to_string() == "3*x^2 - 1/2*x*y^-1 - 5"
     assert parse_poly("-x + 4*y - 1", VARS, ZZ).to_string() == "-x + 4*y - 1"
     assert parse_poly("3*x^2 - x - 5", VARS, gf7).to_string() == "3*x^2 + 6*x + 2"
+
+
+def test_power_is_repeated_product():
+    from artin_sigma.fields import power
+
+    field = CyclotomicField(12)
+    p = parse_poly("1 + x - 2*y^-1", VARS)
+    for base, one in ((3, 1), (Fraction(-2, 3), Fraction(1)), (field.zeta + 2, field.one),
+                      (p, LaurentPoly.constant(1, VARS, ZZ))):
+        expected = one
+        for e in range(10):
+            assert power(base, e, one) == expected
+            expected = expected * base
+    assert (field.zeta + 2) ** -3 == power((field.zeta + 2).inverse(), 3, field.one)
+    assert p ** 4 == p * p * p * p

@@ -242,3 +242,31 @@ def test_single_prune_matches_oracle():
         assert pieces == _pruned_by_oracle(g), g
         for a in pieces:
             assert not any(b is not a and subsphere_contained(a, b, g) for b in pieces), g
+
+
+def test_polyhedron_from_json_rejects_malformed(f5):
+    good = complement_polyhedron(f5).to_json_dict()
+
+    def variant(edit):
+        blob = json.loads(json.dumps(good))
+        edit(blob)
+        return blob
+
+    bad = {
+        "no pieces": ({}, "'pieces'"),
+        "no origin": (variant(lambda b: b["pieces"][0].pop("origin")), "'origin'"),
+        "no forms": (variant(lambda b: b["pieces"][0].pop("forms")), "'forms'"),
+        "no kind": (variant(lambda b: b["pieces"][0]["origin"].pop("kind")), "'kind'"),
+        "unknown kind": (variant(lambda b: b["pieces"][0]["origin"].update(kind="other")),
+                         "unknown piece kind 'other'"),
+        "forms not dicts": (variant(lambda b: b["pieces"][0].update(forms=[1])), "malformed"),
+        "pieces not a list": ({"pieces": 3}, "malformed"),
+        "bad cut edge": (variant(lambda b: b["pieces"][0]["origin"].update(cut_edges=[["a"]])),
+                         "malformed"),
+        "unknown vertex": (variant(lambda b: b["pieces"][0]["forms"][0].update(z="1")),
+                           "unknown vertex 'z'"),
+    }
+    for name, (blob, message) in bad.items():
+        with pytest.raises(InputError, match=message):
+            polyhedron_from_json(f5, blob)
+    assert polyhedron_from_json(f5, good) == complement_polyhedron(f5)

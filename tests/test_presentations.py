@@ -549,3 +549,22 @@ def test_modular_rank_skips_a_prime_dividing_a_denominator():
     p, _ = next(presentations._primes_with_roots(1))
     entry = LaurentPoly.constant(Fraction(1, p), ("x",), QQ)
     assert presentations._modular_rank(PolyMatrix([[entry]]), 1) == 1
+
+
+def test_forest_vertices_must_be_graph_names():
+    # the forest is checked as a LabeledGraph: bad names, duplicate vertices
+    # and duplicate edges are input errors
+    for left, right, edges in (
+        (("1v",), ("w",), (("1v", "w", 4),)),
+        (("v w",), ("w",), ()),
+        (("v",), ("v",), ()),
+        (("v",), ("w",), (("v", "w", 4), ("w", "v", 6))),
+    ):
+        with pytest.raises(InputError):
+            BipartiteForest(left, right, edges)
+    forest = BipartiteForest(("a", "c", "e"), ("b", "d"), (("c", "d", 4), ("a", "b", 6)))
+    assert forest.edges == (("a", "b", 6), ("c", "d", 4))
+    assert forest.components() == (("a", "b"), ("c", "d"), ("e",))
+    assert forest.basepoints == ("a", "c", "e")
+    moved = forest.with_basepoints(("e", "d", "b"))
+    assert moved.basepoints == ("b", "d", "e")
