@@ -256,8 +256,8 @@ def polyhedron_contains(polyhedron: SphericalPolyhedron, chi: Character) -> bool
 def polyhedron_from_json(graph: LabeledGraph, data: dict) -> SphericalPolyhedron:
     """Rebuild a polyhedron from its JSON dict (inverse of to_json_dict).
 
-    A missing key, a value of the wrong shape or an unknown piece kind is an
-    InputError."""
+    A missing key, a value of the wrong shape, an unknown piece kind or an
+    origin naming an unknown vertex is an InputError."""
     pieces = []
     try:
         for pd in data["pieces"]:
@@ -273,6 +273,9 @@ def polyhedron_from_json(graph: LabeledGraph, data: dict) -> SphericalPolyhedron
                 tuple(od["zero_set"]),
                 tuple((u, v) for u, v in od.get("cut_edges", [])),
             )
+            unknown = set(origin.zero_set).union(*origin.cut_edges) - set(graph.index)
+            if unknown:
+                raise InputError(f"piece origin names unknown vertices {sorted(unknown)}")
             pieces.append(SubSphere(tuple(forms), origin))
     except InputError:
         raise

@@ -77,9 +77,10 @@ class BipartiteForest:
             for b in basepoints:
                 if b not in comp_of:
                     raise InputError(f"basepoint {b!r} is not a forest vertex")
-                if comp_of[b] in by_comp:
-                    raise InputError(f"two basepoints in one component: {by_comp[comp_of[b]]!r}, {b!r}")
-                by_comp[comp_of[b]] = b
+                k = comp_of[b]
+                if k in by_comp:
+                    raise InputError(f"two basepoints in one component: {by_comp[k]!r}, {b!r}")
+                by_comp[k] = b
             if len(by_comp) != len(comps):
                 raise InputError("every component needs exactly one basepoint")
             basepoints = tuple(by_comp[i] for i in range(len(comps)))
@@ -184,15 +185,11 @@ def forest_presentation(forest: BipartiteForest) -> ModulePresentation:
     two difference families over all generator pairs."""
     variables = forest.vertices
     generators, gen_pos, zero, rows, labels = _edge_rows(forest)
-
-    def new_row():
-        return [zero] * len(generators)
-
     one = LaurentPoly.constant(1, variables, ZZ)
     for i, v in enumerate(forest.left):
         for t in forest.left[i + 1:]:
             for w in forest.right:
-                row = new_row()
+                row = [zero] * len(generators)
                 row[gen_pos[(v, w)]] = _var(t, variables) - one
                 row[gen_pos[(t, w)]] = -(_var(v, variables) - one)
                 rows.append(row)
@@ -200,7 +197,7 @@ def forest_presentation(forest: BipartiteForest) -> ModulePresentation:
     for v in forest.left:
         for i, w in enumerate(forest.right):
             for s in forest.right[i + 1:]:
-                row = new_row()
+                row = [zero] * len(generators)
                 row[gen_pos[(v, w)]] = _var(s, variables) - one
                 row[gen_pos[(v, s)]] = -(_var(w, variables) - one)
                 rows.append(row)

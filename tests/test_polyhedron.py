@@ -265,6 +265,10 @@ def test_polyhedron_from_json_rejects_malformed(f5):
                          "malformed"),
         "unknown vertex": (variant(lambda b: b["pieces"][0]["forms"][0].update(z="1")),
                            "unknown vertex 'z'"),
+        "unknown zero_set vertex": (variant(lambda b: b["pieces"][0]["origin"].update(
+            zero_set=["z"])), r"unknown vertices \['z'\]"),
+        "unknown cut vertex": (variant(lambda b: b["pieces"][0]["origin"].update(
+            cut_edges=[["a", "q"]])), r"unknown vertices \['q'\]"),
     }
     for name, (blob, message) in bad.items():
         with pytest.raises(InputError, match=message):
