@@ -243,9 +243,45 @@ class FpElement:
         return str(self.val)
 
 
+# Miller-Rabin on the first twelve prime bases is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MILLER_RABIN_LIMIT = 318665857834031151167461
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the first twelve prime bases, exact for n below
+    _MILLER_RABIN_LIMIT (about 3.18e23)."""
+    if n < 2:
+        return False
+    for q in _MILLER_RABIN_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
+    """GF(p) for a prime p below _MILLER_RABIN_LIMIT, the bound under which
+    primality is decided exactly; a larger modulus is an InputError."""
+
     def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+        if p >= _MILLER_RABIN_LIMIT:
+            raise InputError(
+                f"modulus {p} is above the primality-test limit {_MILLER_RABIN_LIMIT}")
+        if not _is_prime(p):
             raise InputError(f"{p} is not prime")
         self.p = p
 

@@ -85,47 +85,59 @@ class SubSphere:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra on forms
+# spans of unit forms and edge sums
 
 
-def _rref(rows):
-    """Reduced row echelon form over Q; returns (rows, pivot columns)."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
+def _span(forms, graph: LabeledGraph):
+    """Rank and vertex labels of the span of forms c*e_v and c*(e_u + e_v).
+
+    Such forms are the half edges and negative edges of a signed graph on
+    the vertices, and their span is its frame matroid (Zaslavsky, "Signed
+    graphs", 1982).  A union-find tracks each vertex's colour relative to
+    its root: an edge sum joins opposite colours, a unit form is the pair
+    (v, v), and a component that closes a same-colour cycle is full and
+    merges into an extra ground component.  The rank is n minus the number
+    of balanced components.  ``labels`` maps a vertex to None in a full
+    component and to (root, colour) in a balanced one.  A form with no
+    terms is skipped; any other form is an InputError.
+    """
+    idx = graph.index
+    ground = len(idx)  # the component every full component merges into
+    comp = list(range(ground + 1))
+    colour = [0] * (ground + 1)
+    for terms in (f.coeffs for f in forms if f.coeffs):
+        (u, a), (v, b) = (terms * 2)[:2]
+        if len(terms) > 2 or a != b:
+            raise InputError(f"the form on {[w for w, _ in terms]} is not a unit form or edge sum")
+        u, v = idx[u], idx[v]
+        if comp[u] == comp[v] and colour[u] != colour[v]:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv if x else x for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+        source, target = (comp[u], ground) if comp[u] == comp[v] else sorted((comp[u], comp[v]))
+        flip = colour[u] ^ colour[v] ^ 1
+        for w in range(ground + 1):
+            if comp[w] == source:
+                comp[w], colour[w] = target, colour[w] ^ flip
+    labels = {v: None if comp[i] == ground else (comp[i], colour[i]) for v, i in idx.items()}
+    return ground - len(set(comp[:ground]) - {ground}), labels
 
 
-def _in_rowspan(vector, rref_rows, pivots) -> bool:
-    vec = list(vector)
-    for row, c in zip(rref_rows, pivots):
-        if vec[c] != 0:
-            f = vec[c]
-            vec = [x - f * y for x, y in zip(vec, row)]
-    return not any(vec)
+def _holds(labels, form) -> bool:
+    """Whether a rational form lies in the span labelled by ``_span``: on
+    each balanced component its coefficients on the two colours have equal
+    sums.  Full components accept any coefficients."""
+    balance = {}
+    for v, c in form.coeffs:
+        if labels[v] is not None:
+            root, colour = labels[v]
+            balance[root] = balance.get(root, 0) + (-c if colour else c)
+    return not any(balance.values())
 
 
 def subsphere_contained(a: SubSphere, b: SubSphere, graph: LabeledGraph) -> bool:
-    """Solution-set containment: every character killed by a's forms is
-    killed by b's, i.e. b's forms lie in the span of a's."""
-    rows, pivots = _rref([f.vector(graph) for f in a.forms])
-    return all(_in_rowspan(f.vector(graph), rows, pivots) for f in b.forms)
+    """Whether every character killed by a's forms (unit forms and edge sums)
+    is killed by b's (any rational forms): b's forms lie in the span of a's."""
+    _, labels = _span(a.forms, graph)
+    return all(_holds(labels, f) for f in b.forms)
 
 
 # ---------------------------------------------------------------------------
@@ -235,16 +247,16 @@ def complement_polyhedron(graph: LabeledGraph) -> SphericalPolyhedron:
     n = len(graph.vertices)
     ranked = []
     for piece in dominance_pieces(graph) + disconnection_pieces(graph):
-        rows, pivots = _rref([f.vector(graph) for f in piece.forms])
-        if len(rows) < n:
-            ranked.append((len(rows), _piece_sort_key(piece, graph), piece, rows, pivots))
+        rank, labels = _span(piece.forms, graph)
+        if rank < n:
+            ranked.append((rank, _piece_sort_key(piece, graph), piece, labels))
     ranked.sort(key=lambda r: r[:2])
     kept = []
-    for _, key, piece, rows, pivots in ranked:
-        if not any(all(_in_rowspan(v, rows, pivots) for v in k_vectors) for _, _, k_vectors in kept):
-            kept.append((key, piece, [f.vector(graph) for f in piece.forms]))
+    for _, key, piece, labels in ranked:
+        if not any(all(_holds(labels, f) for f in k.forms) for _, k in kept):
+            kept.append((key, piece))
     kept.sort(key=lambda k: k[0])
-    return SphericalPolyhedron(graph, tuple(piece for _, piece, _ in kept))
+    return SphericalPolyhedron(graph, tuple(piece for _, piece in kept))
 
 
 def polyhedron_contains(polyhedron: SphericalPolyhedron, chi: Character) -> bool:

@@ -23,7 +23,7 @@ from math import lcm
 
 from .characters import Character, dead_edges, living_subgraph
 from .errors import InputError, MathError
-from .fields import QQ, ZZ, CycloNum, CyclotomicField
+from .fields import QQ, ZZ, CycloNum, CyclotomicField, _is_prime
 from .graphs import LabeledGraph, all_labels_even, connected_components, cycle_rank
 from .laurent import LaurentPoly
 from .linalg import PolyMatrix, matrix_rank, rank_mod_p
@@ -471,30 +471,6 @@ BAREISS = "bareiss"
 # _PRIME_FLOOR.
 _PRIME_FLOOR = 2**31
 _EVALUATION_POINT = 3
-_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin on the first twelve prime bases, exact for n < 3.1e23."""
-    if n < 2:
-        return False
-    for q in _MILLER_RABIN_BASES:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _MILLER_RABIN_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _primes_with_roots(order: int):

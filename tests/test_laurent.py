@@ -13,6 +13,7 @@ from artin_sigma import (
     cyclotomic_polynomial,
     parse_poly,
 )
+from artin_sigma.fields import _MILLER_RABIN_LIMIT, _is_prime
 from artin_sigma.laurent import _coeff_pow
 
 VARS = ("x", "y")
@@ -202,6 +203,30 @@ def test_prime_field():
         PrimeField(6)
     with pytest.raises(ZeroDivisionError):
         f5.coerce(Fraction(1, 5))
+
+
+def test_is_prime_matches_a_sieve():
+    sieve = [False, False] + [True] * 1998
+    for i in range(2, 45):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(sieve[i * i::i])
+    assert [_is_prime(n) for n in range(2000)] == sieve
+
+
+def test_prime_field_modulus_checks():
+    # 561 and 1105 are Carmichael numbers: Fermat tests on coprime bases pass
+    for p in (0, 1, 561, 1105):
+        with pytest.raises(InputError, match="not prime"):
+            PrimeField(p)
+    assert PrimeField(2).p == 2
+    assert PrimeField(2**31 - 1).p == 2**31 - 1
+    # the limit is the smallest composite passing all twelve bases
+    assert _is_prime(_MILLER_RABIN_LIMIT)
+    assert _MILLER_RABIN_LIMIT == 399165290221 * 798330580441
+    with pytest.raises(InputError, match="limit"):
+        PrimeField(_MILLER_RABIN_LIMIT)
+    with pytest.raises(InputError, match="limit"):
+        PrimeField(2**89 - 1)
 
 
 def test_cyclotomic_polynomials_vs_sympy():

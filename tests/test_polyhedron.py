@@ -8,6 +8,8 @@ from artin_sigma import (
     InputError,
     LabeledGraph,
     LinearForm,
+    PieceOrigin,
+    SubSphere,
     character,
     complement_polyhedron,
     decide_sigma1,
@@ -133,6 +135,70 @@ def test_subsphere_containment(f5):
     assert subsphere_contained(sa, sb, f5)
     assert not subsphere_contained(sb, sa, f5)
     assert subsphere_contained(sa, sa, f5)
+
+
+def _unit_and_edge_forms(rng, g):
+    """Unit forms and edge sums with nonzero rational coefficients: the
+    shuffled vertices fall into blocks that are left isolated, joined by a
+    path of edge sums (balanced), or made full by a unit form or an odd
+    cycle of edge sums; half the time random edge sums, unit forms and
+    zero forms (as JSON with a "0" coefficient reads) join the blocks."""
+    def form(*vs):
+        c = Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 3))
+        return LinearForm.from_mapping({v: c for v in vs}, g)
+
+    verts = list(g.vertices)
+    rng.shuffle(verts)
+    forms = []
+    while verts:
+        size = rng.randint(1, 4)
+        block, verts = verts[:size], verts[size:]
+        kind = rng.choice(("isolated", "balanced", "unit form", "odd cycle"))
+        if kind == "isolated":
+            continue
+        forms += [form(u, v) for u, v in zip(block, block[1:])]
+        if kind == "unit form":
+            forms.append(form(rng.choice(block)))
+        elif kind == "odd cycle" and len(block) >= 3:
+            forms.append(form(block[0], block[2]))
+    if rng.random() < 0.5:
+        for _ in range(rng.randint(1, 3)):
+            vs = rng.sample(g.vertices, rng.randint(1, 2))
+            zero = rng.random() < 0.2
+            forms.append(LinearForm.from_mapping({vs[0]: 0}, g) if zero else form(*vs))
+    rng.shuffle(forms)
+    return forms
+
+
+def test_subsphere_contained_matches_oracle():
+    rng = random.Random(31)
+    origin = PieceOrigin("disconnection", ())
+    outcomes = []
+    for _ in range(3000):
+        g = random_labeled_graph(rng, max_vertices=7)
+        a = SubSphere(tuple(_unit_and_edge_forms(rng, g)), origin)
+        b_forms = []
+        for _ in range(rng.randint(1, 3)):
+            vs = rng.sample(g.vertices, rng.randint(1, min(3, len(g.vertices))))
+            mapping = {v: Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 1, 2))) for v in vs}
+            b_forms.append(LinearForm.from_mapping(mapping, g))
+        b = SubSphere(tuple(b_forms), origin)
+        rows = forms_as_rows(a, g)
+        expect = all(in_span(vec, rows) for vec in forms_as_rows(b, g))
+        assert subsphere_contained(a, b, g) == expect, (g, a, b)
+        outcomes.append(expect)
+    # both answers are common, so neither side is checked only vacuously
+    assert 300 < sum(outcomes) < 2700
+
+
+def test_subsphere_contained_rejects_other_forms(f4):
+    a, b, c = f4.vertices[:3]
+    origin = PieceOrigin("disconnection", ())
+    unit = SubSphere((LinearForm.from_mapping({a: 1}, f4),), origin)
+    for mapping in ({a: 1, b: -1}, {a: 1, b: 1, c: 1}, {a: 1, b: 2}):
+        bad = SubSphere((LinearForm.from_mapping(mapping, f4),), origin)
+        with pytest.raises(InputError, match="unit form or edge sum"):
+            subsphere_contained(bad, unit, f4)
 
 
 def test_no_piece_contained_in_another(f1, f3, f4, f5):
