@@ -16,10 +16,11 @@ from itertools import combinations
 
 from .characters import Character, parse_rational
 from .errors import InputError
-from .graphs import LabeledGraph, full_subgraph, is_connected
+from .graphs import LabeledGraph
 
 DOMINANCE = "dominance"
 DISCONNECTION = "disconnection"
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -88,134 +89,185 @@ class SubSphere:
 # spans of unit forms and edge sums
 
 
-def _span(forms, graph: LabeledGraph):
-    """Rank and vertex labels of the span of forms c*e_v and c*(e_u + e_v).
+def _span(n: int, units: int, pairs):
+    """Rank, full-vertex mask and key of the span of the unit forms e_v (v in
+    the mask ``units``) and the edge sums e_i + e_j ((i, j) in ``pairs``).
 
     Such forms are the half edges and negative edges of a signed graph on
-    the vertices, and their span is its frame matroid (Zaslavsky, "Signed
+    the n vertices, and their span is its frame matroid (Zaslavsky, "Signed
     graphs", 1982).  A union-find tracks each vertex's colour relative to
-    its root: an edge sum joins opposite colours, a unit form is the pair
-    (v, v), and a component that closes a same-colour cycle is full and
-    merges into an extra ground component.  The rank is n minus the number
-    of balanced components.  ``labels`` maps a vertex to None in a full
-    component and to (root, colour) in a balanced one.  A form with no
-    terms is skipped; any other form is an InputError.
+    the least index of its component, which has colour 0: an edge sum joins
+    opposite colours.  A component is full when it holds a unit vertex or
+    an edge sum closes a same-colour (odd) cycle in it; otherwise it is
+    balanced.  The rank is n minus the number of balanced components.  The
+    key has one label per vertex, None when full and (root, colour) when
+    balanced; two sets of forms have the same span exactly when their keys
+    are equal.
     """
-    idx = graph.index
-    ground = len(idx)  # the component every full component merges into
-    comp = list(range(ground + 1))
-    colour = [0] * (ground + 1)
-    for terms in (f.coeffs for f in forms if f.coeffs):
-        (u, a), (v, b) = (terms * 2)[:2]
-        if len(terms) > 2 or a != b:
-            raise InputError(f"the form on {[w for w, _ in terms]} is not a unit form or edge sum")
-        u, v = idx[u], idx[v]
-        if comp[u] == comp[v] and colour[u] != colour[v]:
+    comp = list(range(n))
+    colour = [0] * n
+    odd = 0  # roots whose component closes a same-colour cycle
+    for i, j in pairs:
+        if comp[i] == comp[j]:
+            if colour[i] == colour[j]:
+                odd |= 1 << comp[i]
             continue
-        source, target = (comp[u], ground) if comp[u] == comp[v] else sorted((comp[u], comp[v]))
-        flip = colour[u] ^ colour[v] ^ 1
-        for w in range(ground + 1):
+        source, target = max(comp[i], comp[j]), min(comp[i], comp[j])
+        flip = colour[i] ^ colour[j] ^ 1
+        for w in range(n):
             if comp[w] == source:
                 comp[w], colour[w] = target, colour[w] ^ flip
-    labels = {v: None if comp[i] == ground else (comp[i], colour[i]) for v, i in idx.items()}
-    return ground - len(set(comp[:ground]) - {ground}), labels
+        odd |= (odd >> source & 1) << target
+    full_roots = odd
+    for w in range(n):
+        full_roots |= (units >> w & 1) << comp[w]
+    full = sum(1 << w for w in range(n) if full_roots >> comp[w] & 1)
+    key = tuple(None if full >> w & 1 else (comp[w], colour[w]) for w in range(n))
+    balanced = sum(1 for w in range(n) if comp[w] == w and not full_roots >> w & 1)
+    return n - balanced, full, key
 
 
-def _holds(labels, form) -> bool:
-    """Whether a rational form lies in the span labelled by ``_span``: on
-    each balanced component its coefficients on the two colours have equal
-    sums.  Full components accept any coefficients."""
+def _holds(key, index, form) -> bool:
+    """Whether a rational form lies in the span keyed by ``_span``: on each
+    balanced component its coefficients on the two colours have equal sums.
+    Full components accept any coefficients."""
     balance = {}
     for v, c in form.coeffs:
-        if labels[v] is not None:
-            root, colour = labels[v]
+        label = key[index[v]]
+        if label is not None:
+            root, colour = label
             balance[root] = balance.get(root, 0) + (-c if colour else c)
     return not any(balance.values())
 
 
+def _spanned(key, pairs) -> int:
+    """Mask of the positions in ``pairs`` whose edge sum e_i + e_j lies in the
+    span keyed by ``_span``: both ends full, or opposite colours of one
+    balanced component."""
+    mask = 0
+    for k, (i, j) in enumerate(pairs):
+        a, b = key[i], key[j]
+        if (a is None and b is None) or (a and b and a[0] == b[0] and a[1] != b[1]):
+            mask |= 1 << k
+    return mask
+
+
 def subsphere_contained(a: SubSphere, b: SubSphere, graph: LabeledGraph) -> bool:
     """Whether every character killed by a's forms (unit forms and edge sums)
-    is killed by b's (any rational forms): b's forms lie in the span of a's."""
-    _, labels = _span(a.forms, graph)
-    return all(_holds(labels, f) for f in b.forms)
+    is killed by b's (any rational forms): b's forms lie in the span of a's.
+    A form of a with no terms is skipped; any other form is an InputError."""
+    idx = graph.index
+    units, pairs = 0, []
+    for terms in (f.coeffs for f in a.forms if f.coeffs):
+        (u, c), (v, d) = (terms * 2)[:2]
+        if len(terms) > 2 or c != d:
+            raise InputError(f"the form on {[w for w, _ in terms]} is not a unit form or edge sum")
+        if u == v:
+            units |= 1 << idx[u]
+        else:
+            pairs.append((idx[u], idx[v]))
+    _, _, key = _span(len(idx), units, pairs)
+    return all(_holds(key, idx, f) for f in b.forms)
 
 
 # ---------------------------------------------------------------------------
-# piece enumeration
+# piece enumeration on vertex and edge numbers
 
 
-def _unit_forms(graph, vertices):
+def _adjacency(graph: LabeledGraph):
+    """Per-vertex neighbour masks and the (i, j) index pair of each edge."""
     idx = graph.index
-    return tuple(
-        LinearForm.from_mapping({v: 1}, graph)
-        for v in sorted(vertices, key=idx.__getitem__)
-    )
+    adj = [0] * len(idx)
+    ends = []
+    for u, v, _ in graph.edges:
+        i, j = idx[u], idx[v]
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+        ends.append((i, j))
+    return adj, ends
+
+
+def _connected(rest: int, adj: list, cut_ends) -> bool:
+    """Whether the vertices of the mask ``rest`` stay connected by the edges
+    among them once the edges ``cut_ends`` are deleted."""
+    adj = list(adj)
+    for i, j in cut_ends:
+        adj[i] &= ~(1 << j)
+        adj[j] &= ~(1 << i)
+    seen = frontier = rest & -rest
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & rest & ~seen
+        seen |= frontier
+    return seen == rest
+
+
+def _closed_neighborhoods(graph: LabeledGraph) -> list:
+    """Distinct proper closed neighbourhoods as vertex masks, in vertex order."""
+    adj, _ = _adjacency(graph)
+    everything = (1 << len(adj)) - 1
+    out = []
+    for x, nbrs in enumerate(adj):
+        closed = nbrs | 1 << x
+        if closed != everything and closed not in out:
+            out.append(closed)
+    return out
+
+
+def _cuts(graph: LabeledGraph) -> list:
+    """(Y1 mask, cut) pairs: each vanishing set Y1 of at most n - 2 vertices
+    by increasing size in ``combinations`` order, with each subset-minimal
+    cut of the rest by increasing size then position.  A cut is a tuple of
+    edge numbers, in edge order, of even edges with label > 2 inside the
+    rest whose deletion disconnects it; the empty cut alone when the rest
+    is already disconnected."""
+    adj, ends = _adjacency(graph)
+    n = len(adj)
+    even = [k for k, (_, _, label) in enumerate(graph.edges) if label > 2 and label % 2 == 0]
+    out = []
+    for size in range(max(n - 1, 0)):
+        for y1 in combinations(range(n), size):
+            units = sum(1 << i for i in y1)
+            rest = ((1 << n) - 1) ^ units
+            removable = [k for k in even if rest >> ends[k][0] & rest >> ends[k][1] & 1]
+            found = []
+            for m in range(len(removable) + 1):
+                for cut in combinations(removable, m):
+                    mask = sum(1 << k for k in cut)
+                    if any(prev & mask == prev for prev in found):
+                        continue
+                    if _connected(rest, adj, [ends[k] for k in cut]):
+                        continue
+                    found.append(mask)
+                    out.append((units, cut))
+    return out
+
+
+def _piece(graph: LabeledGraph, kind: str, units: int, cut: tuple) -> SubSphere:
+    """The piece killing e_v for v in the mask ``units`` and e_u + e_v for
+    each edge number in ``cut``."""
+    zero_set = tuple(v for i, v in enumerate(graph.vertices) if units >> i & 1)
+    cut_edges = tuple(graph.edges[k][:2] for k in cut)
+    forms = tuple(LinearForm(((v, _ONE),)) for v in zero_set)
+    forms += tuple(LinearForm(((u, _ONE), (v, _ONE))) for u, v in cut_edges)
+    return SubSphere(forms, PieceOrigin(kind, zero_set, cut_edges))
 
 
 def dominance_pieces(graph: LabeledGraph) -> list:
     """One candidate piece per vertex whose closed neighborhood is proper:
     all values on the neighborhood vanish.  Exact duplicates are dropped."""
-    pieces = []
-    seen = set()
-    for x in graph.vertices:
-        closed = set(graph.neighbors(x)) | {x}
-        if len(closed) == len(graph.vertices):
-            continue
-        forms = _unit_forms(graph, closed)
-        if forms in seen:
-            continue
-        seen.add(forms)
-        origin = PieceOrigin(DOMINANCE, tuple(sorted(closed, key=graph.index.__getitem__)))
-        pieces.append(SubSphere(forms, origin))
-    return pieces
-
-
-def _cut_candidates_for(graph: LabeledGraph, rest: tuple):
-    """Subset-minimal even-label cuts of the full subgraph on ``rest``.
-
-    Returns each cut as a tuple of edges, in deterministic order, the empty
-    cut first when the subgraph is already disconnected.
-    """
-    sub = full_subgraph(graph, rest)
-    removable = [e for e in sub.edges if e[2] > 2 and e[2] % 2 == 0]
-    found = []
-    out = []
-    for size in range(len(removable) + 1):
-        for cut in combinations(range(len(removable)), size):
-            cut_set = set(cut)
-            if any(prev <= cut_set for prev in found):
-                continue
-            cut_edges = {removable[i] for i in cut}
-            remaining = LabeledGraph(sub.vertices, tuple(e for e in sub.edges if e not in cut_edges))
-            if is_connected(remaining):
-                continue
-            found.append(cut_set)
-            out.append(tuple(removable[i] for i in sorted(cut_set)))
-    return out
+    return [_piece(graph, DOMINANCE, closed, ()) for closed in _closed_neighborhoods(graph)]
 
 
 def disconnection_pieces(graph: LabeledGraph) -> list:
     """Candidate pieces from vanishing sets Y1 plus even-label cuts
     disconnecting the rest, enumerated by increasing |Y1| then cut size.
     Nothing is pruned here; ``complement_polyhedron`` does that."""
-    verts = graph.vertices
-    n = len(verts)
-    idx = graph.index
-    pieces = []
-    for size in range(0, max(n - 1, 0)):
-        for y1 in combinations(verts, size):
-            rest = tuple(v for v in verts if v not in y1)
-            for cut in _cut_candidates_for(graph, rest):
-                forms = list(_unit_forms(graph, y1))
-                for u, v, _ in cut:
-                    forms.append(LinearForm.from_mapping({u: 1, v: 1}, graph))
-                origin = PieceOrigin(
-                    DISCONNECTION,
-                    tuple(sorted(y1, key=idx.__getitem__)),
-                    tuple((u, v) for u, v, _ in cut),
-                )
-                pieces.append(SubSphere(tuple(forms), origin))
-    return pieces
+    return [_piece(graph, DISCONNECTION, units, cut) for units, cut in _cuts(graph)]
 
 
 @dataclass(frozen=True)
@@ -230,33 +282,42 @@ class SphericalPolyhedron:
         return {"pieces": [p.to_json_dict() for p in self.pieces]}
 
 
-def _piece_sort_key(piece: SubSphere, graph: LabeledGraph):
-    idx = graph.index
-    forms_key = tuple(
-        tuple((idx[v], c) for v, c in f.coeffs) for f in piece.forms
-    )
-    return (len(piece.forms), forms_key, piece.origin.kind)
-
-
 def complement_polyhedron(graph: LabeledGraph) -> SphericalPolyhedron:
     """All candidate pieces, pruned once: a piece whose solution set lies
     inside another piece's is removed, as is any piece forcing the whole
-    character to vanish.  Candidates are visited by (rank, canonical key),
-    ties keeping the enumeration-earlier piece, and the result is sorted
-    canonically."""
+    character to vanish.  Candidates are visited by rank, then by the
+    canonical key (number of forms, forms as vertex indices, kind); the
+    result is sorted canonically.
+
+    Every candidate is a unit mask plus cut-edge numbers, all coefficients
+    1.  A candidate whose span key was already visited is dropped: equal
+    spans contain each other, and the earlier one was kept or pruned.
+    Otherwise it is dropped when a kept piece's unit vertices are full in
+    its span and that piece's cut edges lie in its span.  Only kept pieces
+    are built as ``SubSphere``s."""
     n = len(graph.vertices)
+    _, ends = _adjacency(graph)
+    candidates = [(DOMINANCE, closed, ()) for closed in _closed_neighborhoods(graph)]
+    candidates += [(DISCONNECTION, units, cut) for units, cut in _cuts(graph)]
     ranked = []
-    for piece in dominance_pieces(graph) + disconnection_pieces(graph):
-        rank, labels = _span(piece.forms, graph)
+    for kind, units, cut in candidates:
+        rank, full, key = _span(n, units, [ends[k] for k in cut])
         if rank < n:
-            ranked.append((rank, _piece_sort_key(piece, graph), piece, labels))
+            forms = tuple((i,) for i in range(n) if units >> i & 1) + tuple(ends[k] for k in cut)
+            ranked.append((rank, (len(forms), forms, kind), units, cut, full, key))
     ranked.sort(key=lambda r: r[:2])
-    kept = []
-    for _, key, piece, labels in ranked:
-        if not any(all(_holds(labels, f) for f in k.forms) for _, k in kept):
-            kept.append((key, piece))
+    seen = set()
+    kept = []  # (canonical key, unit mask, cut, cut-edge mask)
+    for _, order, units, cut, full, key in ranked:
+        if key in seen:
+            continue
+        seen.add(key)
+        spanned = _spanned(key, ends)
+        if not any(u & ~full == 0 and c & ~spanned == 0 for _, u, _, c in kept):
+            kept.append((order, units, cut, sum(1 << k for k in cut)))
     kept.sort(key=lambda k: k[0])
-    return SphericalPolyhedron(graph, tuple(piece for _, piece in kept))
+    pieces = tuple(_piece(graph, order[2], units, cut) for order, units, cut, _ in kept)
+    return SphericalPolyhedron(graph, pieces)
 
 
 def polyhedron_contains(polyhedron: SphericalPolyhedron, chi: Character) -> bool:

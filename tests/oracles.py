@@ -28,6 +28,27 @@ def bfs_connected(vertices, edge_pairs) -> bool:
     return len(seen) == len(vertices)
 
 
+def minimal_even_cuts(graph, rest):
+    """Subset-minimal even-label cuts of the subgraph induced on ``rest``, in
+    the order the polyhedron enumerates them: the removable edges (even
+    label > 2, both ends in ``rest``) in the graph's edge order, every subset
+    by increasing size in ``combinations`` order, a superset of a cut already
+    found skipped, and a subset kept when deleting it disconnects the rest.
+    Each cut is a tuple of (u, v, label) edges; the empty cut alone when the
+    rest is already disconnected."""
+    inside = [e for e in graph.edges if e[0] in rest and e[1] in rest]
+    removable = [e for e in inside if e[2] > 2 and e[2] % 2 == 0]
+    found = []
+    for size in range(len(removable) + 1):
+        for cut in combinations(removable, size):
+            if any(prev <= set(cut) for prev in found):
+                continue
+            kept = [(u, v) for u, v, label in inside if (u, v, label) not in cut]
+            if not bfs_connected(rest, kept):
+                found.append(set(cut))
+                yield cut
+
+
 def all_simple_cycles(vertices, edge_pairs):
     """Every simple cycle (length >= 3) exactly once, as a vertex list starting
     at its smallest vertex, second element smaller than last."""

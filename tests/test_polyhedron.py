@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -20,8 +21,9 @@ from artin_sigma import (
     polyhedron_from_json,
     subsphere_contained,
 )
+from artin_sigma.polyhedron import _span, _spanned
 from conftest import random_character, random_even_graph, random_labeled_graph
-from oracles import complement_member_bruteforce, fraction_rank, in_span
+from oracles import complement_member_bruteforce, fraction_rank, in_span, minimal_even_cuts
 
 
 def forms_as_rows(piece, graph):
@@ -340,3 +342,123 @@ def test_polyhedron_from_json_rejects_malformed(f5):
         with pytest.raises(InputError, match=message):
             polyhedron_from_json(f5, blob)
     assert polyhedron_from_json(f5, good) == complement_polyhedron(f5)
+
+
+def _pieces_from_oracle_cuts(g):
+    """Disconnection pieces as the polyhedron documents them, with each
+    vanishing set's cuts taken from ``oracles.minimal_even_cuts``."""
+    pieces = []
+    for size in range(max(len(g.vertices) - 1, 0)):
+        for y1 in combinations(g.vertices, size):
+            rest = tuple(v for v in g.vertices if v not in y1)
+            for cut in minimal_even_cuts(g, rest):
+                forms = [LinearForm.from_mapping({v: 1}, g) for v in y1]
+                forms += [LinearForm.from_mapping({u: 1, v: 1}, g) for u, v, _ in cut]
+                origin = PieceOrigin("disconnection", y1, tuple((u, v) for u, v, _ in cut))
+                pieces.append(SubSphere(tuple(forms), origin))
+    return pieces
+
+
+def test_disconnection_pieces_match_oracle_cuts():
+    rng = random.Random(4111)
+    graphs = []
+    for _ in range(300):
+        g = random_labeled_graph(rng, max_vertices=7)
+        edges = [(v, u, label) if rng.random() < 0.5 else (u, v, label) for u, v, label in g.edges]
+        rng.shuffle(edges)
+        graphs.append(LabeledGraph(g.vertices, tuple(edges)))
+    for n in (6, 8):
+        names = tuple(f"c{i}" for i in range(n))
+        graphs.append(LabeledGraph(names, tuple((names[i], names[(i + 1) % n], 4) for i in range(n))))
+    cut_sizes = set()
+    for g in graphs:
+        pieces = disconnection_pieces(g)
+        assert pieces == _pieces_from_oracle_cuts(g), g
+        cut_sizes.update(len(p.origin.cut_edges) for p in pieces)
+    # the empty cut, single edges and the two-edge cuts of the cycles all occur
+    assert {0, 1, 2} <= cut_sizes
+
+
+def _random_span_forms(rng, n, blocks=None):
+    """A unit mask and edge sums (index pairs) whose span has a drawn shape.
+
+    ``blocks`` lists (vertices, kind, colours) with kind "isolated",
+    "balanced", "unit form" or "odd cycle"; it is drawn from a shuffled
+    partition of range(n) when None.  Each call realizes the shape anew: a
+    random tree of edge sums joining opposite colours of a block, extra
+    edge sums between opposite colours, and for a full block either a unit
+    form or a same-colour edge sum closing an odd cycle.  Returns (units,
+    pairs, blocks)."""
+    if blocks is None:
+        verts = list(range(n))
+        rng.shuffle(verts)
+        blocks = []
+        while verts:
+            size = rng.randint(1, 4)
+            block, verts = verts[:size], verts[size:]
+            kinds = ["isolated", "balanced", "unit form"] + (["odd cycle"] if len(block) >= 3 else [])
+            colours = {v: rng.randint(0, 1) for v in block}
+            colours[block[0]] = 0
+            if len(block) > 1:
+                colours[block[1]] = 1
+            blocks.append((block, rng.choice(kinds), colours))
+    units, pairs = 0, []
+    for block, kind, colours in blocks:
+        if kind == "isolated":
+            continue
+        order = list(block)
+        rng.shuffle(order)
+        if len(order) > 1:  # an opposite colour second, so the tree can grow
+            other = next(w for w in order if colours[w] != colours[order[0]])
+            order.remove(other)
+            order.insert(1, other)
+        for k, v in enumerate(order[1:], 1):
+            u = rng.choice([w for w in order[:k] if colours[w] != colours[v]])
+            pairs.append((u, v))
+        for _ in range(rng.randint(0, 2)):
+            u, v = rng.choice(order), rng.choice(order)
+            if colours[u] != colours[v]:
+                pairs.append((u, v))
+        if kind == "unit form":
+            units |= 1 << rng.choice(order)
+        elif kind == "odd cycle":
+            pairs.append(rng.choice([(u, v) for u in order for v in order
+                                     if u < v and colours[u] == colours[v]]))
+    rng.shuffle(pairs)
+    return units, [(j, i) if rng.random() < 0.5 else (i, j) for i, j in pairs], blocks
+
+
+def test_span_key_matches_oracle():
+    rng = random.Random(5203)
+    equal = unequal = 0
+    shapes = set()
+    for _ in range(800):
+        n = rng.randint(1, 8)
+        units_a, pairs_a, blocks = _random_span_forms(rng, n)
+        same_shape = rng.random() < 0.5
+        units_b, pairs_b, _ = _random_span_forms(rng, n, blocks if same_shape else None)
+        rows = []
+        for units, pairs in ((units_a, pairs_a), (units_b, pairs_b)):
+            vecs = [[int(w == v) for w in range(n)] for v in range(n) if units >> v & 1]
+            vecs += [[int(w in (i, j)) for w in range(n)] for i, j in pairs]
+            rows.append(vecs)
+        rank_a, full_a, key_a = _span(n, units_a, pairs_a)
+        rank_b, _, key_b = _span(n, units_b, pairs_b)
+        assert rank_a == fraction_rank(rows[0]), (units_a, pairs_a)
+        assert rank_b == fraction_rank(rows[1]), (units_b, pairs_b)
+        units_in_span = [in_span([int(w == v) for w in range(n)], rows[0]) for v in range(n)]
+        assert [bool(full_a >> v & 1) for v in range(n)] == units_in_span
+        some = rng.sample(list(combinations(range(n), 2)), min(4, n * (n - 1) // 2))
+        sums_in_span = [in_span([int(w in pair) for w in range(n)], rows[0]) for pair in some]
+        assert [bool(_spanned(key_a, some) >> k & 1) for k in range(len(some))] == sums_in_span
+        same_span = (all(in_span(vec, rows[0]) for vec in rows[1])
+                     and all(in_span(vec, rows[1]) for vec in rows[0]))
+        assert (key_a == key_b) == same_span, (units_a, pairs_a, units_b, pairs_b)
+        assert not same_shape or same_span
+        equal += same_span
+        unequal += not same_span
+        shapes.update(kind for _, kind, _ in blocks)
+        if sum(kind in ("unit form", "odd cycle") for _, kind, _ in blocks) >= 2:
+            shapes.add("two full")
+    assert equal > 300 and unequal > 300
+    assert {"isolated", "balanced", "unit form", "odd cycle", "two full"} <= shapes
