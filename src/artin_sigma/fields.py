@@ -1,9 +1,12 @@
-"""Exact coefficient domains: integers, rationals, prime fields, cyclotomic fields.
+"""Exact coefficient fields: the rationals QQ, prime fields GF(p) and
+cyclotomic fields QQ(zeta_M).
 
-Every domain object exposes ``name``, ``zero``, ``one``, ``is_field`` and
-``coerce``.  Elements of ``PrimeField`` and ``CyclotomicField`` are small
-wrapper objects supporting ordinary arithmetic operators, so polynomial code
-can stay agnostic about which domain its coefficients live in.
+Every domain is a field, so every nonzero coefficient is invertible.  Each
+domain object exposes ``name``, ``zero``, ``one`` and ``coerce``; plain ints
+coerce into any of them.  Elements of ``PrimeField`` and ``CyclotomicField``
+are small wrapper objects supporting ordinary arithmetic operators, negative
+powers included, so polynomial code can stay agnostic about which field its
+coefficients live in.
 """
 
 from __future__ import annotations
@@ -31,22 +34,6 @@ def _divisors(n: int) -> list[int]:
     return out
 
 
-def _int_poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    """Divide integer polynomials (ascending coefficients), den monic, no remainder."""
-    num = list(num)
-    deg_d = len(den) - 1
-    quot = [0] * (len(num) - deg_d)
-    for i in range(len(num) - 1, deg_d - 1, -1):
-        c = num[i]
-        quot[i - deg_d] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[i - deg_d + j] -= c * dj
-    if any(num):
-        raise ArithmeticError("inexact polynomial division")
-    return quot
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     """Ascending coefficients of the cyclotomic polynomial of the given order.
@@ -66,12 +53,14 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (order - 1) + [1]
     for d in _divisors(order):
         if d < order:
-            poly = _int_poly_div_exact(poly, list(cyclotomic_polynomial(d)))
+            poly, rem = _q_divmod(poly, cyclotomic_polynomial(d))
+            if rem:
+                raise ArithmeticError("inexact polynomial division")
     return tuple(poly)
 
 
 # ---------------------------------------------------------------------------
-# rational-coefficient polynomial helpers (used for cyclotomic inverses)
+# rational-coefficient polynomial helpers (cyclotomic polynomials and inverses)
 
 def _q_trim(p: list[Fraction]) -> list[Fraction]:
     while p and p[-1] == 0:
@@ -80,15 +69,17 @@ def _q_trim(p: list[Fraction]) -> list[Fraction]:
 
 
 def _q_divmod(a: list[Fraction], b: list[Fraction]):
+    """Quotient and remainder of a by b; integer inputs stay integers when b
+    is monic."""
     a = list(a)
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
+    q = [0] * max(1, len(a) - len(b) + 1)
+    lead = b[-1]
     while len(a) >= len(b) and any(a):
         if a[-1] == 0:
             a.pop()
             continue
         shift = len(a) - len(b)
-        c = a[-1] * inv_lead
+        c = a[-1] if lead == 1 else a[-1] / lead
         q[shift] += c
         for j, bj in enumerate(b):
             a[shift + j] -= c * bj
@@ -133,30 +124,8 @@ def _q_ext_gcd(a: list[Fraction], b: list[Fraction]):
 # domains
 
 
-class IntegerDomain:
-    name = "ZZ"
-    is_field = False
-    zero = 0
-    one = 1
-
-    def coerce(self, value):
-        if isinstance(value, bool):
-            raise TypeError("booleans are not ring elements")
-        if isinstance(value, int):
-            return value
-        if isinstance(value, Fraction):
-            if value.denominator == 1:
-                return int(value)
-            raise TypeError(f"{value} is not an integer")
-        raise TypeError(f"cannot coerce {value!r} into ZZ")
-
-    def __repr__(self):
-        return "ZZ"
-
-
 class RationalDomain:
     name = "QQ"
-    is_field = True
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -171,7 +140,6 @@ class RationalDomain:
         return "QQ"
 
 
-ZZ = IntegerDomain()
 QQ = RationalDomain()
 
 
@@ -288,8 +256,6 @@ class PrimeField:
     @property
     def name(self):
         return f"GF({self.p})"
-
-    is_field = True
 
     @property
     def zero(self):
@@ -451,8 +417,6 @@ class CyclotomicField:
             red.append(tuple(cur))
         self._red = red
 
-    is_field = True
-
     @property
     def name(self):
         return f"QQ(zeta{self.order})"
@@ -525,14 +489,12 @@ class CyclotomicField:
 
 
 def unify_domains(a, b):
-    """Smallest common domain along the chain ZZ -> QQ -> QQ(zeta_M)."""
+    """The common field of a and b: a itself when they are equal, and
+    QQ(zeta_M) for QQ with QQ(zeta_M).  Any other pair is a TypeError."""
     if a == b:
         return a
-    basic = {id(ZZ), id(QQ)}
-    if id(a) in basic and id(b) in basic:
-        return QQ
-    if isinstance(a, CyclotomicField) and id(b) in basic:
-        return a
-    if isinstance(b, CyclotomicField) and id(a) in basic:
+    if a is QQ and isinstance(b, CyclotomicField):
         return b
+    if b is QQ and isinstance(a, CyclotomicField):
+        return a
     raise TypeError(f"no embedding between {a.name} and {b.name}")

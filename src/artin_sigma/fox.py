@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 
 from .errors import InputError
-from .fields import ZZ
+from .fields import QQ
 from .graphs import LabeledGraph, connected_components
 from .laurent import LaurentPoly
 
@@ -321,7 +321,8 @@ def abelianization_map(graph) -> AbelianizationMap:
 
 
 def abelianize(element, amap: AbelianizationMap) -> LaurentPoly:
-    """Image of a group-ring element in Z[class variables +-1]."""
+    """Image of a group-ring element in the Laurent ring over QQ in the class
+    variables; its coefficients are integers."""
     if isinstance(element, FreeWord):
         element = GroupRingElement.from_word(element)
     variables = amap.variables
@@ -336,7 +337,7 @@ def abelianize(element, amap: AbelianizationMap) -> LaurentPoly:
                 raise InputError(f"letter {name!r} is not a vertex of the carrier") from None
         key = tuple(exps)
         terms[key] = terms.get(key, 0) + coeff
-    return LaurentPoly(variables, terms, ZZ)
+    return LaurentPoly(variables, terms, QQ)
 
 
 @dataclass

@@ -83,12 +83,6 @@ class LabeledGraph:
     def _labels(self) -> dict:
         return {(u, v): l for u, v, l in self.edges}
 
-    def neighbors(self, v: str) -> tuple:
-        try:
-            return self.adjacency[v]
-        except KeyError:
-            raise InputError(f"unknown vertex {v!r}") from None
-
     def has_edge(self, u: str, v: str) -> bool:
         if u not in self.index or v not in self.index:
             raise InputError("unknown vertex")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 
 from .errors import InputError
-from .fields import QQ, ZZ, PrimeField, unify_domains
+from .fields import PrimeField, unify_domains
 from .laurent import LaurentPoly
 
 
@@ -60,10 +60,6 @@ def _prepare(gens, order):
             raise InputError("Groebner generators must have non-negative exponents")
         domain = g.domain if domain is None else unify_domains(domain, g.domain)
         polys.append(g)
-    if domain == ZZ:
-        domain = QQ
-    if domain is not None and not domain.is_field:
-        raise InputError(f"coefficients must lie in a field, got {domain.name}")
     polys = [p.coerce_to(domain) for p in polys if not p.is_zero()]
     return polys, variables, domain
 
@@ -80,8 +76,6 @@ def reduce_poly(f: LaurentPoly, basis, order=DEFAULT_ORDER) -> LaurentPoly:
     dom = f.domain
     for g in basis:
         dom = unify_domains(dom, g.domain)
-    if dom == ZZ:
-        dom = QQ
     work = dict(f.coerce_to(dom).terms)
     table = []
     for g in basis:
@@ -233,8 +227,6 @@ def laurent_unit_ideal(gens, order=DEFAULT_ORDER):
     domain = extended[0].domain
     for p in extended[1:]:
         domain = unify_domains(domain, p.domain)
-    if domain == ZZ:
-        domain = QQ
     one = LaurentPoly.constant(domain.one, ext, domain)
     product = one
     for v in variables:

@@ -16,32 +16,19 @@ import re
 from fractions import Fraction
 
 from .errors import InputError
-from .fields import QQ, ZZ, CycloNum, FpElement, PrimeField, power, unify_domains
+from .fields import QQ, CycloNum, FpElement, PrimeField, power, unify_domains
 
 
 def _infer_domain(value):
     if isinstance(value, bool):
         raise TypeError("booleans are not ring elements")
-    if isinstance(value, int):
-        return ZZ
-    if isinstance(value, Fraction):
+    if isinstance(value, (int, Fraction)):
         return QQ
     if isinstance(value, FpElement):
         return PrimeField(value.p)
     if isinstance(value, CycloNum):
         return value.field
     raise TypeError(f"unsupported coefficient {value!r}")
-
-
-def _coeff_pow(c, e: int, domain):
-    """c**e in the domain; negative e needs an invertible coefficient."""
-    if e >= 0:
-        return power(c, e, domain.one)
-    if domain.is_field:
-        return _coeff_pow(domain.one / c, -e, domain)
-    if c == 1 or c == -1:
-        return _coeff_pow(c, -e, domain)
-    raise TypeError(f"{c} is not invertible in {domain.name}")
 
 
 class LaurentPoly:
@@ -64,7 +51,7 @@ class LaurentPoly:
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def zero(cls, variables, domain=ZZ):
+    def zero(cls, variables, domain=QQ):
         return cls(variables, {}, domain)
 
     @classmethod
@@ -74,7 +61,7 @@ class LaurentPoly:
         return cls(variables, {(0,) * len(tuple(variables)): value}, domain)
 
     @classmethod
-    def variable(cls, name, variables, domain=ZZ, power=1):
+    def variable(cls, name, variables, domain=QQ, power=1):
         variables = tuple(variables)
         if name not in variables:
             raise ValueError(f"unknown variable {name!r}")
@@ -180,7 +167,7 @@ class LaurentPoly:
             if len(self.terms) != 1:
                 raise InputError("negative power of a non-monomial")
             ((exps, coeff),) = self.terms.items()
-            inv_coeff = _coeff_pow(coeff, -1, self.domain)
+            inv_coeff = coeff ** -1
             inv = LaurentPoly.monomial(inv_coeff, tuple(-x for x in exps), self.variables, self.domain)
             return inv ** (-e)
         return power(self, e, LaurentPoly.constant(self.domain.one, self.variables, self.domain))
@@ -281,7 +268,7 @@ class LaurentPoly:
                         break
                     raise ZeroDivisionError(f"negative power of zero image for {v!r}")
                 ((ie, ic),) = img.terms.items()
-                acc_c = acc_c * _coeff_pow(dom.coerce(ic), e, dom)
+                acc_c = acc_c * dom.coerce(ic) ** e
                 for i, x in enumerate(ie):
                     acc_e[i] += x * e
             if dead:
@@ -302,7 +289,7 @@ class LaurentPoly:
             acc = dom.coerce(coeff)
             for v, e in zip(self.variables, exps):
                 if e:
-                    acc = acc * _coeff_pow(dom.coerce(values[v]), e, dom)
+                    acc = acc * dom.coerce(values[v]) ** e
             total = total + acc
         return total
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .fields import QQ, ZZ, unify_domains
+from .fields import unify_domains
 from .laurent import LaurentPoly
 
 
@@ -94,10 +94,6 @@ def matrix_rank(matrix) -> int:
     for r in rows:
         for e in r:
             domain = e.domain if domain is None else unify_domains(domain, e.domain)
-    if domain == ZZ:
-        domain = QQ
-    if not domain.is_field:
-        raise InputError(f"rank needs field coefficients, got {domain.name}")
 
     nvars = len(variables)
     work = []

@@ -5,7 +5,9 @@ finitely many rational linear forms in the vertex values.  Two families are
 enumerated: dominance pieces (all values on a closed neighborhood vanish)
 and disconnection pieces (values vanish on a set Y1 and selected even-label
 edge sums vanish, so that deleting those edges disconnects the full subgraph
-away from Y1).  Membership of a character is decided exactly.
+away from Y1).  Each dominance piece lies inside a disconnection piece, so
+the polyhedron keeps disconnection pieces only.  Membership of a character
+is decided exactly.
 """
 
 from __future__ import annotations
@@ -283,11 +285,21 @@ class SphericalPolyhedron:
 
 
 def complement_polyhedron(graph: LabeledGraph) -> SphericalPolyhedron:
-    """All candidate pieces, pruned once: a piece whose solution set lies
-    inside another piece's is removed, as is any piece forcing the whole
-    character to vanish.  Candidates are visited by rank, then by the
-    canonical key (number of forms, forms as vertex indices, kind); the
-    result is sorted canonically.
+    """The disconnection candidates, pruned once: a piece whose solution set
+    lies inside another piece's is removed, as is any piece forcing the
+    whole character to vanish.  Candidates are visited by rank, then by the
+    canonical key (number of forms, forms as vertex indices); the result is
+    sorted canonically.
+
+    Dominance candidates are never kept, so they are not enumerated.  Take
+    a proper closed neighbourhood N[x] and a vertex y outside it.  Then
+    |N(x)| <= n - 2, and x is isolated in the rest V - N(x), which also
+    holds y; so the rest is disconnected and (Y1 = N(x), empty cut) is a
+    disconnection candidate.  Its forms are a proper subset of the
+    dominance piece's, so it has lower rank and is visited first, and its
+    solution set strictly contains the dominance piece's.  Kept, or dropped
+    for a kept piece whose span lies in its own, it leaves a kept piece
+    whose span lies in the dominance piece's, which is then dropped.
 
     Every candidate is a unit mask plus cut-edge numbers, all coefficients
     1.  A candidate whose span key was already visited is dropped: equal
@@ -297,14 +309,12 @@ def complement_polyhedron(graph: LabeledGraph) -> SphericalPolyhedron:
     are built as ``SubSphere``s."""
     n = len(graph.vertices)
     _, ends = _adjacency(graph)
-    candidates = [(DOMINANCE, closed, ()) for closed in _closed_neighborhoods(graph)]
-    candidates += [(DISCONNECTION, units, cut) for units, cut in _cuts(graph)]
     ranked = []
-    for kind, units, cut in candidates:
+    for units, cut in _cuts(graph):
         rank, full, key = _span(n, units, [ends[k] for k in cut])
         if rank < n:
             forms = tuple((i,) for i in range(n) if units >> i & 1) + tuple(ends[k] for k in cut)
-            ranked.append((rank, (len(forms), forms, kind), units, cut, full, key))
+            ranked.append((rank, (len(forms), forms), units, cut, full, key))
     ranked.sort(key=lambda r: r[:2])
     seen = set()
     kept = []  # (canonical key, unit mask, cut, cut-edge mask)
@@ -316,7 +326,7 @@ def complement_polyhedron(graph: LabeledGraph) -> SphericalPolyhedron:
         if not any(u & ~full == 0 and c & ~spanned == 0 for _, u, _, c in kept):
             kept.append((order, units, cut, sum(1 << k for k in cut)))
     kept.sort(key=lambda k: k[0])
-    pieces = tuple(_piece(graph, order[2], units, cut) for order, units, cut, _ in kept)
+    pieces = tuple(_piece(graph, DISCONNECTION, units, cut) for _, units, cut, _ in kept)
     return SphericalPolyhedron(graph, pieces)
 
 

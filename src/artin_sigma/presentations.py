@@ -23,7 +23,7 @@ from math import lcm
 
 from .characters import Character, dead_edges, living_subgraph
 from .errors import InputError, MathError
-from .fields import QQ, ZZ, CycloNum, CyclotomicField, _is_prime
+from .fields import QQ, CycloNum, CyclotomicField, _is_prime
 from .graphs import LabeledGraph, all_labels_even, connected_components, cycle_rank
 from .laurent import LaurentPoly
 from .linalg import PolyMatrix, matrix_rank, rank_mod_p
@@ -120,9 +120,6 @@ class ModulePresentation:
     rows: list
     row_labels: tuple = ()
 
-    def matrix(self) -> PolyMatrix:
-        return PolyMatrix([list(r) for r in self.rows])
-
     def canonical_form(self) -> frozenset:
         """Order-independent fingerprint: variables and generators sorted,
         zero rows dropped, each row sign-normalized and serialized."""
@@ -147,16 +144,16 @@ class ModulePresentation:
         return frozenset(out)
 
 
-def _var(name, variables, domain=ZZ):
-    return LaurentPoly.variable(name, variables, domain)
+def _var(name, variables):
+    return LaurentPoly.variable(name, variables)
 
 
 def _cyclotomic_sum_row(v, w, label, variables):
     """1 + vw + ... + (vw)^(m-1) for label = 2m."""
     m = label // 2
     vw = _var(v, variables) * _var(w, variables)
-    total = LaurentPoly.constant(1, variables, ZZ)
-    power = LaurentPoly.constant(1, variables, ZZ)
+    total = LaurentPoly.constant(1, variables)
+    power = LaurentPoly.constant(1, variables)
     for _ in range(m - 1):
         power = power * vw
         total = total + power
@@ -169,7 +166,7 @@ def _edge_rows(forest: BipartiteForest):
     variables = forest.vertices
     generators = tuple((v, w) for v in forest.left for w in forest.right)
     gen_pos = {g: i for i, g in enumerate(generators)}
-    zero = LaurentPoly.zero(variables, ZZ)
+    zero = LaurentPoly.zero(variables)
     rows = []
     labels = []
     for v, w, label in forest.edges:
@@ -185,7 +182,7 @@ def forest_presentation(forest: BipartiteForest) -> ModulePresentation:
     two difference families over all generator pairs."""
     variables = forest.vertices
     generators, gen_pos, zero, rows, labels = _edge_rows(forest)
-    one = LaurentPoly.constant(1, variables, ZZ)
+    one = LaurentPoly.constant(1, variables)
     for i, v in enumerate(forest.left):
         for t in forest.left[i + 1:]:
             for w in forest.right:
@@ -220,7 +217,7 @@ def _perm_sign(seq) -> int:
     return sign
 
 
-def koszul_differential(k: int, element, variables, domain=ZZ) -> dict:
+def koszul_differential(k: int, element, variables) -> dict:
     """Differential of a degree-k exterior basis element (k in {1, 2, 3}).
 
     Returns a mapping from degree-(k-1) basis tuples (sorted in variable
@@ -246,10 +243,10 @@ def koszul_differential(k: int, element, variables, domain=ZZ) -> dict:
     order = [pos[v] for v in element]
     sign = _perm_sign(order)
     sorted_elt = tuple(sorted(element, key=pos.__getitem__))
-    one = LaurentPoly.constant(domain.one, variables, domain)
+    one = LaurentPoly.constant(1, variables)
 
     def term(name):
-        p = _var(name, variables, domain) - one
+        p = _var(name, variables) - one
         return p if sign > 0 else -p
 
     if k == 1:
@@ -262,12 +259,12 @@ def koszul_differential(k: int, element, variables, domain=ZZ) -> dict:
     return {(b, c): term(a), (a, c): -term(b), (a, b): term(c)}
 
 
-def apply_differential(k: int, element_dict: dict, variables, domain=ZZ) -> dict:
+def apply_differential(k: int, element_dict: dict, variables) -> dict:
     """Extend the differential linearly to a combination of basis wedges."""
     out: dict = {}
-    zero = LaurentPoly.zero(variables, domain)
+    zero = LaurentPoly.zero(variables)
     for basis, coeff in element_dict.items():
-        for lower, poly in koszul_differential(k, basis, variables, domain).items():
+        for lower, poly in koszul_differential(k, basis, variables).items():
             out[lower] = out.get(lower, zero) + coeff * poly
     return {b: p for b, p in out.items() if not p.is_zero()}
 

@@ -16,7 +16,7 @@ from artin_sigma import (
     GroupRingElement,
     FreeWord,
     LaurentPoly,
-    ZZ,
+    QQ,
     abelianization_map,
     bipartition_presentation,
     certify_not_finitely_generated,
@@ -169,11 +169,11 @@ def test_criterion_04_fundamental_identity_and_chain(capsys):
             amap = abelianization_map(graph)
             jac = jacobian(pres_gens, relators, amap)
             for row in jac.entries:
-                acc = LaurentPoly.zero(jac.variables, ZZ)
+                acc = LaurentPoly.zero(jac.variables, QQ)
                 for entry, gen in zip(row, jac.generators):
                     cls_var = amap.variables[amap.class_index[gen]]
-                    lin = LaurentPoly.variable(cls_var, jac.variables, ZZ)
-                    lin = lin - LaurentPoly.constant(1, jac.variables, ZZ)
+                    lin = LaurentPoly.variable(cls_var, jac.variables, QQ)
+                    lin = lin - LaurentPoly.constant(1, jac.variables, QQ)
                     acc = acc + entry * lin
                 assert acc.is_zero()
 

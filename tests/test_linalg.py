@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from artin_sigma import InputError, LaurentPoly, PolyMatrix, QQ, ZZ, matrix_rank, parse_poly
+from artin_sigma import InputError, LaurentPoly, PolyMatrix, QQ, matrix_rank, parse_poly
 from artin_sigma.linalg import exact_divide, rank_mod_p
 from oracles import fraction_rank
 
@@ -11,7 +11,7 @@ X = ("x",)
 
 
 def const_matrix(rows):
-    return [[LaurentPoly.constant(c, X, ZZ) for c in row] for row in rows]
+    return [[LaurentPoly.constant(c, X, QQ) for c in row] for row in rows]
 
 
 def test_exact_divide():
@@ -106,9 +106,10 @@ def test_matrix_validation():
         PolyMatrix([[1]])
 
 
-def test_rank_needs_field_or_integers():
-    # ZZ entries are promoted to QQ silently
-    assert matrix_rank(const_matrix([[2, 4], [1, 2]])) == 1
+def test_rank_of_integer_entries_is_taken_over_qq():
+    rows = [[LaurentPoly.constant(c, X) for c in row] for row in ([2, 4], [1, 2])]
+    assert all(e.domain is QQ for row in rows for e in row)
+    assert matrix_rank(rows) == 1
 
 
 def test_rank_mod_p():

@@ -89,6 +89,23 @@ def test_f5_dominance_pieces_are_pruned(f5):
         assert len(piece.forms) < 2
 
 
+def test_every_dominance_piece_lies_inside_a_disconnection_piece(f1, f3, f4, f5):
+    # the proof in complement_polyhedron's docstring: N[x] is strictly inside
+    # the cut-free disconnection piece with Y1 = N(x)
+    rng = random.Random(909)
+    graphs = [f1, f3, f4, f5] + [random_labeled_graph(rng, max_vertices=7) for _ in range(200)]
+    checked = 0
+    for g in graphs:
+        cut_free = {p.origin.zero_set: p for p in disconnection_pieces(g) if not p.origin.cut_edges}
+        for d in dominance_pieces(g):
+            zero_set = d.origin.zero_set
+            x = next(v for v in zero_set if set(zero_set) == {v, *g.adjacency[v]})
+            c = cut_free[tuple(v for v in zero_set if v != x)]
+            assert subsphere_contained(d, c, g) and not subsphere_contained(c, d, g), g
+            checked += 1
+    assert checked > 100
+
+
 def test_complement_polyhedron_complete_right_angled():
     g = parse_graph("v a\nv b\nv c\ne a b 2\ne b c 2\ne c a 2\n")
     assert complement_polyhedron(g).pieces == ()

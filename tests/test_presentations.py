@@ -13,7 +13,6 @@ from artin_sigma import (
     MathError,
     PolyMatrix,
     QQ,
-    ZZ,
     bipartition_presentation,
     certify_not_finitely_generated,
     character,
@@ -137,7 +136,7 @@ def test_canonical_form_invariances():
     )
     assert flipped.canonical_form() == canon
     # duplicated and zero rows disappear
-    zero_row = [LaurentPoly.zero(pres.variables, ZZ)] * len(pres.generators)
+    zero_row = [LaurentPoly.zero(pres.variables, QQ)] * len(pres.generators)
     padded = ModulePresentation(
         pres.variables, pres.generators, pres.rows + [zero_row] + pres.rows[:1]
     )
@@ -150,10 +149,10 @@ def test_canonical_form_invariances():
 
 def test_koszul_degree_formulas():
     V = ("a", "b", "c")
-    one = LaurentPoly.constant(1, V, ZZ)
+    one = LaurentPoly.constant(1, V, QQ)
 
     def var(n):
-        return LaurentPoly.variable(n, V, ZZ)
+        return LaurentPoly.variable(n, V, QQ)
 
     assert koszul_differential(1, ("b",), V) == {(): var("b") - one}
     d2 = koszul_differential(2, ("a", "b"), V)
