@@ -21,7 +21,7 @@ from .characters import parse_character
 from .errors import InputError, MathError
 from .fox import fox_derivative, graph_presentation, jacobian, abelianization_map, parse_word
 from .graphs import HYPOTHESIS_MODES, SIMPLE_CYCLE, hypothesis_witness, parse_artin
-from .groebner import ORDER_KEYS, DEFAULT_ORDER, buchberger, laurent_unit_ideal, unit_ideal_mod_p
+from .groebner import ORDER_KEYS, DEFAULT_ORDER, buchberger, laurent_unit_report, unit_ideal_mod_p
 from .laurent import parse_poly
 from .polyhedron import complement_polyhedron
 from .presentations import certify_not_finitely_generated, dead_edge_forest
@@ -201,7 +201,7 @@ def _cmd_groebner(args):
     if not gens:
         raise InputError("no generators given")
     if args.laurent:
-        unit, basis, _aux = laurent_unit_ideal(gens, order=args.order)
+        unit, basis, _aux, method, witness = laurent_unit_report(gens, order=args.order)
     else:
         basis = buchberger(gens, order=args.order)
         unit = len(basis) == 1 and basis[0].is_constant()
@@ -222,6 +222,9 @@ def _cmd_groebner(args):
         "unit_ideal": unit,
         "mod_p": mod_p,
     }
+    if args.laurent:
+        result["unit_method"] = method
+        result["unit_witness"] = witness
     lines = [f"unit ideal: {'yes' if unit else 'no'}"]
     lines += [f"  {b.to_string()}" for b in basis]
     return inputs, result, lines

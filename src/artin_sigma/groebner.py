@@ -5,6 +5,12 @@ membership question "is 1 in the ideal?" is decided by clearing each
 generator to a polynomial with a monomial unit and saturating by the product
 of all variables through an auxiliary variable t_aux and the extra generator
 1 - t_aux * x_1 * ... * x_n.
+
+Systems whose generators all have at most two terms skip Buchberger for that
+question: a binomial c1*x^a + c2*x^b is a unit multiple of x^(a-b) - lam with
+lam = -c2/c1, and <x^(d_i) - lam_i> is the unit ideal iff some integer vector
+c with sum c_i d_i = 0 has prod lam_i^(c_i) != 1 (Eisenbud and Sturmfels,
+"Binomial ideals", 1996).  Testing a Z-basis of that kernel lattice suffices.
 """
 
 from __future__ import annotations
@@ -208,33 +214,136 @@ def saturation_variable(variables) -> str:
     return name
 
 
+def _integer_left_kernel(rows):
+    """A Z-basis of the lattice {c in Z^m : sum_i c_i * rows[i] = 0}.
+
+    Unimodular row operations on [D | I] bring D to echelon form (Euclid on
+    each column, as in a Hermite normal form; Kannan and Bachem 1979).  The
+    identity part of the rows whose D part became zero is a basis of the
+    whole kernel lattice, not of a sublattice of finite index, because the
+    accumulated transform is invertible over Z.
+    """
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    work = [list(r) + [int(i == k) for k in range(m)] for i, r in enumerate(rows)]
+    rank = 0
+    for j in range(n):
+        while True:
+            live = [i for i in range(rank, m) if work[i][j]]
+            if len(live) <= 1:
+                break
+            p = min(live, key=lambda i: abs(work[i][j]))
+            pivot = work[p]
+            for i in live:
+                if i != p:
+                    q = work[i][j] // pivot[j]
+                    work[i] = [a - q * b for a, b in zip(work[i], pivot)]
+        if live:
+            work[rank], work[live[0]] = work[live[0]], work[rank]
+            rank += 1
+    return [r[n:] for r in work[rank:]]
+
+
+def _lattice_unit(polys):
+    """Laurent unit-ideal test for generators of at most two terms.
+
+    ``polys`` are nonzero and share one domain and variable list.  Returns
+    None when some generator has three or more terms; otherwise
+    (flag, witness).  A unit ideal's witness is {"monomial": i} when
+    polys[i] has one term (a unit of the Laurent ring), else
+    {"relation": c}: with a the lexicographically larger exponent of the
+    binomial polys[i] = c1*x^a + c2*x^b, d_i = a - b and lam_i = -c2/c1, the
+    vector c has sum c_i d_i = 0 and prod lam_i^(c_i) != 1, so the nonzero
+    constant 1 - prod lam_i^(c_i) lies in the ideal.  A proper ideal has
+    witness None.
+    """
+    if any(len(p.terms) > 2 for p in polys):
+        return None
+    for i, p in enumerate(polys):
+        if len(p.terms) == 1:
+            return True, {"monomial": i}
+    rows, lams = [], []
+    for p in polys:
+        b, a = sorted(p.terms)
+        rows.append(tuple(x - y for x, y in zip(a, b)))
+        lams.append(-p.terms[b] / p.terms[a])
+    for c in _integer_left_kernel(rows):
+        num = den = polys[0].domain.one
+        for lam, k in zip(lams, c):
+            if k > 0:
+                num = num * lam ** k
+            elif k < 0:
+                den = den * lam ** -k
+        if num != den:
+            return True, {"relation": c}
+    return False, None
+
+
+def _saturation_system(gens):
+    """The nonzero generators, cleared of negative exponents and extended by
+    the saturation variable, in one domain; with their positions in gens."""
+    if not all(isinstance(g, LaurentPoly) for g in gens):
+        raise TypeError("generators must be LaurentPoly")
+    positions = [i for i, g in enumerate(gens) if not g.is_zero()]
+    if not positions:
+        return positions, [], None
+    variables = gens[positions[0]].variables
+    aux = saturation_variable(variables)
+    ext = variables + (aux,)
+    extended = [gens[i].normalized().extend_variables(ext) for i in positions]
+    domain = extended[0].domain
+    for p in extended[1:]:
+        domain = unify_domains(domain, p.domain)
+    return positions, [p.coerce_to(domain) for p in extended], aux
+
+
+def laurent_unit_report(gens, order=DEFAULT_ORDER):
+    """Unit-ideal test in the Laurent ring, with how it was decided.
+
+    Returns (flag, basis, aux, method, witness).  ``basis`` is the reduced
+    Groebner basis of the saturated polynomial system over variables +
+    (aux,), or [1] for a unit ideal.  ``method`` is "lattice" when every
+    generator has at most two terms (the exponent lattice decides, and
+    Buchberger runs only for a proper ideal's basis), else "buchberger".
+    ``witness`` is the lattice's unit witness (see ``_lattice_unit``) with
+    indices and relation entries over ``gens``, zero generators included;
+    it is None for a proper ideal or when Buchberger decided.
+    """
+    gens = list(gens)
+    positions, extended, aux = _saturation_system(gens)
+    if not extended:
+        return False, [], None, "lattice", None
+    ext, domain = extended[0].variables, extended[0].domain
+    one = LaurentPoly.constant(domain.one, ext, domain)
+    decided = _lattice_unit(extended)
+    if decided is not None and decided[0]:
+        witness = decided[1]
+        if "monomial" in witness:
+            witness = {"monomial": positions[witness["monomial"]]}
+        else:
+            relation = [0] * len(gens)
+            for i, c in zip(positions, witness["relation"]):
+                relation[i] = c
+            witness = {"relation": relation}
+        return True, [one], aux, "lattice", witness
+    product = one
+    for v in ext[:-1]:
+        product = product * LaurentPoly.variable(v, ext, domain)
+    sat = one - LaurentPoly.variable(aux, ext, domain) * product
+    basis = buchberger(extended + [sat], order)
+    if decided is not None:
+        return False, basis, aux, "lattice", None
+    flag = len(basis) == 1 and basis[0].is_constant()
+    return flag, basis, aux, "buchberger", None
+
+
 def laurent_unit_ideal(gens, order=DEFAULT_ORDER):
     """Unit-ideal test in the Laurent ring.
 
     Returns (flag, basis, aux) where basis is the reduced Groebner basis of
     the saturated polynomial system over variables + (aux,).
     """
-    polys = [g for g in gens if isinstance(g, LaurentPoly)]
-    if len(polys) != len(list(gens)):
-        raise TypeError("generators must be LaurentPoly")
-    polys = [p for p in polys if not p.is_zero()]
-    if not polys:
-        return False, [], None
-    variables = polys[0].variables
-    aux = saturation_variable(variables)
-    ext = variables + (aux,)
-    extended = [p.normalized().extend_variables(ext) for p in polys]
-    domain = extended[0].domain
-    for p in extended[1:]:
-        domain = unify_domains(domain, p.domain)
-    one = LaurentPoly.constant(domain.one, ext, domain)
-    product = one
-    for v in variables:
-        product = product * LaurentPoly.variable(v, ext, domain)
-    sat = one - LaurentPoly.variable(aux, ext, domain) * product
-    basis = buchberger(extended + [sat], order)
-    flag = len(basis) == 1 and basis[0].is_constant()
-    return flag, basis, aux
+    return laurent_unit_report(gens, order)[:3]
 
 
 def to_prime_field(p: LaurentPoly, prime: int) -> LaurentPoly:
@@ -250,6 +359,11 @@ def to_prime_field(p: LaurentPoly, prime: int) -> LaurentPoly:
 def unit_ideal_mod_p(gens, prime: int, laurent: bool = True) -> bool:
     mapped = [to_prime_field(g, prime) for g in gens]
     if laurent:
+        # generators that vanished mod p are dropped, and a binomial that
+        # lost a coefficient is a monomial, so a unit
+        decided = _lattice_unit(_saturation_system(mapped)[1])
+        if decided is not None:
+            return decided[0]
         flag, _, _ = laurent_unit_ideal(mapped)
         return flag
     return is_unit_ideal(mapped)

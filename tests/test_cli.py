@@ -278,6 +278,31 @@ def test_groebner_mod_p_degeneration(capsys):
     assert res["mod_p"]["3"] is True
 
 
+def test_groebner_laurent_unit_method_and_witness(capsys):
+    # a relation witness: c = (-2, 1, 1) kills the exponent rows (1, 1),
+    # (2, 0), (0, 2), and 2^-2 * 3 * (1/3) = 1/4 != 1
+    blob = run_json(
+        capsys,
+        ["groebner", "--vars", "x,y", "--laurent", "--gens", "x*y-2", "x^2-3", "y^2-1/3"],
+    )
+    res = blob["result"]
+    assert res["unit_ideal"] is True and res["basis"] == ["1"]
+    assert res["unit_method"] == "lattice"
+    assert res["unit_witness"] == {"relation": [-2, 1, 1]}
+    assert res["mod_p"]["3"] is None
+    # positions count the zero generator; 3*x is a unit of the Laurent ring
+    res = run_json(
+        capsys, ["groebner", "--vars", "x,y", "--laurent", "--gens", "0", "x*y-1", "3*x"]
+    )["result"]
+    assert (res["unit_method"], res["unit_witness"]) == ("lattice", {"monomial": 2})
+    assert res["mod_p"]["3"] is False
+    res = run_json(capsys, ["groebner", "--vars", "x", "--laurent", "--gens", "x^2+x+1"])["result"]
+    assert (res["unit_ideal"], res["unit_method"], res["unit_witness"]) == (False, "buchberger", None)
+    # the polynomial-ring report has neither key
+    res = run_json(capsys, ["groebner", "--vars", "x", "--gens", "x"])["result"]
+    assert "unit_method" not in res and "unit_witness" not in res
+
+
 def test_cli_via_subprocess_stdin():
     proc = run_module(["sigma1", "-"], input=F3_TEXT)
     assert proc.returncode == 0

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from artin_sigma import (
     unit_ideal_mod_p,
 )
 from artin_sigma.groebner import ORDER_KEYS, leading_term, s_polynomial, saturation_variable, to_prime_field
-from oracles import poly_gcd_univariate
+from oracles import fraction_rank, poly_gcd_univariate
 
 UV = ("u", "v")
 UVSW = ("u", "v", "s", "w")
@@ -243,3 +244,150 @@ def test_pair_order_fixes_the_s_polynomials_formed(monkeypatch, order, expected)
         laurent_unit_ideal(gens, order)
         counts.append(len(calls))
     assert tuple(counts) == expected
+
+
+# -- binomial systems on the exponent lattice --------------------------------
+
+BINOMIAL_PRIMES = (2, 3, 5, 7, 11)
+
+
+def _saturated_flag(gens):
+    """The Laurent unit-ideal flag from Buchberger alone: clear negative
+    exponents, add t with 1 - t * x_1 * ... * x_n, test the basis for [1]."""
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        return False
+    variables = gens[0].variables
+    ext = variables + ("t",)
+    domain = gens[0].domain
+    sat = LaurentPoly(ext, {(0,) * len(ext): 1, (1,) * len(ext): -1}, domain)
+    basis = buchberger([g.normalized().extend_variables(ext) for g in gens] + [sat])
+    return len(basis) == 1 and basis[0].is_constant()
+
+
+def _witness_holds(polys, witness) -> bool:
+    """Check a unit witness from the generators alone (see _lattice_unit)."""
+    if "monomial" in witness:
+        return len(polys[witness["monomial"]].terms) == 1
+    c = witness["relation"]
+    if len(c) != len(polys):
+        return False
+    domain = polys[0].domain
+    total = [0] * len(polys[0].variables)
+    product = domain.one
+    for p, k in zip(polys, c):
+        lo, hi = sorted(p.terms)
+        total = [s + k * (a - b) for s, a, b in zip(total, hi, lo)]
+        product = product * (-p.terms[lo] / p.terms[hi]) ** k
+    return not any(total) and product != domain.one
+
+
+def _random_binomials(rng, coefficients):
+    """1-3 generators in 1-2 variables with exponents in [-2, 2]: mostly
+    binomials, some monomials, now and then the zero polynomial."""
+    variables = ("x", "y")[:rng.randint(1, 2)]
+    box = list(itertools.product(range(-2, 3), repeat=len(variables)))
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        shape = rng.random()
+        nterms = 0 if shape < 0.03 else 1 if shape < 0.1 else 2
+        exps = rng.sample(box, nterms)
+        gens.append(LaurentPoly(variables, {e: rng.choice(coefficients) for e in exps}, QQ))
+    return gens
+
+
+def _assert_lattice_matches(gens, expect):
+    polys = [g for g in gens if not g.is_zero()]
+    flag, witness = groebner._lattice_unit(polys)
+    assert flag == expect, [g.to_string() for g in gens]
+    if flag:
+        assert _witness_holds(polys, witness), ([g.to_string() for g in gens], witness)
+    else:
+        assert witness is None
+
+
+def test_lattice_unit_matches_saturated_buchberger_over_rationals():
+    rng = random.Random(1996)
+    coefficients = (1, -1, 1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-2, 3))
+    units = 0
+    for _ in range(2000):
+        gens = _random_binomials(rng, coefficients)
+        expect = _saturated_flag(gens)
+        _assert_lattice_matches(gens, expect)
+        assert laurent_unit_ideal(gens)[0] == expect
+        units += expect
+    assert 200 < units < 1800
+
+
+@pytest.mark.parametrize("prime", BINOMIAL_PRIMES)
+def test_lattice_unit_matches_saturated_buchberger_mod_p(prime):
+    # integer coefficients divisible by p make generators vanish mod p, or
+    # binomials collapse to monomials
+    rng = random.Random(1979 + prime)
+    coefficients = tuple(c for c in range(-2 * prime, 2 * prime + 1) if c) + (1, -1) * prime
+    units = collapsed = 0
+    for _ in range(2000):
+        gens = _random_binomials(rng, coefficients)
+        mapped = [to_prime_field(g, prime) for g in gens]
+        collapsed += any(len(m.terms) < len(g.terms) for g, m in zip(gens, mapped))
+        expect = _saturated_flag(mapped)
+        _assert_lattice_matches(mapped, expect)
+        assert unit_ideal_mod_p(gens, prime, laurent=True) == expect
+        units += expect
+    assert 200 < units < 1800
+    assert collapsed > 100
+
+
+def test_lattice_unit_leaves_trinomials_to_buchberger():
+    gens = [P("u + v + 1"), P("u*v - 1")]
+    assert groebner._lattice_unit(gens) is None
+    flag, basis, aux, method, witness = groebner.laurent_unit_report(gens)
+    assert (flag, method, witness) == (laurent_unit_ideal(gens)[0], "buchberger", None)
+
+
+def test_lattice_unit_needs_the_whole_kernel_lattice():
+    # x^2 - 1 and x^2 + 1 give D = (2, 2) and lambda = (1, -1).  The kernel
+    # lattice is spanned by (1, -1), and 1^1 * (-1)^-1 = -1 != 1 decides unit;
+    # the sublattice spanned by (2, -2) would give 1 and call it proper.  Mod 2
+    # both generators are x^2 + 1 = (x + 1)^2, a proper ideal.
+    gens = [P("x^2 - 1", ("x",)), P("x^2 + 1", ("x",))]
+    assert groebner._lattice_unit(gens) == (True, {"relation": [-1, 1]})
+    assert laurent_unit_ideal(gens)[0]
+    assert not unit_ideal_mod_p(gens, 2, laurent=True)
+    assert unit_ideal_mod_p(gens, 3, laurent=True)
+
+
+def _rational_coordinates(v, rows):
+    """y with sum_i y_i * rows[i] = v over QQ for linearly independent rows,
+    or None when v is not in their span."""
+    k = len(rows)
+    eqs = [[Fraction(r[j]) for r in rows] + [Fraction(v[j])] for j in range(len(v))]
+    for col in range(k):
+        p = next(i for i in range(col, len(eqs)) if eqs[i][col])
+        eqs[col], eqs[p] = eqs[p], eqs[col]
+        eqs[col] = [x / eqs[col][col] for x in eqs[col]]
+        for i in range(len(eqs)):
+            if i != col and eqs[i][col]:
+                f = eqs[i][col]
+                eqs[i] = [a - f * b for a, b in zip(eqs[i], eqs[col])]
+    if any(e[-1] for e in eqs[k:]):
+        return None
+    return [eqs[i][-1] for i in range(k)]
+
+
+def test_integer_left_kernel_is_the_whole_lattice():
+    rng = random.Random(1979)
+    for _ in range(120):
+        m, n = rng.randint(1, 4), rng.randint(1, 3)
+        entries = rng.choice(((-2, -1, 0, 1, 2), (-4, -2, 0, 2, 4), (-3, 0, 3, 6)))
+        D = [[rng.choice(entries) for _ in range(n)] for _ in range(m)]
+        basis = groebner._integer_left_kernel(D)
+        for c in basis:
+            assert len(c) == m
+            assert all(sum(ci * row[j] for ci, row in zip(c, D)) == 0 for j in range(n))
+        assert len(basis) == m - fraction_rank(D)
+        for c in itertools.product(range(-3, 4), repeat=m):
+            if any(sum(ci * row[j] for ci, row in zip(c, D)) for j in range(n)):
+                continue
+            y = _rational_coordinates(c, basis)
+            assert y is not None and all(t.denominator == 1 for t in y), (D, basis, c)
