@@ -6,171 +6,67 @@ spherical polyhedron of rays conjectured to form the complement; and backs the
 conjectural region with Fox-calculus Jacobians and rank certificates for
 non-finite generation built from dead-edge forests specialized at roots of
 unity.
-"""
 
-from .errors import InputError, MathError
-from .graphs import (
-    HYPOTHESIS_MODES,
-    SIMPLE_CYCLE,
-    STRICT,
-    Block,
-    LabeledGraph,
-    all_labels_even,
-    blocks,
-    check_hypothesis,
-    connected_components,
-    cycle_rank,
-    full_subgraph,
-    high_label_subgraph,
-    hypothesis_witness,
-    is_connected,
-    is_dominant,
-    parse_artin,
-    parse_graph,
-)
-from .characters import (
-    Character,
-    character,
-    dead_edges,
-    lf_subgraph,
-    living_subgraph,
-    parse_character,
-    parse_rational,
-)
-from .decision import (
-    STATUS_IN,
-    STATUS_OUT,
-    STATUS_OUT_CONJECTURAL,
-    Diagnostics,
-    Verdict,
-    conjecture_predicate,
-    decide_sigma1,
-)
-from .polyhedron import (
-    LinearForm,
-    PieceOrigin,
-    SphericalPolyhedron,
-    SubSphere,
-    complement_polyhedron,
-    disconnection_pieces,
-    dominance_pieces,
-    polyhedron_contains,
-    polyhedron_from_json,
-    subsphere_contained,
-)
-from .fox import (
-    FreeWord,
-    GroupRingElement,
-    abelianization_map,
-    abelianize,
-    artin_relator,
-    commutator,
-    fox_derivative,
-    graph_presentation,
-    jacobian,
-    parse_word,
-)
-from .laurent import LaurentPoly, parse_poly
-from .fields import CyclotomicField, PrimeField, QQ, cyclotomic_polynomial
-from .groebner import (
-    buchberger,
-    is_unit_ideal,
-    laurent_unit_ideal,
-    laurent_unit_report,
-    reduce_poly,
-    unit_ideal_mod_p,
-)
-from .linalg import PolyMatrix, matrix_rank
-from .presentations import (
-    BipartiteForest,
-    Certificate,
-    ModulePresentation,
-    bipartition_presentation,
-    certify_not_finitely_generated,
-    dead_edge_forest,
-    forest_presentation,
-    koszul_differential,
-    specialize,
-)
+``import artin_sigma`` loads no submodule: each public name is imported from
+its home module on first access (PEP 562), so a caller pays only for the
+modules it uses.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "InputError",
-    "MathError",
-    "LabeledGraph",
-    "Block",
-    "parse_artin",
-    "parse_graph",
-    "full_subgraph",
-    "is_connected",
-    "is_dominant",
-    "connected_components",
-    "cycle_rank",
-    "blocks",
-    "all_labels_even",
-    "high_label_subgraph",
-    "check_hypothesis",
-    "hypothesis_witness",
-    "HYPOTHESIS_MODES",
-    "SIMPLE_CYCLE",
-    "STRICT",
-    "Character",
-    "character",
-    "parse_character",
-    "parse_rational",
-    "lf_subgraph",
-    "living_subgraph",
-    "dead_edges",
-    "STATUS_IN",
-    "STATUS_OUT",
-    "STATUS_OUT_CONJECTURAL",
-    "Diagnostics",
-    "Verdict",
-    "conjecture_predicate",
-    "decide_sigma1",
-    "LinearForm",
-    "PieceOrigin",
-    "SubSphere",
-    "SphericalPolyhedron",
-    "dominance_pieces",
-    "disconnection_pieces",
-    "complement_polyhedron",
-    "polyhedron_contains",
-    "polyhedron_from_json",
-    "subsphere_contained",
-    "FreeWord",
-    "GroupRingElement",
-    "parse_word",
-    "commutator",
-    "fox_derivative",
-    "artin_relator",
-    "abelianization_map",
-    "abelianize",
-    "jacobian",
-    "graph_presentation",
-    "LaurentPoly",
-    "parse_poly",
-    "QQ",
-    "PrimeField",
-    "CyclotomicField",
-    "cyclotomic_polynomial",
-    "buchberger",
-    "reduce_poly",
-    "is_unit_ideal",
-    "laurent_unit_ideal",
-    "laurent_unit_report",
-    "unit_ideal_mod_p",
-    "PolyMatrix",
-    "matrix_rank",
-    "BipartiteForest",
-    "ModulePresentation",
-    "Certificate",
-    "forest_presentation",
-    "bipartition_presentation",
-    "dead_edge_forest",
-    "koszul_differential",
-    "specialize",
-    "certify_not_finitely_generated",
-    "__version__",
-]
+# Home module of each public name, in ``__all__`` order.
+_EXPORTS = {
+    "errors": ("InputError", "MathError"),
+    "graphs": (
+        "LabeledGraph", "Block", "parse_artin", "parse_graph", "full_subgraph",
+        "is_connected", "is_dominant", "connected_components", "cycle_rank", "blocks",
+        "all_labels_even", "high_label_subgraph", "check_hypothesis", "hypothesis_witness",
+        "HYPOTHESIS_MODES", "SIMPLE_CYCLE", "STRICT",
+    ),
+    "characters": (
+        "Character", "character", "parse_character", "parse_rational", "lf_subgraph",
+        "living_subgraph", "dead_edges",
+    ),
+    "decision": (
+        "STATUS_IN", "STATUS_OUT", "STATUS_OUT_CONJECTURAL", "Diagnostics", "Verdict",
+        "conjecture_predicate", "decide_sigma1",
+    ),
+    "polyhedron": (
+        "LinearForm", "PieceOrigin", "SubSphere", "SphericalPolyhedron", "dominance_pieces",
+        "disconnection_pieces", "complement_polyhedron", "polyhedron_contains",
+        "polyhedron_from_json", "subsphere_contained",
+    ),
+    "fox": (
+        "FreeWord", "GroupRingElement", "parse_word", "commutator", "fox_derivative",
+        "artin_relator", "abelianization_map", "abelianize", "jacobian", "graph_presentation",
+    ),
+    "laurent": ("LaurentPoly", "parse_poly"),
+    "fields": ("QQ", "PrimeField", "CyclotomicField", "cyclotomic_polynomial"),
+    "groebner": (
+        "buchberger", "reduce_poly", "is_unit_ideal", "laurent_unit_ideal",
+        "laurent_unit_report", "unit_ideal_mod_p",
+    ),
+    "linalg": ("PolyMatrix", "matrix_rank"),
+    "presentations": (
+        "BipartiteForest", "ModulePresentation", "Certificate", "forest_presentation",
+        "bipartition_presentation", "dead_edge_forest", "koszul_differential", "specialize",
+        "certify_not_finitely_generated",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__, not importlib.import_module, which -X importtime does not list
+    value = getattr(__import__(f"{__name__}.{home}", fromlist=[name]), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))

@@ -95,21 +95,34 @@ class FreeWord:
         return f"FreeWord({str(self)!r})"
 
 
+MAX_WORD_LETTERS = 10**6
+"""Most letters ``parse_word`` expands a word to; a longer word is an InputError."""
+
+
 def parse_word(text: str) -> FreeWord:
-    """Parse ``a b^-1 a^2`` into a FreeWord; "1" denotes the identity."""
+    """Parse ``a b^-1 a^2`` into a FreeWord; "1" denotes the identity.
+
+    The exponents are summed before any letter is built, so a word longer
+    than ``MAX_WORD_LETTERS`` is refused without being expanded.
+    """
     text = text.strip()
     if text in ("", "1"):
         return FreeWord.identity()
-    letters = []
+    powers = []
     for tok in text.split():
         m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?", tok)
         if not m:
             raise InputError(f"bad word token {tok!r}")
-        name, exp = m.group(1), int(m.group(2) or 1)
-        if exp == 0:
-            continue
-        sign = 1 if exp > 0 else -1
-        letters.extend([(name, sign)] * abs(exp))
+        try:
+            exp = int(m.group(2) or 1)
+        except ValueError:  # too many digits for int(), so far past the limit
+            exp = MAX_WORD_LETTERS + 1
+        powers.append((m.group(1), exp))
+    if sum(abs(exp) for _, exp in powers) > MAX_WORD_LETTERS:
+        raise InputError(f"word expands to more than MAX_WORD_LETTERS = {MAX_WORD_LETTERS} letters")
+    letters = []
+    for name, exp in powers:
+        letters.extend([(name, 1 if exp > 0 else -1)] * abs(exp))
     return FreeWord(letters)
 
 

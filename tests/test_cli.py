@@ -188,6 +188,15 @@ def test_fox_rejects_malformed_word(capsys):
     assert code == 2
 
 
+def test_fox_refuses_an_oversized_word(capsys):
+    code, out, err = run_cli(capsys, ["fox", "--word", "a^1000000000", "--gen", "a"])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "input",
+        "message": "word expands to more than MAX_WORD_LETTERS = 1000000 letters",
+    }
+
+
 def test_jacobian_f3(tmp_path, capsys):
     path = graph_file(tmp_path, F3_TEXT)
     blob = run_json(capsys, ["jacobian", path])

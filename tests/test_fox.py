@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -15,7 +16,7 @@ from artin_sigma import (
     jacobian,
     parse_word,
 )
-from artin_sigma.fox import EVEN_COMMUTATOR, STANDARD, alternating_word
+from artin_sigma.fox import EVEN_COMMUTATOR, MAX_WORD_LETTERS, STANDARD, alternating_word
 
 GENS = ("x", "y", "z")
 
@@ -49,6 +50,30 @@ def test_parse_word_rejects_garbage():
         parse_word("x**2")
     with pytest.raises(InputError):
         parse_word("3x")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["x^1000000000", "x^500000 y^-500001", "x^-1000001", "x y " + "x^99999 " * 11, "x^" + "9" * 5000],
+    ids=["one-power", "split", "negative", "many-tokens", "5000-digit-exponent"],
+)
+def test_parse_word_refuses_words_past_the_limit_before_expanding(text):
+    # summed exponents; a 5000-digit exponent is refused too, not left to int()
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match=f"MAX_WORD_LETTERS = {MAX_WORD_LETTERS}"):
+            parse_word(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # never built the word: 10^6 letters alone take 8 MB
+
+
+def test_parse_word_accepts_a_word_at_the_limit():
+    assert MAX_WORD_LETTERS == 10**6
+    word = parse_word(f"x^{MAX_WORD_LETTERS - 1} y^-1")
+    assert len(word) == MAX_WORD_LETTERS
+    assert str(word) == f"x^{MAX_WORD_LETTERS - 1} y^-1"
 
 
 def test_group_ring_arithmetic():
