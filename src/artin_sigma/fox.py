@@ -49,6 +49,13 @@ class FreeWord:
         return cls(())
 
     @classmethod
+    def _from_reduced(cls, letters: tuple) -> "FreeWord":
+        """Wrap a tuple of letters known to be freely reduced."""
+        word = cls.__new__(cls)
+        word.letters = letters
+        return word
+
+    @classmethod
     def generator(cls, name: str, exponent: int = 1) -> "FreeWord":
         if exponent == 0:
             return cls(())
@@ -249,19 +256,29 @@ class GroupRingElement:
         return f"GroupRingElement({str(self)})"
 
 
+MAX_DERIVATIVE_LETTERS = 10**6
+"""Most letters ``fox_derivative`` builds, summed over its prefix words; more is an InputError."""
+
+
 def fox_derivative(word: FreeWord, gen: str) -> GroupRingElement:
-    """Fox derivative of a word with respect to a generator name."""
+    """Fox derivative of a word with respect to a generator name.
+
+    An occurrence of gen adds the prefix before it; an occurrence of gen^-1
+    subtracts the prefix through it.  A prefix of a reduced word is reduced,
+    so each is a slice of ``word.letters``.  The prefix lengths are summed
+    first, and a derivative longer than ``MAX_DERIVATIVE_LETTERS`` letters
+    (a^1415 already is) is refused before any prefix is built.
+    """
+    letters = word.letters
+    size = sum(i + (exp < 0) for i, (name, exp) in enumerate(letters) if name == gen)
+    if size > MAX_DERIVATIVE_LETTERS:
+        raise InputError(
+            f"Fox derivative has more than MAX_DERIVATIVE_LETTERS = {MAX_DERIVATIVE_LETTERS} letters")
     total: dict = {}
-    prefix = FreeWord.identity()
-    for name, exp in word.letters:
-        if exp == 1:
-            if name == gen:
-                total[prefix] = total.get(prefix, 0) + 1
-            prefix = prefix * FreeWord.generator(name)
-        else:
-            prefix = prefix * FreeWord.generator(name, -1)
-            if name == gen:
-                total[prefix] = total.get(prefix, 0) - 1
+    for i, (name, exp) in enumerate(letters):
+        if name == gen:
+            prefix = FreeWord._from_reduced(letters[:i] if exp == 1 else letters[:i + 1])
+            total[prefix] = total.get(prefix, 0) + exp
     return GroupRingElement(total)
 
 

@@ -6,6 +6,25 @@ generator to a polynomial with a monomial unit and saturating by the product
 of all variables through an auxiliary variable t_aux and the extra generator
 1 - t_aux * x_1 * ... * x_n.
 
+Buchberger runs on packed monomials (``_PackedRing``): each monomial is one
+Python int of n + 1 fields of ``width`` bits, each topped by a guard bit
+that a stored monomial keeps clear.  For grevlex the fields are, from the
+top, [deg | C - x_n | ... | C - x_1], and for lex [x_1 | ... | x_n | deg],
+with C = 2**width - 1 the field capacity and deg the total degree.  So one
+int comparison is one comparison of ``ORDER_KEYS`` keys: the complemented
+fields C - x_i make a larger x_n lose a grevlex tie, as its key -x_n says.
+With the offset Z (C in every complemented field; 0 for lex), a product is
+a + b - Z and a quotient a - b + Z, and b divides a iff that quotient has no
+guard bit set.  A product whose degree exceeds C sets a guard bit (every
+exponent is at most the degree); that is a spill, and the polynomials are
+repacked with twice the width and the step run again.  Division takes each
+leading term from a max-heap of the dividend's packed monomials (lazy
+deletion), so no term is re-keyed on a division step (Monagan and Pearce,
+"Sparse polynomial division using a heap", JSC 46, 2011).  Generators are
+packed once on entry to ``buchberger`` and the reduced basis unpacked once
+on exit; ``s_polynomial`` and ``reduce_poly`` take either packed
+polynomials (as ``buchberger`` calls them) or ``LaurentPoly``s.
+
 Systems whose generators all have at most two terms skip Buchberger for that
 question: a binomial c1*x^a + c2*x^b is a unit multiple of x^(a-b) - lam with
 lam = -c2/c1, and <x^(d_i) - lam_i> is the unit ideal iff some integer vector
@@ -16,6 +35,7 @@ c with sum c_i d_i = 0 has prod lam_i^(c_i) != 1 (Eisenbud and Sturmfels,
 from __future__ import annotations
 
 import heapq
+from operator import itemgetter, mul
 
 from .errors import InputError
 from .fields import PrimeField, unify_domains
@@ -42,16 +62,138 @@ def _order_key(order):
 
 
 def leading_term(f: LaurentPoly, order=DEFAULT_ORDER):
-    key = order if callable(order) else _order_key(order)
-    lm = max(f.terms, key=key)
+    lm = max(f.terms, key=_order_key(order))
     return lm, f.terms[lm]
 
 
-def _divides(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+# -- packed monomials ---------------------------------------------------------
+
+# a ring packs degrees up to at least 2**8 - 1 before its first repack
+_MIN_WIDTH = 8
 
 
-def _prepare(gens, order):
+class _Spill(Exception):
+    """A packed monomial's degree exceeded the field capacity."""
+
+
+class _PackedRing:
+    """Packed monomials of one order over one variable list, and the domain
+    of the coefficients.
+
+    The layout is in the module docstring; ``cap`` is the capacity C,
+    ``offset`` the offset Z and ``guards`` the mask of all guard bits.
+    """
+
+    __slots__ = ("variables", "order", "domain", "width", "cap", "offset", "guards",
+                 "_shifts", "_weights", "_flip", "_deg_shift")
+
+    def __init__(self, variables, order, domain, width):
+        n = len(variables)
+        stride = width + 1
+        cap = (1 << width) - 1
+        self.variables, self.order, self.domain = variables, order, domain
+        self.width, self.cap = width, cap
+        self.guards = sum(1 << (width + k * stride) for k in range(n + 1))
+        if order == "grevlex":
+            top = n * stride
+            self._shifts = [k * stride for k in range(n)]
+            self.offset = sum(cap << s for s in self._shifts)
+            self._weights = [(1 << top) - (1 << s) for s in self._shifts]
+            self._flip, self._deg_shift = cap, top
+        else:
+            self._shifts = [(n - k) * stride for k in range(n)]
+            self.offset = 0
+            self._weights = [(1 << s) + 1 for s in self._shifts]
+            self._flip, self._deg_shift = 0, None
+
+    @classmethod
+    def fitting(cls, variables, order, domain, polys):
+        """The ring whose capacity is at least twice every degree in polys."""
+        degree = 0
+        for p in polys:
+            for e in p.terms:
+                if min(e, default=0) < 0:
+                    raise InputError("Groebner generators must have non-negative exponents")
+                degree = max(degree, sum(e))
+        return cls(variables, order, domain, max(_MIN_WIDTH, (2 * degree).bit_length()))
+
+    def wider(self) -> "_PackedRing":
+        return _PackedRing(self.variables, self.order, self.domain, 2 * self.width)
+
+    def pack(self, exps) -> int:
+        if sum(exps) > self.cap:
+            raise _Spill
+        return self.offset + sum(map(mul, exps, self._weights))
+
+    def unpack(self, m) -> tuple:
+        cap, flip = self.cap, self._flip
+        return tuple(((m >> s) & cap) ^ flip for s in self._shifts)
+
+    def lcm(self, a, b) -> int:
+        """The packed lcm of two exponent vectors."""
+        return self.pack(tuple(map(max, a, b)))
+
+    def degree(self, m) -> int:
+        return m & self.cap if self._deg_shift is None else m >> self._deg_shift
+
+    def from_poly(self, f: LaurentPoly) -> "_Packed":
+        return _Packed(self, {self.pack(e): c for e, c in f.terms.items()})
+
+    def to_poly(self, p: "_Packed") -> LaurentPoly:
+        return LaurentPoly(self.variables, {self.unpack(m): c for m, c in p.terms.items()}, self.domain)
+
+    def repack(self, p: "_Packed") -> "_Packed":
+        unpack = p.ring.unpack
+        return _Packed(self, {self.pack(unpack(m)): c for m, c in p.terms.items()})
+
+
+class _Packed:
+    """A polynomial as a dict from packed monomials to coefficients."""
+
+    __slots__ = ("ring", "terms", "_lead")
+
+    def __init__(self, ring, terms):
+        self.ring = ring
+        self.terms = terms
+        self._lead = None
+
+    @property
+    def lead(self):
+        """(lm, lc, tail, top, exps): the leading monomial and coefficient,
+        the other terms as (monomial, coefficient) pairs, a term of greatest
+        degree (lm itself under grevlex) and lm's exponent vector."""
+        if self._lead is None:
+            terms = self.terms
+            ring = self.ring
+            lm = max(terms)
+            top = max(terms, key=ring.degree) if ring.order == "lex" else lm
+            tail = [(m, c) for m, c in terms.items() if m != lm]
+            self._lead = (lm, terms[lm], tail, top, ring.unpack(lm))
+        return self._lead
+
+
+def _widening(kernel, polys):
+    """kernel(polys) in their one ring; after a spill, repack wider and rerun."""
+    while True:
+        try:
+            return kernel(polys)
+        except _Spill:
+            ring = polys[0].ring.wider()
+            polys = [ring.repack(p) for p in polys]
+
+
+def _packed_inputs(polys, order):
+    """LaurentPolys over one variable list, packed into one fitting ring."""
+    _order_key(order)
+    dom = polys[0].domain
+    for p in polys[1:]:
+        dom = unify_domains(dom, p.domain)
+    polys = [p.coerce_to(dom) for p in polys]
+    ring = _PackedRing.fitting(polys[0].variables, order, dom, polys)
+    return [ring.from_poly(p) for p in polys]
+
+
+def _prepare(gens):
     polys = []
     domain = None
     variables = None
@@ -62,97 +204,153 @@ def _prepare(gens, order):
             variables = g.variables
         elif g.variables != variables:
             raise ValueError("generators must share one variable list")
-        if any(e < 0 for exps in g.terms for e in exps):
-            raise InputError("Groebner generators must have non-negative exponents")
         domain = g.domain if domain is None else unify_domains(domain, g.domain)
         polys.append(g)
     polys = [p.coerce_to(domain) for p in polys if not p.is_zero()]
     return polys, variables, domain
 
 
-def reduce_poly(f: LaurentPoly, basis, order=DEFAULT_ORDER) -> LaurentPoly:
-    """Normal form of f modulo the basis (full multivariate division).
-
-    The division runs on a private copy of f's term dict; neither f nor
-    any basis element is modified.
-    """
-    key = order if callable(order) else _order_key(order)
-    if not basis:
-        return f
-    dom = f.domain
-    for g in basis:
-        dom = unify_domains(dom, g.domain)
-    work = dict(f.coerce_to(dom).terms)
-    table = []
-    for g in basis:
-        g = g.coerce_to(dom)
-        if g.terms:
-            table.append((g.terms,) + leading_term(g, key))
-    zero = dom.zero
-    rem_terms: dict = {}
-    while work:
-        lm = max(work, key=key)
-        lc = work[lm]
-        for gterms, glm, glc in table:
-            if _divides(glm, lm):
-                # work -= (lc / glc) * x^(lm - glm) * g, term by term
-                q = lc / glc
-                diff = tuple(a - b for a, b in zip(lm, glm))
-                for e, c in gterms.items():
-                    m = tuple(a + b for a, b in zip(e, diff))
-                    v = work.pop(m, zero) - q * c
-                    if v:
-                        work[m] = v
+def _divide(polys):
+    """Remainder of polys[0] modulo the nonzero polys[1:], all in one ring."""
+    f = polys[0]
+    ring = f.ring
+    offset, guards = ring.offset, ring.guards
+    table = [g.lead[:4] for g in polys[1:]]
+    work = dict(f.terms)
+    heap = [-m for m in work]
+    heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
+    rem = {}
+    while heap:
+        lm = -pop(heap)
+        lc = work.pop(lm, None)
+        if lc is None:  # a stale entry: the term cancelled
+            continue
+        for glm, glc, gtail, gtop in table:
+            if not (lm - glm + offset) & guards:
+                # work -= (lc / glc) * x^(lm - glm) * g; the leading terms cancel
+                d = lm - glm
+                if (gtop + d) & guards:
+                    raise _Spill
+                k = -(lc / glc)
+                for e, c in gtail:
+                    m = e + d
+                    v = work.get(m)
+                    if v is None:
+                        work[m] = k * c
+                        push(heap, -m)
+                    else:
+                        v = v + k * c
+                        if v:
+                            work[m] = v
+                        else:
+                            del work[m]
                 break
         else:
-            rem_terms[lm] = work.pop(lm)
-    return LaurentPoly(f.variables, rem_terms, dom)
+            rem[lm] = lc
+    return _Packed(ring, rem)
 
 
-def s_polynomial(f: LaurentPoly, g: LaurentPoly, order=DEFAULT_ORDER) -> LaurentPoly:
-    key = order if callable(order) else _order_key(order)
-    dom = unify_domains(f.domain, g.domain)
-    f = f.coerce_to(dom)
-    g = g.coerce_to(dom)
-    flm, flc = leading_term(f, key)
-    glm, glc = leading_term(g, key)
-    lcm = tuple(max(a, b) for a, b in zip(flm, glm))
-    mf = LaurentPoly.monomial(dom.one / flc, tuple(a - b for a, b in zip(lcm, flm)), f.variables, dom)
-    mg = LaurentPoly.monomial(dom.one / glc, tuple(a - b for a, b in zip(lcm, glm)), g.variables, dom)
-    return mf * f - mg * g
+def _s_kernel(polys):
+    f, g = polys
+    ring = f.ring
+    guards = ring.guards
+    flm, flc, ftail, ftop, fexps = f.lead
+    glm, glc, gtail, gtop, gexps = g.lead
+    lcm = ring.lcm(fexps, gexps)
+    df, dg = lcm - flm, lcm - glm
+    if (ftop + df) & guards or (gtop + dg) & guards:
+        raise _Spill
+    one = ring.domain.one
+    cf, cg = one / flc, one / glc
+    terms = {e + df: cf * c for e, c in ftail}
+    for e, c in gtail:
+        m = e + dg
+        v = terms.get(m)
+        if v is None:
+            terms[m] = -(cg * c)
+        else:
+            v = v - cg * c
+            if v:
+                terms[m] = v
+            else:
+                del terms[m]
+    return _Packed(ring, terms)
+
+
+def reduce_poly(f, basis, order=DEFAULT_ORDER):
+    """Normal form of f modulo the basis (full multivariate division).
+
+    Takes LaurentPolys and returns one, or takes packed polynomials in one
+    ring (as ``buchberger`` calls it), whose order is then used, and returns
+    a packed remainder, in a wider ring after a spill.  The division
+    runs on a private copy of f's terms; neither f nor any basis element is
+    modified.
+    """
+    if isinstance(f, _Packed):
+        return _widening(_divide, [f, *basis])
+    if not basis:
+        return f
+    packed = _packed_inputs([f, *basis], order)
+    r = _widening(_divide, [packed[0]] + [g for g in packed[1:] if g.terms])
+    return r.ring.to_poly(r)
+
+
+def s_polynomial(f, g, order=DEFAULT_ORDER):
+    """S-polynomial of f and g: LaurentPolys, or packed as ``reduce_poly``."""
+    if isinstance(f, _Packed):
+        return _widening(_s_kernel, [f, g])
+    s = _widening(_s_kernel, _packed_inputs([f, g], order))
+    return s.ring.to_poly(s)
 
 
 def buchberger(gens, order=DEFAULT_ORDER) -> list[LaurentPoly]:
     """Reduced Groebner basis (monic, sorted by leading monomial)."""
-    key = _order_key(order) if not callable(order) else order
-    polys, variables, domain = _prepare(gens, order)
+    key = _order_key(order)
+    polys, variables, domain = _prepare(gens)
     if not polys:
         return []
+    ring = _PackedRing.fitting(variables, order, domain, polys)
+    basis = [ring.from_poly(p) for p in polys]
+    lms = [b.lead[0] for b in basis]
+    exps = [b.lead[4] for b in basis]  # exponent vectors: unchanged by widening
+    queue = []
 
-    basis = list(polys)
-    lms = [leading_term(p, key)[0] for p in basis]
+    def widen(wider):
+        # repacking preserves the order, so the queue is still a heap
+        nonlocal ring, basis, lms, queue
+        unpack = ring.unpack
+        ring = wider
+        basis = [ring.repack(b) for b in basis]
+        lms = [b.lead[0] for b in basis]
+        queue = [(ring.pack(unpack(m)), i, j) for m, i, j in queue]
 
-    def pairs_with(j):
-        for i in range(j):
-            lcm = tuple(max(a, b) for a, b in zip(lms[i], lms[j]))
-            yield key(lcm), i, j, lcm
+    def push_pairs(j):
+        # pairs pop in (lcm, i, j) order: a packed lcm compares as its key
+        while True:
+            try:
+                pairs = [(ring.lcm(exps[i], exps[j]), i, j) for i in range(j)]
+                break
+            except _Spill:
+                widen(ring.wider())
+        for pair in pairs:
+            heapq.heappush(queue, pair)
 
-    # pairs pop in (key(lcm), i, j) order, each key computed once on push
-    queue = [pair for j in range(len(basis)) for pair in pairs_with(j)]
-    heapq.heapify(queue)
+    for j in range(len(basis)):
+        push_pairs(j)
     done = set()
     while queue:
-        _, i, j, lcm = heapq.heappop(queue)
+        lcm, i, j = heapq.heappop(queue)
         done.add((i, j))
-        # product criterion: coprime leading monomials reduce to zero anyway
-        if lcm == tuple(a + b for a, b in zip(lms[i], lms[j])):
+        offset, guards = ring.offset, ring.guards
+        # product criterion: coprime leading monomials (lcm / lm_i == lm_j)
+        # reduce to zero anyway
+        if lcm - lms[i] + offset == lms[j]:
             continue
         # chain criterion
         skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if _divides(lms[k], lcm):
+        for k, lm in enumerate(lms):
+            if not (lcm - lm + offset) & guards and k != i and k != j:
                 a = (min(i, k), max(i, k))
                 b = (min(j, k), max(j, k))
                 if a in done and b in done:
@@ -160,17 +358,20 @@ def buchberger(gens, order=DEFAULT_ORDER) -> list[LaurentPoly]:
                     break
         if skip:
             continue
-        s = s_polynomial(basis[i], basis[j], key)
-        r = reduce_poly(s, basis, key)
-        if r.is_zero():
+        s = s_polynomial(basis[i], basis[j], order)
+        if s.ring is not ring:
+            widen(s.ring)
+        r = reduce_poly(s, basis, order)
+        if r.ring is not ring:
+            widen(r.ring)
+        if not r.terms:
             continue
-        if r.is_constant():
-            one = LaurentPoly.constant(domain.one, variables, domain)
-            return [one]
+        if r.lead[0] == ring.offset:
+            return [LaurentPoly.constant(domain.one, variables, domain)]
         basis.append(r)
-        lms.append(leading_term(r, key)[0])
-        for pair in pairs_with(len(basis) - 1):
-            heapq.heappush(queue, pair)
+        lms.append(r.lead[0])
+        exps.append(r.lead[4])
+        push_pairs(len(basis) - 1)
 
     # minimalize: drop elements whose leading monomial another element divides
     # (on ties the earliest element survives; divisibility is transitive, so
@@ -179,7 +380,7 @@ def buchberger(gens, order=DEFAULT_ORDER) -> list[LaurentPoly]:
     for i in range(len(basis)):
         redundant = False
         for j in range(len(basis)):
-            if i == j or not _divides(lms[j], lms[i]):
+            if i == j or (lms[i] - lms[j] + ring.offset) & ring.guards:
                 continue
             if lms[j] != lms[i] or j < i:
                 redundant = True
@@ -189,16 +390,20 @@ def buchberger(gens, order=DEFAULT_ORDER) -> list[LaurentPoly]:
 
     # interreduce and normalize to monic
     reduced = []
-    for i, p in enumerate(minimal):
+    for i in range(len(minimal)):
+        p = minimal[i]
         others = minimal[:i] + minimal[i + 1:]
-        r = reduce_poly(p, others, key) if others else p
-        if r.is_zero():
+        r = reduce_poly(p, others, order) if others else p
+        if not r.terms:
             continue
-        _, lc = leading_term(r, key)
-        r = r * LaurentPoly.constant(domain.one / lc, variables, domain)
-        reduced.append(r)
-    reduced.sort(key=lambda p: key(leading_term(p, key)[0]))
-    return reduced
+        if r.ring is not p.ring:
+            minimal = [r.ring.repack(q) for q in minimal]
+        _, lc, _, _, lexps = r.lead
+        inv = domain.one / lc
+        monic = r.ring.to_poly(_Packed(r.ring, {m: c * inv for m, c in r.terms.items()}))
+        reduced.append((key(lexps), monic))
+    reduced.sort(key=itemgetter(0))
+    return [p for _, p in reduced]
 
 
 def is_unit_ideal(gens, order=DEFAULT_ORDER) -> bool:

@@ -197,6 +197,15 @@ def test_fox_refuses_an_oversized_word(capsys):
     }
 
 
+def test_fox_refuses_an_oversized_derivative(capsys):
+    code, out, err = run_cli(capsys, ["fox", "--word", "a^4000", "--gen", "a"])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "input",
+        "message": "Fox derivative has more than MAX_DERIVATIVE_LETTERS = 1000000 letters",
+    }
+
+
 def test_jacobian_f3(tmp_path, capsys):
     path = graph_file(tmp_path, F3_TEXT)
     blob = run_json(capsys, ["jacobian", path])

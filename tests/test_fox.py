@@ -16,7 +16,13 @@ from artin_sigma import (
     jacobian,
     parse_word,
 )
-from artin_sigma.fox import EVEN_COMMUTATOR, MAX_WORD_LETTERS, STANDARD, alternating_word
+from artin_sigma.fox import (
+    EVEN_COMMUTATOR,
+    MAX_DERIVATIVE_LETTERS,
+    MAX_WORD_LETTERS,
+    STANDARD,
+    alternating_word,
+)
 
 GENS = ("x", "y", "z")
 
@@ -74,6 +80,36 @@ def test_parse_word_accepts_a_word_at_the_limit():
     word = parse_word(f"x^{MAX_WORD_LETTERS - 1} y^-1")
     assert len(word) == MAX_WORD_LETTERS
     assert str(word) == f"x^{MAX_WORD_LETTERS - 1} y^-1"
+
+
+@pytest.mark.parametrize(
+    "text, gen",
+    [("a^4000", "a"), ("a^-4000", "a"), ("b^700000 a b a", "a"), ("a^1415", "a"), ("b a^2000 b^-2000 a^-1", "a")],
+    ids=["power", "inverse-power", "one-late-letter", "first-past-the-limit", "mixed"],
+)
+def test_fox_derivative_refuses_past_the_limit_before_building(text, gen):
+    # the prefix lengths are summed first; a^4000 alone would hold 8M letters
+    word = parse_word(text)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match=f"MAX_DERIVATIVE_LETTERS = {MAX_DERIVATIVE_LETTERS}"):
+            fox_derivative(word, gen)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # never built a prefix word
+
+
+def test_fox_derivative_accepts_a_derivative_at_the_limit():
+    # a^1414 has prefixes 1, a, ..., a^1413: 1414 * 1413 / 2 = 998,991 letters
+    assert MAX_DERIVATIVE_LETTERS == 10**6
+    deriv = fox_derivative(parse_word("a^1414"), "a")
+    assert len(deriv.terms) == 1414
+    assert sum(len(w) for w in deriv.terms) == 1414 * 1413 // 2
+    assert all(c == 1 for c in deriv.terms.values())
+    # a^-1413 has prefixes a^-1, ..., a^-1413, each with coefficient -1
+    deriv = fox_derivative(parse_word("a^-1413"), "a")
+    assert deriv.terms == {FreeWord.generator("a", -k): -1 for k in range(1, 1414)}
 
 
 def test_group_ring_arithmetic():

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 from fractions import Fraction
@@ -244,6 +245,111 @@ def test_pair_order_fixes_the_s_polynomials_formed(monkeypatch, order, expected)
         laurent_unit_ideal(gens, order)
         counts.append(len(calls))
     assert tuple(counts) == expected
+
+
+@pytest.mark.parametrize("order, expected", [("grevlex", (7, 81)), ("lex", (8, 51))])
+def test_pair_order_fixes_the_reductions_made(monkeypatch, order, expected):
+    # reduce_poly calls through the module global, one per S-polynomial formed
+    # plus one per element interreduced; the counts were measured on the tuple
+    # monomials that came before the packed ones, so together with the test
+    # above they pin the routing and the division, not only the answer
+    calls = []
+    original = groebner.reduce_poly
+
+    def counted(f, basis, key=groebner.DEFAULT_ORDER):
+        calls.append(f)
+        return original(f, basis, key)
+
+    monkeypatch.setattr(groebner, "reduce_poly", counted)
+    crit2 = [P(t, UVSW) for t in ("1 + u*v", "1 + s*u + (s*u)^2", "1 + v*w", "1 + s*w")]
+    X = ("x0", "x1", "x2", "x3")
+    cycle4 = [P(f"1 + {X[i]}*{X[i - 3]} + ({X[i]}*{X[i - 3]})^2", X) for i in range(4)]
+    counts = []
+    for gens in (crit2, cycle4):
+        calls.clear()
+        laurent_unit_ideal(gens, order)
+        counts.append(len(calls))
+    assert tuple(counts) == expected
+
+
+# -- packed monomials -----------------------------------------------------------
+
+
+def _exponent_vectors(rng, n, cap, count):
+    """Exponent vectors of degree at most cap; a third of them of degree
+    exactly cap, and every vector with one entry equal to cap."""
+    out = [tuple(cap if k == i else 0 for k in range(n)) for i in range(n)]
+    for _ in range(count):
+        degree = cap if rng.random() < 1 / 3 else rng.randint(0, cap)
+        cuts = sorted(rng.randint(0, degree) for _ in range(n - 1))
+        out.append(tuple(b - a for a, b in zip([0] + cuts, cuts + [degree])))
+    return out
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_packed_monomials_agree_with_their_definition(order):
+    # ORDER_KEYS defines each order; the packing must compare, multiply,
+    # divide and take lcms as the exponent tuples do, up to the capacity
+    rng = random.Random(1212)
+    key = ORDER_KEYS[order]
+    for n, width in ((1, 2), (2, 3), (3, 2), (5, 3), (4, 8)):
+        ring = groebner._PackedRing(tuple(f"x{i}" for i in range(n)), order, QQ, width)
+        cap, offset, guards = ring.cap, ring.offset, ring.guards
+        vectors = _exponent_vectors(rng, n, cap, 60)
+        packed = {e: ring.pack(e) for e in vectors}
+        for e, m in packed.items():
+            assert ring.unpack(m) == e and ring.degree(m) == sum(e) and not m & guards
+        for a, b in itertools.product(vectors, repeat=2):
+            ma, mb = packed[a], packed[b]
+            assert (ma < mb) == (key(a) < key(b)) and (ma == mb) == (a == b)
+            product = tuple(x + y for x, y in zip(a, b))
+            if sum(product) <= cap:
+                assert ma + mb - offset == ring.pack(product)
+            else:  # a spill: caught by the guard bits and by pack
+                assert (ma + mb - offset) & guards
+                with pytest.raises(groebner._Spill):
+                    ring.pack(product)
+            divides = all(y <= x for x, y in zip(a, b))
+            quotient = ma - mb + offset
+            assert (not quotient & guards) == divides
+            if divides:
+                assert quotient == ring.pack(tuple(x - y for x, y in zip(a, b)))
+            lcm = tuple(map(max, a, b))
+            if sum(lcm) <= cap:
+                assert ring.lcm(a, b) == ring.pack(lcm)
+            else:
+                with pytest.raises(groebner._Spill):
+                    ring.lcm(a, b)
+
+
+@pytest.mark.parametrize("order, gens, path", [
+    # a remainder in the pair loop spills (y^256)
+    ("lex", ("z - x^16", "x - y^16", "z*y - 1"), "reduce_poly"),
+    # an S-polynomial spills
+    ("lex", ("x^16 - y", "y^16 - z", "x*z - 1"), "s_polynomial"),
+    # the lcm of a new pair spills
+    ("grevlex", ("x^200*y - z", "x*y^200 - 1"), "buchberger"),
+    # interreduction spills: coprime leading monomials, so no S-polynomial
+    ("lex", ("z - x^16", "x - y^16"), "reduce_poly"),
+])
+def test_degree_past_the_initial_width_repacks_and_matches_sympy(monkeypatch, order, gens, path):
+    sympy = pytest.importorskip("sympy")
+    widened = []
+    original = groebner._PackedRing.wider
+
+    def wider(ring):
+        widened.append(inspect.stack()[2].function)
+        return original(ring)
+
+    monkeypatch.setattr(groebner._PackedRing, "wider", wider)
+    variables = ("z", "x", "y")
+    polys = [P(g, variables) for g in gens]
+    basis = buchberger(polys, order)
+    assert widened and widened[0] == path
+    assert max(sum(e) for b in basis for e in b.terms) > 255  # past _MIN_WIDTH
+    terms = [p.terms for p in polys]
+    ours = {frozenset(b.terms.items()) for b in basis}
+    assert ours == _sympy_reduced_basis(sympy, terms, sympy.symbols(variables), order, None)
 
 
 # -- binomial systems on the exponent lattice --------------------------------
