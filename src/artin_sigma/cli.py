@@ -67,17 +67,6 @@ def _require_char(graph, spec):
     return parse_character(graph, spec)
 
 
-def _form_text(form) -> str:
-    parts = []
-    for v, c in form.coeffs:
-        mag = v if abs(c) == 1 else f"{abs(c)}*{v}"
-        if not parts:
-            parts.append(mag if c > 0 else f"-{mag}")
-        else:
-            parts.append(f"{'+' if c > 0 else '-'} {mag}")
-    return " ".join(parts)
-
-
 def _emit(report: dict, fmt: str, text_lines) -> None:
     if fmt == "json":
         print(json.dumps(report))
@@ -120,7 +109,8 @@ def _cmd_polyhedron(args):
         if origin.cut_edges:
             cut = ",".join(f"({u},{v})" for u, v in origin.cut_edges)
             tag += f" cut={{{cut}}}"
-        lines.append(f"  {tag}: " + "; ".join(_form_text(f) for f in piece.forms))
+        forms = "; ".join(" + ".join(v for v, _ in f.coeffs) for f in piece.forms)
+        lines.append(f"  {tag}: {forms}")
     return inputs, poly.to_json_dict(), lines
 
 

@@ -1,13 +1,20 @@
 """The rational spherical polyhedron carved out of the character sphere.
 
 Each piece is a sub-sphere: the unit-sphere trace of the common zero set of
-finitely many rational linear forms in the vertex values.  Two families are
-enumerated: dominance pieces (all values on a closed neighborhood vanish)
-and disconnection pieces (values vanish on a set Y1 and selected even-label
-edge sums vanish, so that deleting those edges disconnects the full subgraph
-away from Y1).  Each dominance piece lies inside a disconnection piece, so
-the polyhedron keeps disconnection pieces only.  Membership of a character
-is decided exactly.
+unit forms e_v and edge sums e_u + e_v.  Dominance pieces zero a closed
+neighbourhood; disconnection pieces zero a set Y1 and the sums on even
+label > 2 edges whose deletion disconnects the rest.  Each dominance piece
+lies inside a disconnection piece, so the polyhedron keeps disconnection
+pieces only.  A piece is a unit (vertex) mask and a cut-edge mask; its
+forms are derived from its origin, for output only.  A cut edge's sum
+vanishes exactly when the edge is dead, so membership is decided exactly
+by two mask tests per piece.
+
+>>> from artin_sigma import character, parse_graph
+>>> f5 = parse_graph("v a\\nv b\\nv c\\ne a b 4\\ne b c 4\\n")
+>>> poly = complement_polyhedron(f5)
+>>> len(poly.pieces), poly.contains(character(f5, {"a": 1, "c": -1}))
+(3, True)
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .characters import Character, parse_rational
+from .characters import Character, dead_edges, parse_rational
 from .errors import InputError
 from .graphs import LabeledGraph
 
@@ -31,28 +38,6 @@ class LinearForm:
     coefficient) pairs with zero coefficients omitted."""
 
     coeffs: tuple
-
-    @classmethod
-    def from_mapping(cls, mapping: dict, graph: LabeledGraph) -> "LinearForm":
-        idx = graph.index
-        pairs = []
-        for v, c in mapping.items():
-            if v not in idx:
-                raise InputError(f"unknown vertex {v!r} in linear form")
-            c = Fraction(c)
-            if c != 0:
-                pairs.append((v, c))
-        pairs.sort(key=lambda p: idx[p[0]])
-        return cls(tuple(pairs))
-
-    def evaluate(self, values: dict) -> Fraction:
-        return sum((c * values[v] for v, c in self.coeffs), Fraction(0))
-
-    def vector(self, graph: LabeledGraph) -> list:
-        out = [Fraction(0)] * len(graph.vertices)
-        for v, c in self.coeffs:
-            out[graph.index[v]] = c
-        return out
 
     def to_json_dict(self) -> dict:
         return {v: str(c) for v, c in self.coeffs}
@@ -73,18 +58,43 @@ class PieceOrigin:
 
 @dataclass(frozen=True)
 class SubSphere:
-    forms: tuple
+    """A piece as masks: ``units`` over the vertices, ``cut`` over
+    ``graph.edges``.  Built by ``_piece``, which records the origin too."""
+
+    units: int
+    cut: int
     origin: PieceOrigin
 
+    @property
+    def forms(self) -> tuple:
+        """Unit forms in zero-set order, then edge sums in cut order."""
+        vertex_sets = [(v,) for v in self.origin.zero_set] + list(self.origin.cut_edges)
+        return tuple(LinearForm(tuple((v, _ONE) for v in vs)) for vs in vertex_sets)
+
     def contains(self, chi: Character) -> bool:
-        values = chi.values
-        return all(f.evaluate(values) == 0 for f in self.forms)
+        if _piece(chi.graph, self.origin.kind, self.units, self.cut) != self:
+            raise InputError("character carrier differs from the piece's graph")
+        zero, dead = _character_masks(chi)
+        return self.units & zero == self.units and self.cut & dead == self.cut
 
     def to_json_dict(self) -> dict:
         return {
             "forms": [f.to_json_dict() for f in self.forms],
             "origin": self.origin.to_json_dict(),
         }
+
+
+def _members(mask: int, items) -> tuple:
+    """The items at the positions set in ``mask``, in order."""
+    return tuple(x for k, x in enumerate(items) if mask >> k & 1)
+
+
+def _character_masks(chi: Character):
+    """The vertex mask where chi vanishes and the edge mask of its dead edges
+    (``characters.dead_edges``)."""
+    zero = sum(1 << i for i, x in enumerate(chi.entries) if not x)
+    dead = set(dead_edges(chi))
+    return zero, sum(1 << k for k, e in enumerate(chi.graph.edges) if e in dead)
 
 
 # ---------------------------------------------------------------------------
@@ -129,19 +139,6 @@ def _span(n: int, units: int, pairs):
     return n - balanced, full, key
 
 
-def _holds(key, index, form) -> bool:
-    """Whether a rational form lies in the span keyed by ``_span``: on each
-    balanced component its coefficients on the two colours have equal sums.
-    Full components accept any coefficients."""
-    balance = {}
-    for v, c in form.coeffs:
-        label = key[index[v]]
-        if label is not None:
-            root, colour = label
-            balance[root] = balance.get(root, 0) + (-c if colour else c)
-    return not any(balance.values())
-
-
 def _spanned(key, pairs) -> int:
     """Mask of the positions in ``pairs`` whose edge sum e_i + e_j lies in the
     span keyed by ``_span``: both ends full, or opposite colours of one
@@ -155,21 +152,12 @@ def _spanned(key, pairs) -> int:
 
 
 def subsphere_contained(a: SubSphere, b: SubSphere, graph: LabeledGraph) -> bool:
-    """Whether every character killed by a's forms (unit forms and edge sums)
-    is killed by b's (any rational forms): b's forms lie in the span of a's.
-    A form of a with no terms is skipped; any other form is an InputError."""
-    idx = graph.index
-    units, pairs = 0, []
-    for terms in (f.coeffs for f in a.forms if f.coeffs):
-        (u, c), (v, d) = (terms * 2)[:2]
-        if len(terms) > 2 or c != d:
-            raise InputError(f"the form on {[w for w, _ in terms]} is not a unit form or edge sum")
-        if u == v:
-            units |= 1 << idx[u]
-        else:
-            pairs.append((idx[u], idx[v]))
-    _, _, key = _span(len(idx), units, pairs)
-    return all(_holds(key, idx, f) for f in b.forms)
+    """Whether every character killed by a's forms is killed by b's: b's
+    unit vertices are full in the span of a's forms and b's cut edges lie
+    in it, the test ``complement_polyhedron`` prunes with."""
+    adj, ends = _adjacency(graph)
+    _, full, key = _span(len(adj), a.units, _members(a.cut, ends))
+    return b.units & full == b.units and b.cut & _spanned(key, ends) == b.cut
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +209,12 @@ def _closed_neighborhoods(graph: LabeledGraph) -> list:
 
 
 def _cuts(graph: LabeledGraph) -> list:
-    """(Y1 mask, cut) pairs: each vanishing set Y1 of at most n - 2 vertices
-    by increasing size in ``combinations`` order, with each subset-minimal
-    cut of the rest by increasing size then position.  A cut is a tuple of
-    edge numbers, in edge order, of even edges with label > 2 inside the
-    rest whose deletion disconnects it; the empty cut alone when the rest
-    is already disconnected."""
+    """(Y1 mask, cut mask) pairs: each vanishing set Y1 of at most n - 2
+    vertices by increasing size in ``combinations`` order, with each
+    subset-minimal cut of the rest by increasing size then position.  A cut
+    is a mask over edge numbers of even edges with label > 2 inside the rest
+    whose deletion disconnects it; the empty cut alone when the rest is
+    already disconnected."""
     adj, ends = _adjacency(graph)
     n = len(adj)
     even = [k for k, (_, _, label) in enumerate(graph.edges) if label > 2 and label % 2 == 0]
@@ -245,24 +233,22 @@ def _cuts(graph: LabeledGraph) -> list:
                     if _connected(rest, adj, [ends[k] for k in cut]):
                         continue
                     found.append(mask)
-                    out.append((units, cut))
+                    out.append((units, mask))
     return out
 
 
-def _piece(graph: LabeledGraph, kind: str, units: int, cut: tuple) -> SubSphere:
-    """The piece killing e_v for v in the mask ``units`` and e_u + e_v for
-    each edge number in ``cut``."""
-    zero_set = tuple(v for i, v in enumerate(graph.vertices) if units >> i & 1)
-    cut_edges = tuple(graph.edges[k][:2] for k in cut)
-    forms = tuple(LinearForm(((v, _ONE),)) for v in zero_set)
-    forms += tuple(LinearForm(((u, _ONE), (v, _ONE))) for u, v in cut_edges)
-    return SubSphere(forms, PieceOrigin(kind, zero_set, cut_edges))
+def _piece(graph: LabeledGraph, kind: str, units: int, cut: int) -> SubSphere:
+    """The piece killing e_v for v in the vertex mask ``units`` and
+    e_u + e_v for each edge in the edge mask ``cut``."""
+    zero_set = _members(units, graph.vertices)
+    cut_edges = tuple(e[:2] for e in _members(cut, graph.edges))
+    return SubSphere(units, cut, PieceOrigin(kind, zero_set, cut_edges))
 
 
 def dominance_pieces(graph: LabeledGraph) -> list:
     """One candidate piece per vertex whose closed neighborhood is proper:
     all values on the neighborhood vanish.  Exact duplicates are dropped."""
-    return [_piece(graph, DOMINANCE, closed, ()) for closed in _closed_neighborhoods(graph)]
+    return [_piece(graph, DOMINANCE, closed, 0) for closed in _closed_neighborhoods(graph)]
 
 
 def disconnection_pieces(graph: LabeledGraph) -> list:
@@ -301,65 +287,81 @@ def complement_polyhedron(graph: LabeledGraph) -> SphericalPolyhedron:
     for a kept piece whose span lies in its own, it leaves a kept piece
     whose span lies in the dominance piece's, which is then dropped.
 
-    Every candidate is a unit mask plus cut-edge numbers, all coefficients
-    1.  A candidate whose span key was already visited is dropped: equal
-    spans contain each other, and the earlier one was kept or pruned.
-    Otherwise it is dropped when a kept piece's unit vertices are full in
-    its span and that piece's cut edges lie in its span.  Only kept pieces
-    are built as ``SubSphere``s."""
+    Every candidate is a unit mask plus a cut-edge mask.  A candidate whose
+    span key was already visited is dropped: equal spans contain each
+    other, and the earlier one was kept or pruned.  Otherwise it is dropped
+    when it lies inside a kept piece by ``subsphere_contained``'s mask
+    test.  Only kept pieces are built as ``SubSphere``s."""
     n = len(graph.vertices)
     _, ends = _adjacency(graph)
     ranked = []
     for units, cut in _cuts(graph):
-        rank, full, key = _span(n, units, [ends[k] for k in cut])
+        pairs = _members(cut, ends)
+        rank, full, key = _span(n, units, pairs)
         if rank < n:
-            forms = tuple((i,) for i in range(n) if units >> i & 1) + tuple(ends[k] for k in cut)
+            forms = tuple((i,) for i in range(n) if units >> i & 1) + pairs
             ranked.append((rank, (len(forms), forms), units, cut, full, key))
     ranked.sort(key=lambda r: r[:2])
     seen = set()
-    kept = []  # (canonical key, unit mask, cut, cut-edge mask)
+    kept = []  # (canonical key, unit mask, cut-edge mask)
     for _, order, units, cut, full, key in ranked:
         if key in seen:
             continue
         seen.add(key)
         spanned = _spanned(key, ends)
-        if not any(u & ~full == 0 and c & ~spanned == 0 for _, u, _, c in kept):
-            kept.append((order, units, cut, sum(1 << k for k in cut)))
+        if not any(u & ~full == 0 and c & ~spanned == 0 for _, u, c in kept):
+            kept.append((order, units, cut))
     kept.sort(key=lambda k: k[0])
-    pieces = tuple(_piece(graph, DISCONNECTION, units, cut) for _, units, cut, _ in kept)
+    pieces = tuple(_piece(graph, DISCONNECTION, units, cut) for _, units, cut in kept)
     return SphericalPolyhedron(graph, pieces)
 
 
 def polyhedron_contains(polyhedron: SphericalPolyhedron, chi: Character) -> bool:
     if chi.graph != polyhedron.graph:
         raise InputError("character carrier differs from the polyhedron's graph")
-    return any(piece.contains(chi) for piece in polyhedron.pieces)
+    zero, dead = _character_masks(chi)
+    return any(p.units & zero == p.units and p.cut & dead == p.cut for p in polyhedron.pieces)
 
 
 def polyhedron_from_json(graph: LabeledGraph, data: dict) -> SphericalPolyhedron:
     """Rebuild a polyhedron from its JSON dict (inverse of to_json_dict).
 
-    A missing key, a value of the wrong shape, an unknown piece kind or an
-    origin naming an unknown vertex is an InputError."""
+    Each piece is rebuilt from its origin, a list of distinct vertices and a
+    list of distinct even label > 2 edges.  A missing key, a wrong shape, an
+    unknown kind or vertex, an origin breaking those rules, and forms other
+    than those the origin gives are InputErrors."""
+    idx = graph.index
+    edge_no = {frozenset(e[:2]): k for k, e in enumerate(graph.edges)}
     pieces = []
     try:
         for pd in data["pieces"]:
-            forms = []
-            for fd in pd["forms"]:
-                mapping = {v: parse_rational(str(c)) for v, c in fd.items()}
-                forms.append(LinearForm.from_mapping(mapping, graph))
+            forms = [{v: parse_rational(str(c)) for v, c in fd.items()} for fd in pd["forms"]]
+            unknown = set().union(*forms) - set(idx)
+            if unknown:
+                raise InputError(f"unknown vertex {min(unknown)!r} in linear form")
             od = pd["origin"]
-            if od["kind"] not in (DOMINANCE, DISCONNECTION):
-                raise InputError(f"unknown piece kind {od['kind']!r}")
-            origin = PieceOrigin(
-                od["kind"],
-                tuple(od["zero_set"]),
-                tuple((u, v) for u, v in od.get("cut_edges", [])),
-            )
-            unknown = set(origin.zero_set).union(*origin.cut_edges) - set(graph.index)
+            kind, zero_set = od["kind"], od["zero_set"]
+            if kind not in (DOMINANCE, DISCONNECTION):
+                raise InputError(f"unknown piece kind {kind!r}")
+            cut_edges = od.get("cut_edges", []) if kind == DISCONNECTION else []
+            if not all(isinstance(x, (list, tuple)) for x in (zero_set, cut_edges, *cut_edges)):
+                raise InputError("malformed polyhedron JSON: origin entries must be lists")
+            unknown = set(zero_set).union(*cut_edges) - set(idx)
             if unknown:
                 raise InputError(f"piece origin names unknown vertices {sorted(unknown)}")
-            pieces.append(SubSphere(tuple(forms), origin))
+            cut = 0
+            for u, v in cut_edges:
+                label = graph.label(u, v)
+                if label == 2 or label % 2:
+                    raise InputError(f"cut edge ({u}, {v}) has label {label}, not even and > 2")
+                cut |= 1 << edge_no[frozenset((u, v))]
+            units = sum(1 << idx[v] for v in set(zero_set))
+            if units.bit_count() < len(zero_set) or cut.bit_count() < len(cut_edges):
+                raise InputError("piece origin repeats a vertex or a cut edge")
+            piece = _piece(graph, kind, units, cut)
+            if forms != [dict(f.coeffs) for f in piece.forms]:
+                raise InputError("piece forms differ from the forms its origin gives")
+            pieces.append(piece)
     except InputError:
         raise
     except KeyError as exc:

@@ -4,10 +4,11 @@ import doctest
 
 import pytest
 
-from artin_sigma import fields, fox, graphs, laurent
+from artin_sigma import fields, fox, graphs, laurent, polyhedron
 
 
-@pytest.mark.parametrize("module", [fields, fox, graphs, laurent], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", [fields, fox, graphs, laurent, polyhedron],
+                         ids=lambda m: m.__name__)
 def test_docstring_examples(module):
     failed, attempted = doctest.testmod(module)
     assert failed == 0

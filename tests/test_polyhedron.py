@@ -8,7 +8,6 @@ import pytest
 from artin_sigma import (
     InputError,
     LabeledGraph,
-    LinearForm,
     PieceOrigin,
     SubSphere,
     character,
@@ -21,13 +20,20 @@ from artin_sigma import (
     polyhedron_from_json,
     subsphere_contained,
 )
-from artin_sigma.polyhedron import _span, _spanned
+from artin_sigma.polyhedron import _piece, _span, _spanned
 from conftest import random_character, random_even_graph, random_labeled_graph
 from oracles import complement_member_bruteforce, fraction_rank, in_span, minimal_even_cuts
 
 
 def forms_as_rows(piece, graph):
-    return [f.vector(graph) for f in piece.forms]
+    """The piece's derived forms as coefficient rows in vertex order."""
+    rows = []
+    for form in piece.forms:
+        row = [Fraction(0)] * len(graph.vertices)
+        for v, c in form.coeffs:
+            row[graph.index[v]] = c
+        rows.append(row)
+    return rows
 
 
 def test_dominance_pieces_f3_empty(f3):
@@ -145,79 +151,57 @@ def test_f1_membership_matches_conjectural_out(f1):
 
 
 def test_subsphere_containment(f5):
-    a = [LinearForm.from_mapping({"a": 1}, f5), LinearForm.from_mapping({"b": 1}, f5)]
-    b = [LinearForm.from_mapping({"a": 1, "b": 1}, f5)]
-    from artin_sigma import PieceOrigin, SubSphere
-
-    sa = SubSphere(tuple(a), PieceOrigin("dominance", ("a", "b")))
-    sb = SubSphere(tuple(b), PieceOrigin("disconnection", (), (("a", "b"),)))
+    # masks over (a, b, c) and over the edges ((a, b), (b, c))
+    sa = _piece(f5, "dominance", 0b011, 0)
+    sb = _piece(f5, "disconnection", 0, 0b01)
+    assert sb.origin == PieceOrigin("disconnection", (), (("a", "b"),))
     assert subsphere_contained(sa, sb, f5)
     assert not subsphere_contained(sb, sa, f5)
     assert subsphere_contained(sa, sa, f5)
 
 
-def _unit_and_edge_forms(rng, g):
-    """Unit forms and edge sums with nonzero rational coefficients: the
-    shuffled vertices fall into blocks that are left isolated, joined by a
-    path of edge sums (balanced), or made full by a unit form or an odd
-    cycle of edge sums; half the time random edge sums, unit forms and
-    zero forms (as JSON with a "0" coefficient reads) join the blocks."""
-    def form(*vs):
-        c = Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 3))
-        return LinearForm.from_mapping({v: c for v in vs}, g)
+def _random_mask_piece(rng, g, p_unit, p_cut):
+    """A piece with each vertex a unit vertex with probability ``p_unit``
+    and each edge of ``g``, whatever its label, cut with probability
+    ``p_cut``."""
+    units = sum(1 << i for i in range(len(g.vertices)) if rng.random() < p_unit)
+    cut = sum(1 << k for k in range(len(g.edges)) if rng.random() < p_cut)
+    return _piece(g, "disconnection", units, cut)
 
-    verts = list(g.vertices)
-    rng.shuffle(verts)
-    forms = []
-    while verts:
-        size = rng.randint(1, 4)
-        block, verts = verts[:size], verts[size:]
-        kind = rng.choice(("isolated", "balanced", "unit form", "odd cycle"))
-        if kind == "isolated":
-            continue
-        forms += [form(u, v) for u, v in zip(block, block[1:])]
-        if kind == "unit form":
-            forms.append(form(rng.choice(block)))
-        elif kind == "odd cycle" and len(block) >= 3:
-            forms.append(form(block[0], block[2]))
-    if rng.random() < 0.5:
-        for _ in range(rng.randint(1, 3)):
-            vs = rng.sample(g.vertices, rng.randint(1, 2))
-            zero = rng.random() < 0.2
-            forms.append(LinearForm.from_mapping({vs[0]: 0}, g) if zero else form(*vs))
-    rng.shuffle(forms)
-    return forms
+
+def _cut_component(piece, v):
+    """The vertices joined to v by the piece's cut edges."""
+    comp, grew = {v}, True
+    while grew:
+        grew = False
+        for x, y in piece.origin.cut_edges:
+            if (x in comp) != (y in comp):
+                comp |= {x, y}
+                grew = True
+    return comp
 
 
 def test_subsphere_contained_matches_oracle():
     rng = random.Random(31)
-    origin = PieceOrigin("disconnection", ())
+    names = ("t0", "t1", "t2")
+    triangle = LabeledGraph(names, tuple((names[i], names[(i + 1) % 3], 4) for i in range(3)))
     outcomes = []
-    for _ in range(3000):
-        g = random_labeled_graph(rng, max_vertices=7)
-        a = SubSphere(tuple(_unit_and_edge_forms(rng, g)), origin)
-        b_forms = []
-        for _ in range(rng.randint(1, 3)):
-            vs = rng.sample(g.vertices, rng.randint(1, min(3, len(g.vertices))))
-            mapping = {v: Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 1, 2))) for v in vs}
-            b_forms.append(LinearForm.from_mapping(mapping, g))
-        b = SubSphere(tuple(b_forms), origin)
+    full_by_odd_cycle = 0
+    for trial in range(3000):
+        g = triangle if trial % 10 == 0 else random_labeled_graph(rng, max_vertices=7)
+        a = _random_mask_piece(rng, g, 0.15, 0.5)
+        b = _random_mask_piece(rng, g, 1.5 / len(g.vertices), 1.5 / max(len(g.edges), 1))
         rows = forms_as_rows(a, g)
         expect = all(in_span(vec, rows) for vec in forms_as_rows(b, g))
         assert subsphere_contained(a, b, g) == expect, (g, a, b)
         outcomes.append(expect)
+        full_by_odd_cycle += expect and any(
+            not _cut_component(a, v) & set(a.origin.zero_set) for v in b.origin.zero_set)
     # both answers are common, so neither side is checked only vacuously
     assert 300 < sum(outcomes) < 2700
-
-
-def test_subsphere_contained_rejects_other_forms(f4):
-    a, b, c = f4.vertices[:3]
-    origin = PieceOrigin("disconnection", ())
-    unit = SubSphere((LinearForm.from_mapping({a: 1}, f4),), origin)
-    for mapping in ({a: 1, b: -1}, {a: 1, b: 1, c: 1}, {a: 1, b: 2}):
-        bad = SubSphere((LinearForm.from_mapping(mapping, f4),), origin)
-        with pytest.raises(InputError, match="unit form or edge sum"):
-            subsphere_contained(bad, unit, f4)
+    # some unit vertex of b is full in a's span only through an odd cycle of
+    # cut edges, with no unit vertex of a in its component
+    assert full_by_odd_cycle > 50
 
 
 def test_no_piece_contained_in_another(f1, f3, f4, f5):
@@ -263,10 +247,18 @@ def test_membership_symmetry_random():
             assert polyhedron_contains(poly, chi) == polyhedron_contains(poly, chi.negate())
 
 
-def test_carrier_mismatch(f3, f5):
+def test_carrier_mismatch(f3, f4, f5):
     poly = complement_polyhedron(f3)
     with pytest.raises(InputError):
         polyhedron_contains(poly, character(f5, {"a": 1}))
+    # a piece's masks are positions in its own graph's vertices and edges:
+    # F5's second edge (b, c) is missing from F3, and F4's second edge is (a, d)
+    piece = complement_polyhedron(f5).pieces[2]
+    assert piece.origin.cut_edges == (("b", "c"),)
+    assert piece.contains(character(f5, {"b": 1, "c": -1}))
+    for other in (f3, f4):
+        with pytest.raises(InputError, match="carrier differs"):
+            piece.contains(character(other, {"a": 1}))
 
 
 def test_json_round_trip(f1, f5):
@@ -354,25 +346,50 @@ def test_polyhedron_from_json_rejects_malformed(f5):
             zero_set=["z"])), r"unknown vertices \['z'\]"),
         "unknown cut vertex": (variant(lambda b: b["pieces"][0]["origin"].update(
             cut_edges=[["a", "q"]])), r"unknown vertices \['q'\]"),
+        "zero_set a string": (variant(lambda b: b["pieces"][1]["origin"].update(zero_set="b")),
+                              "malformed"),
+        "cut edge a string": (variant(lambda b: b["pieces"][0]["origin"].update(
+            cut_edges=["ab"])), "malformed"),
+        "cut edge not an edge": (variant(lambda b: b["pieces"][0]["origin"].update(
+            cut_edges=[["a", "c"]])), "no edge between 'a' and 'c'"),
+        "repeated zero_set vertex": (variant(lambda b: b["pieces"][1]["origin"].update(
+            zero_set=["b", "b"])), "repeats"),
+        "repeated cut edge": (variant(lambda b: b["pieces"][0]["origin"].update(
+            cut_edges=[["a", "b"], ["b", "a"]])), "repeats"),
+        # the forms must be the ones the origin gives
+        "form off its origin": (variant(lambda b: b["pieces"][1].update(forms=[{"a": "1"}])),
+                                "forms differ"),
+        "coefficient off its origin": (variant(lambda b: b["pieces"][1].update(
+            forms=[{"b": "2"}])), "forms differ"),
+        "form missing": (variant(lambda b: b["pieces"][0].update(forms=[])), "forms differ"),
     }
     for name, (blob, message) in bad.items():
         with pytest.raises(InputError, match=message):
             polyhedron_from_json(f5, blob)
     assert polyhedron_from_json(f5, good) == complement_polyhedron(f5)
+    # a coefficient is read as a rational, so its spelling does not matter
+    respelled = variant(lambda b: b["pieces"][1].update(forms=[{"b": "2/2"}]))
+    assert polyhedron_from_json(f5, respelled) == complement_polyhedron(f5)
+    # F5's cut edge (b, c) relabelled: a cut edge is even with label > 2
+    for label in (2, 3):
+        g = parse_graph(f"v a\nv b\nv c\ne a b 4\ne b c {label}\n")
+        with pytest.raises(InputError, match=f"label {label}, not even and > 2"):
+            polyhedron_from_json(g, good)
 
 
 def _pieces_from_oracle_cuts(g):
     """Disconnection pieces as the polyhedron documents them, with each
-    vanishing set's cuts taken from ``oracles.minimal_even_cuts``."""
+    vanishing set's cuts taken from ``oracles.minimal_even_cuts`` and the
+    masks built here from the vertex and edge positions."""
     pieces = []
     for size in range(max(len(g.vertices) - 1, 0)):
         for y1 in combinations(g.vertices, size):
             rest = tuple(v for v in g.vertices if v not in y1)
             for cut in minimal_even_cuts(g, rest):
-                forms = [LinearForm.from_mapping({v: 1}, g) for v in y1]
-                forms += [LinearForm.from_mapping({u: 1, v: 1}, g) for u, v, _ in cut]
+                units = sum(1 << g.vertices.index(v) for v in y1)
+                cut_mask = sum(1 << g.edges.index(e) for e in cut)
                 origin = PieceOrigin("disconnection", y1, tuple((u, v) for u, v, _ in cut))
-                pieces.append(SubSphere(tuple(forms), origin))
+                pieces.append(SubSphere(units, cut_mask, origin))
     return pieces
 
 
