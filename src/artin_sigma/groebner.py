@@ -23,7 +23,9 @@ deletion), so no term is re-keyed on a division step (Monagan and Pearce,
 "Sparse polynomial division using a heap", JSC 46, 2011).  Generators are
 packed once on entry to ``buchberger`` and the reduced basis unpacked once
 on exit; ``s_polynomial`` and ``reduce_poly`` take either packed
-polynomials (as ``buchberger`` calls them) or ``LaurentPoly``s.
+polynomials (as ``buchberger`` calls them) or ``LaurentPoly``s, which must
+share one variable list (``laurent.common_ring``; a second list is an
+``InputError``).
 
 Systems whose generators all have at most two terms skip Buchberger for that
 question: a binomial c1*x^a + c2*x^b is a unit multiple of x^(a-b) - lam with
@@ -38,8 +40,8 @@ import heapq
 from operator import itemgetter, mul
 
 from .errors import InputError
-from .fields import PrimeField, unify_domains
-from .laurent import LaurentPoly
+from .fields import PrimeField
+from .laurent import LaurentPoly, common_ring
 
 
 def _lex_key(e):
@@ -62,6 +64,8 @@ def _order_key(order):
 
 
 def leading_term(f: LaurentPoly, order=DEFAULT_ORDER):
+    if not f.terms:
+        raise InputError("the zero polynomial has no leading term")
     lm = max(f.terms, key=_order_key(order))
     return lm, f.terms[lm]
 
@@ -183,31 +187,14 @@ def _widening(kernel, polys):
 
 
 def _packed_inputs(polys, order):
-    """LaurentPolys over one variable list, packed into one fitting ring."""
+    """LaurentPolys over one variable list (see ``common_ring``), packed into
+    one fitting ring."""
     _order_key(order)
-    dom = polys[0].domain
-    for p in polys[1:]:
-        dom = unify_domains(dom, p.domain)
-    polys = [p.coerce_to(dom) for p in polys]
-    ring = _PackedRing.fitting(polys[0].variables, order, dom, polys)
+    variables, domain, polys = common_ring(polys)
+    if not polys:
+        return []
+    ring = _PackedRing.fitting(variables, order, domain, polys)
     return [ring.from_poly(p) for p in polys]
-
-
-def _prepare(gens):
-    polys = []
-    domain = None
-    variables = None
-    for g in gens:
-        if not isinstance(g, LaurentPoly):
-            raise TypeError("generators must be LaurentPoly")
-        if variables is None:
-            variables = g.variables
-        elif g.variables != variables:
-            raise ValueError("generators must share one variable list")
-        domain = g.domain if domain is None else unify_domains(domain, g.domain)
-        polys.append(g)
-    polys = [p.coerce_to(domain) for p in polys if not p.is_zero()]
-    return polys, variables, domain
 
 
 def _divide(polys):
@@ -289,8 +276,6 @@ def reduce_poly(f, basis, order=DEFAULT_ORDER):
     """
     if isinstance(f, _Packed):
         return _widening(_divide, [f, *basis])
-    if not basis:
-        return f
     packed = _packed_inputs([f, *basis], order)
     r = _widening(_divide, [packed[0]] + [g for g in packed[1:] if g.terms])
     return r.ring.to_poly(r)
@@ -300,18 +285,21 @@ def s_polynomial(f, g, order=DEFAULT_ORDER):
     """S-polynomial of f and g: LaurentPolys, or packed as ``reduce_poly``."""
     if isinstance(f, _Packed):
         return _widening(_s_kernel, [f, g])
-    s = _widening(_s_kernel, _packed_inputs([f, g], order))
+    packed = _packed_inputs([f, g], order)
+    if not all(p.terms for p in packed):
+        raise InputError("the zero polynomial has no S-polynomial")
+    s = _widening(_s_kernel, packed)
     return s.ring.to_poly(s)
 
 
 def buchberger(gens, order=DEFAULT_ORDER) -> list[LaurentPoly]:
     """Reduced Groebner basis (monic, sorted by leading monomial)."""
     key = _order_key(order)
-    polys, variables, domain = _prepare(gens)
-    if not polys:
+    basis = [p for p in _packed_inputs(gens, order) if p.terms]
+    if not basis:
         return []
-    ring = _PackedRing.fitting(variables, order, domain, polys)
-    basis = [ring.from_poly(p) for p in polys]
+    ring = basis[0].ring
+    variables, domain = ring.variables, ring.domain
     lms = [b.lead[0] for b in basis]
     exps = [b.lead[4] for b in basis]  # exponent vectors: unchanged by widening
     queue = []
@@ -487,19 +475,22 @@ def _lattice_unit(polys):
 def _saturation_system(gens):
     """The nonzero generators, cleared of negative exponents and extended by
     the saturation variable, in one domain; with their positions in gens."""
-    if not all(isinstance(g, LaurentPoly) for g in gens):
-        raise TypeError("generators must be LaurentPoly")
-    positions = [i for i, g in enumerate(gens) if not g.is_zero()]
+    variables, _, polys = common_ring(gens)
+    positions = [i for i, p in enumerate(polys) if not p.is_zero()]
     if not positions:
         return positions, [], None
-    variables = gens[positions[0]].variables
     aux = saturation_variable(variables)
     ext = variables + (aux,)
-    extended = [gens[i].normalized().extend_variables(ext) for i in positions]
-    domain = extended[0].domain
-    for p in extended[1:]:
-        domain = unify_domains(domain, p.domain)
-    return positions, [p.coerce_to(domain) for p in extended], aux
+    return positions, [polys[i].normalized().extend_variables(ext) for i in positions], aux
+
+
+def _saturated(extended):
+    """The extended system with 1 - aux * x_1 * ... * x_n appended, aux the
+    last of its variables."""
+    ext, domain = extended[0].variables, extended[0].domain
+    n = len(ext)
+    sat = LaurentPoly(ext, {(0,) * n: domain.one, (1,) * n: -domain.one}, domain)
+    return extended + [sat]
 
 
 def laurent_unit_report(gens, order=DEFAULT_ORDER):
@@ -518,10 +509,10 @@ def laurent_unit_report(gens, order=DEFAULT_ORDER):
     positions, extended, aux = _saturation_system(gens)
     if not extended:
         return False, [], None, "lattice", None
-    ext, domain = extended[0].variables, extended[0].domain
-    one = LaurentPoly.constant(domain.one, ext, domain)
     decided = _lattice_unit(extended)
     if decided is not None and decided[0]:
+        domain = extended[0].domain
+        one = LaurentPoly.constant(domain.one, extended[0].variables, domain)
         witness = decided[1]
         if "monomial" in witness:
             witness = {"monomial": positions[witness["monomial"]]}
@@ -531,11 +522,7 @@ def laurent_unit_report(gens, order=DEFAULT_ORDER):
                 relation[i] = c
             witness = {"relation": relation}
         return True, [one], aux, "lattice", witness
-    product = one
-    for v in ext[:-1]:
-        product = product * LaurentPoly.variable(v, ext, domain)
-    sat = one - LaurentPoly.variable(aux, ext, domain) * product
-    basis = buchberger(extended + [sat], order)
+    basis = buchberger(_saturated(extended), order)
     if decided is not None:
         return False, basis, aux, "lattice", None
     flag = len(basis) == 1 and basis[0].is_constant()
@@ -562,13 +549,21 @@ def to_prime_field(p: LaurentPoly, prime: int) -> LaurentPoly:
 
 
 def unit_ideal_mod_p(gens, prime: int, laurent: bool = True) -> bool:
+    """Unit-ideal test for gens with coefficients read in GF(prime).
+
+    Generators that vanish mod prime are dropped, and a binomial that lost a
+    coefficient is a monomial.  With ``laurent`` the ideal is taken in the
+    Laurent ring: when every remaining generator has at most two terms the
+    exponent lattice decides (``_lattice_unit``), and otherwise Buchberger
+    runs once on the saturated system.  Without it the ideal is taken in
+    the polynomial ring.  A coefficient whose denominator is divisible by
+    prime raises ZeroDivisionError.
+    """
     mapped = [to_prime_field(g, prime) for g in gens]
-    if laurent:
-        # generators that vanished mod p are dropped, and a binomial that
-        # lost a coefficient is a monomial, so a unit
-        decided = _lattice_unit(_saturation_system(mapped)[1])
-        if decided is not None:
-            return decided[0]
-        flag, _, _ = laurent_unit_ideal(mapped)
-        return flag
-    return is_unit_ideal(mapped)
+    if not laurent:
+        return is_unit_ideal(mapped)
+    extended = _saturation_system(mapped)[1]
+    decided = _lattice_unit(extended)
+    if decided is not None:
+        return decided[0]
+    return is_unit_ideal(_saturated(extended))

@@ -239,18 +239,14 @@ class LaurentPoly:
         for v in self.variables:
             if v not in images:
                 raise ValueError(f"no image for variable {v!r}")
-        some = images[self.variables[0]] if self.variables else None
-        if some is None:
+        if not self.variables:
             # constant polynomial over no variables: nothing to substitute
             return self
-        target_vars = some.variables
-        dom = self.domain
-        for img in images.values():
-            if not isinstance(img, LaurentPoly) or img.variables != target_vars:
-                raise ValueError("images must share a single variable list")
-            if len(img.terms) > 1:
-                raise InputError("substitution images must be single-term")
-            dom = unify_domains(dom, img.domain)
+        target_vars, dom, coerced = common_ring(images.values())
+        if any(len(img.terms) > 1 for img in coerced):
+            raise InputError("substitution images must be single-term")
+        images = dict(zip(images, coerced))
+        dom = unify_domains(dom, self.domain)
         n = len(target_vars)
         zero = dom.zero
         out: dict = {}
@@ -336,6 +332,28 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({self.to_string()!r}, vars={self.variables})"
+
+
+def common_ring(polys):
+    """(variables, domain, coerced) for LaurentPolys over one variable list:
+    their variable list, the field all their coefficients embed in, and the
+    polys coerced to that field, in order.
+
+    Raises TypeError for an element that is not a LaurentPoly and InputError
+    for a second variable list.  An empty input gives (None, None, []).
+    """
+    polys = list(polys)
+    variables = domain = None
+    for p in polys:
+        if not isinstance(p, LaurentPoly):
+            raise TypeError(f"expected a LaurentPoly, got {type(p).__name__}")
+        if variables is None:
+            variables, domain = p.variables, p.domain
+        elif p.variables != variables:
+            raise InputError(f"polynomials must share one variable list: {variables} and {p.variables}")
+        else:
+            domain = unify_domains(domain, p.domain)
+    return variables, domain, [p.coerce_to(domain) for p in polys]
 
 
 # ---------------------------------------------------------------------------

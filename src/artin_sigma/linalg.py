@@ -1,6 +1,7 @@
 """Exact rank of Laurent-polynomial matrices via fraction-free elimination.
 
-Entries live over a coefficient field (integers are promoted to rationals).
+Entries share one variable list and are brought to one coefficient field
+(``laurent.common_ring``; plain integers are already rationals).
 Negative exponents are cleared row by row with monomial units, which does not
 change the rank, and the Bareiss scheme keeps every intermediate entry a
 polynomial: the division at each step is exact by the Sylvester identity.
@@ -13,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .fields import unify_domains
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, common_ring
 
 
 def _lex_leading(f: LaurentPoly):
@@ -28,9 +28,7 @@ def exact_divide(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         raise ZeroDivisionError("exact division by zero polynomial")
     if f.is_zero():
         return f
-    dom = unify_domains(f.domain, g.domain)
-    f = f.coerce_to(dom)
-    g = g.coerce_to(dom)
+    variables, dom, (f, g) = common_ring([f, g])
     glm, glc = _lex_leading(g)
     quot: dict = {}
     rem = f
@@ -41,8 +39,8 @@ def exact_divide(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
             raise ArithmeticError("inexact polynomial division")
         c = lc / glc
         quot[diff] = c
-        rem = rem - LaurentPoly.monomial(c, diff, f.variables, dom) * g
-    return LaurentPoly(f.variables, quot, dom)
+        rem = rem - LaurentPoly.monomial(c, diff, variables, dom) * g
+    return LaurentPoly(variables, quot, dom)
 
 
 @dataclass
@@ -57,15 +55,7 @@ class PolyMatrix:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
                 raise InputError("matrix rows must have equal length")
-            vars0 = None
-            for r in rows:
-                for e in r:
-                    if not isinstance(e, LaurentPoly):
-                        raise TypeError("matrix entries must be LaurentPoly")
-                    if vars0 is None:
-                        vars0 = e.variables
-                    elif e.variables != vars0:
-                        raise InputError("matrix entries must share one variable list")
+            common_ring(e for r in rows for e in r)
         self.entries = rows
 
     @property
@@ -82,35 +72,21 @@ class PolyMatrix:
 
 def matrix_rank(matrix) -> int:
     """Rank over the fraction field, by Bareiss fraction-free elimination."""
-    if isinstance(matrix, PolyMatrix):
-        rows = [list(r) for r in matrix.entries]
-    else:
-        rows = [list(r) for r in matrix]
+    rows = matrix.entries if isinstance(matrix, PolyMatrix) else [list(r) for r in matrix]
     if not rows or not rows[0]:
         return 0
 
-    domain = None
-    variables = rows[0][0].variables
-    for r in rows:
-        for e in r:
-            domain = e.domain if domain is None else unify_domains(domain, e.domain)
-
-    nvars = len(variables)
+    variables, domain, coerced = common_ring(e for r in rows for e in r)
+    entries = iter(coerced)
     work = []
     for r in rows:
+        row = [next(entries) for _ in r]
         # clear negative exponents with a per-row monomial unit
-        mins = [0] * nvars
-        for e in r:
-            for exps in e.terms:
-                for i, x in enumerate(exps):
-                    if x < mins[i]:
-                        mins[i] = x
-        shift = tuple(-m for m in mins)
+        shift = tuple(max(0, -m) for m in map(min, zip(*(e.min_exponents() for e in row))))
         if any(shift):
             mono = LaurentPoly.monomial(domain.one, shift, variables, domain)
-            work.append([(e.coerce_to(domain) * mono) for e in r])
-        else:
-            work.append([e.coerce_to(domain) for e in r])
+            row = [e * mono for e in row]
+        work.append(row)
 
     nrows = len(work)
     ncols = len(work[0])

@@ -22,6 +22,7 @@ from artin_sigma.groebner import ORDER_KEYS, leading_term, s_polynomial, saturat
 from oracles import fraction_rank, poly_gcd_univariate
 
 UV = ("u", "v")
+UVW = ("u", "v", "w")
 UVSW = ("u", "v", "s", "w")
 
 
@@ -33,6 +34,8 @@ def test_leading_term_orders():
     f = P("u^2 + u*v^2")
     assert leading_term(f, "lex") == ((2, 0), Fraction(1))
     assert leading_term(f, "grevlex") == ((1, 2), Fraction(1))
+    with pytest.raises(InputError, match="zero polynomial"):
+        leading_term(LaurentPoly.zero(UV))
 
 
 def test_reduce_poly():
@@ -40,6 +43,12 @@ def test_reduce_poly():
     r = reduce_poly(P("u^3 + u + 1"), basis)
     assert r == P("2*u + 1")
     assert reduce_poly(P("u^2 - 1"), basis).is_zero()
+    # a divisor over another variable list is refused, not truncated to the
+    # dividend's list
+    with pytest.raises(InputError):
+        reduce_poly(P("u^2 + v"), [P("u + w", UVW)])
+    with pytest.raises(TypeError):
+        reduce_poly(P("u^2 + v"), [P("u"), 1])
 
 
 def test_s_polynomial_reduces_to_zero_in_basis():
@@ -48,6 +57,11 @@ def test_s_polynomial_reduces_to_zero_in_basis():
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             assert reduce_poly(s_polynomial(basis[i], basis[j]), basis).is_zero()
+    with pytest.raises(InputError):
+        s_polynomial(P("u^2 + v"), P("u + w", UVW))
+    for f, g in ((LaurentPoly.zero(UV), P("u + v")), (P("u + v"), LaurentPoly.zero(UV))):
+        with pytest.raises(InputError, match="zero polynomial"):
+            s_polynomial(f, g)
 
 
 def test_buchberger_univariate_matches_gcd():
@@ -86,6 +100,16 @@ def test_buchberger_rejects_negative_exponents():
         buchberger([P("u^-1 + 1")])
 
 
+def test_buchberger_checks_its_generators():
+    assert buchberger([]) == [] and buchberger([LaurentPoly.zero(UV)]) == []
+    with pytest.raises(TypeError):
+        buchberger([P("u + v"), 1])
+    with pytest.raises(ValueError):
+        buchberger([P("u + v"), P("u + w", UVW)])
+    with pytest.raises(InputError):
+        buchberger([P("u"), P("u")], order="revlex")
+
+
 def test_laurent_unit_ideal_simple():
     # 1 + u is not a unit in the polynomial ring but the ideal (u) is a unit
     # ideal in the Laurent ring
@@ -94,6 +118,12 @@ def test_laurent_unit_ideal_simple():
     assert aux == "t_aux"
     flag2, _, _ = laurent_unit_ideal([P("u + 1", ("u",))])
     assert not flag2
+    # generators over two variable lists are refused in either order
+    mixed = [P("u*v - 1"), P("u - 2", ("u",))]
+    for gens in (mixed, mixed[::-1]):
+        with pytest.raises(InputError):
+            laurent_unit_ideal(gens)
+    assert groebner.laurent_unit_report([]) == (False, [], None, "lattice", None)
 
 
 def test_saturation_variable_avoids_collisions():

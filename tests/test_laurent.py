@@ -13,6 +13,7 @@ from artin_sigma import (
     parse_poly,
 )
 from artin_sigma.fields import _MILLER_RABIN_LIMIT, _is_prime, unify_domains
+from artin_sigma.laurent import common_ring
 
 VARS = ("x", "y")
 
@@ -108,6 +109,13 @@ def test_substitute_and_evaluate():
     assert q.variables == ("t",)
     assert q.terms == {(3,): Fraction(4), (0,): Fraction(-3)}
     assert p.evaluate({"x": Fraction(2), "y": Fraction(1, 4)}) == 2 * 2 * Fraction(1, 4) - 3
+    t = LaurentPoly.variable("t", ("t",))
+    with pytest.raises(InputError):  # images over two variable lists
+        p.substitute({"x": t, "y": LaurentPoly.variable("s", ("s", "t"))})
+    with pytest.raises(InputError):
+        p.substitute({"x": t, "y": t + 1})
+    with pytest.raises(TypeError):
+        p.substitute({"x": t, "y": 2})
 
 
 def test_reorder_and_extend():
@@ -133,6 +141,17 @@ def test_domain_unification():
             unify_domains(a, b)
     with pytest.raises(TypeError):
         LaurentPoly.variable("x", VARS, gf7) + zeta
+    x = LaurentPoly.variable("x", VARS)
+    variables, domain, (a, b) = common_ring([x, zeta])
+    assert (variables, domain) == (VARS, field) and (a.domain, b.domain) == (field, field)
+    assert a == x and b is zeta
+    assert common_ring([]) == (None, None, [])
+    with pytest.raises(TypeError):
+        common_ring([x, 1])
+    with pytest.raises(InputError):
+        common_ring([x, LaurentPoly.variable("x", ("x",))])
+    with pytest.raises(TypeError):
+        common_ring([x, LaurentPoly.variable("x", VARS, gf7)])
 
 
 def test_integer_input_lands_in_qq():

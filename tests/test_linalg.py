@@ -22,6 +22,8 @@ def test_exact_divide():
         exact_divide(parse_poly("x^2 + 1", X, QQ), g)
     with pytest.raises(ZeroDivisionError):
         exact_divide(f, LaurentPoly.zero(X, QQ))
+    with pytest.raises(InputError):
+        exact_divide(f, parse_poly("x - 1", ("x", "y"), QQ))
 
 
 def test_rank_simple():
@@ -104,6 +106,13 @@ def test_matrix_validation():
         PolyMatrix([[one], [one, one]])
     with pytest.raises(TypeError):
         PolyMatrix([[1]])
+    with pytest.raises(TypeError):
+        PolyMatrix([[one, 1]])
+    other = parse_poly("1", ("x", "y"), QQ)
+    with pytest.raises(InputError):
+        PolyMatrix([[one], [other]])
+    with pytest.raises(InputError):
+        matrix_rank([[one], [other]])
 
 
 def test_rank_of_integer_entries_is_taken_over_qq():
