@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from .errors import InputError
 
@@ -34,9 +35,24 @@ def _divisors(n: int) -> list[int]:
     return out
 
 
+MAX_CYCLOTOMIC_ORDER = 1000
+"""Largest order M of ``cyclotomic_polynomial`` and ``CyclotomicField``; a
+larger one is an InputError.  At M <= 1000 the field's reduction table holds
+at most phi(M)^2 < 10^6 integers and builds in well under a second."""
+
+
+def _check_order(order: int) -> None:
+    if order < 1:
+        raise InputError("order must be a positive integer")
+    if order > MAX_CYCLOTOMIC_ORDER:
+        raise InputError(
+            f"cyclotomic order {order} is above MAX_CYCLOTOMIC_ORDER = {MAX_CYCLOTOMIC_ORDER}")
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
-    """Ascending coefficients of the cyclotomic polynomial of the given order.
+    """Ascending coefficients of the cyclotomic polynomial of the given order,
+    at most MAX_CYCLOTOMIC_ORDER.
 
     Computed by dividing t^order - 1 by the cyclotomic polynomials of all
     proper divisors of the order.
@@ -48,8 +64,7 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     >>> cyclotomic_polynomial(6)
     (1, -1, 1)
     """
-    if order < 1:
-        raise ValueError("order must be a positive integer")
+    _check_order(order)
     poly = [-1] + [0] * (order - 1) + [1]
     for d in _divisors(order):
         if d < order:
@@ -291,16 +306,28 @@ class PrimeField:
 
 
 class CycloNum:
-    """An element of a cyclotomic field, coordinates in the power basis of zeta."""
+    """An element of a cyclotomic field: integer coordinates ``num`` in the
+    power basis of zeta over one positive denominator ``den``, in lowest
+    terms (gcd(den, *num) == 1), so equal elements have equal ``num`` and
+    ``den``.  ``CycloNum(field, coords)`` accepts any rational coordinates."""
 
-    __slots__ = ("field", "coords")
+    __slots__ = ("field", "num", "den")
 
     def __init__(self, field: "CyclotomicField", coords):
-        self.field = field
-        coords = tuple(Fraction(c) for c in coords)
+        coords = [Fraction(c) for c in coords]
         if len(coords) != field.degree:
             raise ValueError("coordinate length mismatch")
-        self.coords = coords
+        # each Fraction is in lowest terms, so no prime of their lcm divides
+        # every scaled numerator
+        den = lcm(*(c.denominator for c in coords))
+        self.field = field
+        self.num = tuple(c.numerator * (den // c.denominator) for c in coords)
+        self.den = den
+
+    @property
+    def coords(self) -> tuple:
+        """The rational coordinates, for printing."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def _co(self, other):
         if isinstance(other, CycloNum):
@@ -315,7 +342,10 @@ class CycloNum:
         o = self._co(other)
         if o is None:
             return NotImplemented
-        return CycloNum(self.field, [a + b for a, b in zip(self.coords, o.coords)])
+        if self.den == o.den:
+            return _cyclonum(self.field, [a + b for a, b in zip(self.num, o.num)], self.den)
+        da, db = self.den, o.den
+        return _cyclonum(self.field, [a * db + b * da for a, b in zip(self.num, o.num)], da * db)
 
     __radd__ = __add__
 
@@ -323,7 +353,10 @@ class CycloNum:
         o = self._co(other)
         if o is None:
             return NotImplemented
-        return CycloNum(self.field, [a - b for a, b in zip(self.coords, o.coords)])
+        if self.den == o.den:
+            return _cyclonum(self.field, [a - b for a, b in zip(self.num, o.num)], self.den)
+        da, db = self.den, o.den
+        return _cyclonum(self.field, [a * db - b * da for a, b in zip(self.num, o.num)], da * db)
 
     def __rsub__(self, other):
         o = self._co(other)
@@ -335,18 +368,19 @@ class CycloNum:
         o = self._co(other)
         if o is None:
             return NotImplemented
-        return self.field._reduce_product(self.coords, o.coords)
+        return _cyclonum(self.field, self.field._reduce_product(self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNum":
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        g, s, _ = _q_ext_gcd(_q_trim(list(self.coords)), list(map(Fraction, self.field.phi)))
+        g, s, _ = _q_ext_gcd(_q_trim(list(map(Fraction, self.num))), list(map(Fraction, self.field.phi)))
         if len(g) != 1:
             raise ArithmeticError("cyclotomic polynomial not coprime to element")
-        inv = [c / g[0] for c in s]
-        inv += [Fraction(0)] * (self.field.degree - len(inv))
+        scale = self.den / g[0]
+        inv = [c * scale for c in s]
+        inv += [0] * (self.field.degree - len(inv))
         return CycloNum(self.field, inv[: self.field.degree])
 
     def __truediv__(self, other):
@@ -362,7 +396,7 @@ class CycloNum:
         return o * self.inverse()
 
     def __neg__(self):
-        return CycloNum(self.field, [-c for c in self.coords])
+        return _cyclonum(self.field, [-c for c in self.num], self.den)
 
     def __pow__(self, e: int):
         if e < 0:
@@ -370,14 +404,14 @@ class CycloNum:
         return power(self, e, self.field.one)
 
     def __bool__(self):
-        return any(self.coords)
+        return any(self.num)
 
     def __eq__(self, other):
         o = self._co(other)
-        return NotImplemented if o is None else self.coords == o.coords
+        return NotImplemented if o is None else self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        return hash((self.field.order, self.coords))
+        return hash((self.field.order, self.num, self.den))
 
     def __repr__(self):
         parts = []
@@ -397,12 +431,25 @@ class CycloNum:
         return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
+def _cyclonum(field: "CyclotomicField", num, den: int) -> CycloNum:
+    """The element with integer coordinates num over den > 0, divided through
+    by their gcd."""
+    g = gcd(den, *num)
+    x = object.__new__(CycloNum)
+    x.field = field
+    if g == 1:
+        x.num, x.den = tuple(num), den
+    else:
+        x.num, x.den = tuple(c // g for c in num), den // g
+    return x
+
+
 class CyclotomicField:
-    """Q(zeta_M) as Q[t] modulo the M-th cyclotomic polynomial."""
+    """Q(zeta_M) as Q[t] modulo the M-th cyclotomic polynomial, for M up to
+    MAX_CYCLOTOMIC_ORDER."""
 
     def __init__(self, order: int):
-        if order < 1:
-            raise InputError("order must be a positive integer")
+        _check_order(order)
         self.order = order
         self.phi = cyclotomic_polynomial(order)
         self.degree = len(self.phi) - 1
@@ -416,18 +463,12 @@ class CyclotomicField:
             cur = [s + top * r for s, r in zip(shifted, red[0])]
             red.append(tuple(cur))
         self._red = red
+        self.zero = _cyclonum(self, (0,) * self.degree, 1)
+        self.one = self.coerce(1)
 
     @property
     def name(self):
         return f"QQ(zeta{self.order})"
-
-    @property
-    def zero(self):
-        return CycloNum(self, [0] * self.degree)
-
-    @property
-    def one(self):
-        return self.coerce(1)
 
     @property
     def zeta(self):
@@ -437,7 +478,7 @@ class CyclotomicField:
         k %= self.order
         if self.degree == 1:
             # t is congruent to a constant modulo a linear cyclotomic polynomial
-            return self.coerce(Fraction(-self.phi[0]) ** k)
+            return self.coerce((-self.phi[0]) ** k)
         # multiply by t k times: a shift, plus t^degree's row when the top
         # coordinate overflows; the coordinates stay integers
         coords = [1] + [0] * (self.degree - 1)
@@ -446,7 +487,7 @@ class CyclotomicField:
             coords.insert(0, 0)
             if top:
                 coords = [c + top * r for c, r in zip(coords, self._red[0])]
-        return CycloNum(self, coords)
+        return _cyclonum(self, coords, 1)
 
     def element(self, coords) -> CycloNum:
         return CycloNum(self, coords)
@@ -458,17 +499,21 @@ class CyclotomicField:
             return value
         if isinstance(value, bool):
             raise TypeError("booleans are not ring elements")
-        if isinstance(value, (int, Fraction)):
-            coords = [Fraction(value)] + [Fraction(0)] * (self.degree - 1)
-            return CycloNum(self, coords)
+        if isinstance(value, int):
+            return _cyclonum(self, (value,) + (0,) * (self.degree - 1), 1)
+        if isinstance(value, Fraction):
+            return _cyclonum(self, (value.numerator,) + (0,) * (self.degree - 1), value.denominator)
         raise TypeError(f"cannot coerce {value!r} into {self.name}")
 
-    def _reduce_product(self, a, b) -> CycloNum:
+    def _reduce_product(self, a, b) -> list:
+        """Integer coordinates of the product of two integer coordinate
+        vectors, reduced modulo phi."""
         n = self.degree
-        prod = [Fraction(0)] * (2 * n - 1)
+        b = [(j, bj) for j, bj in enumerate(b) if bj]
+        prod = [0] * (2 * n - 1)
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
+                for j, bj in b:
                     prod[i + j] += ai * bj
         out = prod[:n]
         for j in range(n, 2 * n - 1):
@@ -476,7 +521,7 @@ class CyclotomicField:
             if c:
                 for i, r in enumerate(self._red[j - n]):
                     out[i] += c * r
-        return CycloNum(self, out)
+        return out
 
     def __eq__(self, other):
         return isinstance(other, CyclotomicField) and other.order == self.order

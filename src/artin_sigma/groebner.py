@@ -557,9 +557,10 @@ def unit_ideal_mod_p(gens, prime: int, laurent: bool = True) -> bool:
     exponent lattice decides (``_lattice_unit``), and otherwise Buchberger
     runs once on the saturated system.  Without it the ideal is taken in
     the polynomial ring.  A coefficient whose denominator is divisible by
-    prime raises ZeroDivisionError.
+    prime raises ZeroDivisionError; the generators pass ``common_ring``
+    first, so a non-polynomial is a TypeError.
     """
-    mapped = [to_prime_field(g, prime) for g in gens]
+    mapped = [to_prime_field(g, prime) for g in common_ring(gens)[2]]
     if not laurent:
         return is_unit_ideal(mapped)
     extended = _saturation_system(mapped)[1]

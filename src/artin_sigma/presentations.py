@@ -23,7 +23,7 @@ from math import lcm
 
 from .characters import Character, dead_edges, living_subgraph
 from .errors import InputError, MathError
-from .fields import QQ, CycloNum, CyclotomicField, _is_prime
+from .fields import MAX_CYCLOTOMIC_ORDER, QQ, CycloNum, CyclotomicField, _is_prime
 from .graphs import LabeledGraph, all_labels_even, connected_components, cycle_rank
 from .laurent import LaurentPoly
 from .linalg import PolyMatrix, matrix_rank, rank_mod_p
@@ -162,7 +162,14 @@ def _cyclotomic_sum_row(v, w, label, variables):
 
 def _edge_rows(forest: BipartiteForest):
     """The generators (v, w) for v left and w right, their positions, the
-    zero entry, and one cyclotomic-sum row per tree edge with its labels."""
+    zero entry, and one cyclotomic-sum row per tree edge with its labels.
+    A half-label above MAX_CYCLOTOMIC_ORDER is an InputError, raised before
+    any row is built."""
+    for v, w, label in forest.edges:
+        if label // 2 > MAX_CYCLOTOMIC_ORDER:
+            raise InputError(
+                f"edge ({v}, {w}) label {label} needs cyclotomic order {label // 2}, "
+                f"above MAX_CYCLOTOMIC_ORDER = {MAX_CYCLOTOMIC_ORDER}")
     variables = forest.vertices
     generators = tuple((v, w) for v in forest.left for w in forest.right)
     gen_pos = {g: i for i, g in enumerate(generators)}
@@ -494,12 +501,16 @@ def _power_basis(coeff) -> tuple:
 
 def _residue(coeff, p: int, zeta: int) -> int:
     """Image in F_p of a rational or cyclotomic coefficient, zeta -> zeta."""
+    if isinstance(coeff, CycloNum):
+        num, den = coeff.num, coeff.den
+    else:
+        num, den = (coeff.numerator,), coeff.denominator
+    if den % p == 0:
+        raise ZeroDivisionError(f"denominator of {coeff} vanishes mod {p}")
     total = 0
-    for q in reversed(_power_basis(coeff)):
-        if q.denominator % p == 0:
-            raise ZeroDivisionError(f"denominator of {q} vanishes mod {p}")
-        total = (total * zeta + q.numerator * pow(q.denominator, -1, p)) % p
-    return total
+    for c in reversed(num):
+        total = (total * zeta + c) % p
+    return total * pow(den, -1, p) % p
 
 
 def _modular_rank(matrix: PolyMatrix, order: int) -> int:

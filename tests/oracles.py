@@ -167,6 +167,25 @@ def cyclotomic_coefficients(n):
     return poly
 
 
+def cyclotomic_product(a, b, phi):
+    """Coordinates of the product of two elements of Q(zeta_M), each given by
+    its coordinates in the power basis of zeta: the polynomial product of the
+    coordinate lists as Fractions, with each term of degree at least deg phi
+    cancelled by a multiple of the monic M-th cyclotomic polynomial ``phi``
+    (ascending coefficients), from the top down."""
+    n = len(phi) - 1
+    prod = [Fraction(0)] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += Fraction(x) * Fraction(y)
+    for k in range(len(prod) - 1, n - 1, -1):
+        c = prod[k]
+        if c:
+            for i, p in enumerate(phi):
+                prod[k - n + i] -= c * p
+    return prod[:n]
+
+
 def parse_x_zeta(text):
     """{(x exponent, zeta exponent): Fraction} from terms such as
     ``1/2*x^-2*zeta^3`` joined by ' + ' and ' - '."""

@@ -267,6 +267,25 @@ def test_kt_certify_needs_bipartition(tmp_path, capsys):
     assert "components" in blob["message"]
 
 
+@pytest.mark.parametrize(
+    "text, argv, message",
+    [
+        ("v a\nv b\ne a b 2000000000\nc a 1\nc b -1\n", [],
+         "edge (a, b) label 2000000000 needs cyclotomic order 1000000000, "
+         "above MAX_CYCLOTOMIC_ORDER = 1000"),
+        # half-labels 31 and 37 pass one by one; their lcm does not
+        ("v a\nv b\nv c\ne a b 62\ne b c 74\nc a 1\nc b -1\nc c 1\n", ["--bipartition", "a,c/b"],
+         "cyclotomic order 1147 is above MAX_CYCLOTOMIC_ORDER = 1000"),
+    ],
+    ids=["label", "lcm"],
+)
+def test_kt_certify_refuses_an_oversized_cyclotomic_order(tmp_path, capsys, text, argv, message):
+    path = graph_file(tmp_path, text)
+    code, out, err = run_cli(capsys, ["kt-certify", path, *argv])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "input", "message": message}
+
+
 def test_groebner_unit_fixture(capsys):
     gens = ["1+u*v", "1+s*u+s^2*u^2", "1+v*w", "1+s*w"]
     blob = run_json(

@@ -154,6 +154,16 @@ def test_unit_ideal_mod_p_fixture():
         assert unit_ideal_mod_p(gens, p, laurent=True), p
 
 
+def test_unit_ideal_mod_p_checks_its_generators():
+    # the generators pass common_ring before any coefficient is mapped
+    with pytest.raises(TypeError):
+        unit_ideal_mod_p([1], 3)
+    with pytest.raises(TypeError):
+        unit_ideal_mod_p([P("u + v"), 1], 3, laurent=False)
+    with pytest.raises(InputError):
+        unit_ideal_mod_p([P("u + v"), P("u + w", UVW)], 3)
+
+
 def test_unit_ideal_mod_p_can_differ_from_rationals():
     # <2> is the unit ideal over Q but vanishes mod 2
     two = P("2", ("u",))

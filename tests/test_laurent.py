@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -12,8 +14,9 @@ from artin_sigma import (
     cyclotomic_polynomial,
     parse_poly,
 )
-from artin_sigma.fields import _MILLER_RABIN_LIMIT, _is_prime, unify_domains
+from artin_sigma.fields import MAX_CYCLOTOMIC_ORDER, _MILLER_RABIN_LIMIT, _is_prime, unify_domains
 from artin_sigma.laurent import common_ring
+from oracles import cyclotomic_coefficients, cyclotomic_product
 
 VARS = ("x", "y")
 
@@ -217,7 +220,7 @@ def test_zeta_power_matches_repeated_products():
             t = tuple(Fraction(int(i == 1)) for i in range(field.degree))
         powers = [field.one]
         for _ in range(2 * order - 1):
-            powers.append(field._reduce_product(powers[-1].coords, t))
+            powers.append(powers[-1] * field.element(t))
         assert powers[order] == field.one, order
         for k in range(-order, 2 * order):
             expect = powers[k] if k >= 0 else powers[k + order]
@@ -233,6 +236,91 @@ def test_cyclo_inverse():
         if x == field.zero:
             continue
         assert x * x.inverse() == field.one
+
+
+def _random_coords(rng, degree):
+    return [Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4, 6, 9))) for _ in range(degree)]
+
+
+def _lowest_terms(x):
+    return x.den > 0 and gcd(x.den, *x.num) == 1
+
+
+def test_cyclonum_arithmetic_matches_fraction_oracle():
+    # every result against Fraction coordinates multiplied modulo Phi_M
+    rng = random.Random(15)
+    for order in range(1, 61):
+        field = CyclotomicField(order)
+        phi = cyclotomic_coefficients(order)
+        n = field.degree
+        unit = [Fraction(1)] + [Fraction(0)] * (n - 1)
+        for _ in range(2):
+            a, b = _random_coords(rng, n), _random_coords(rng, n)
+            x, y = field.element(a), field.element(b)
+            r = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+            results = {
+                "x": (x, a),
+                "x+y": (x + y, [p + q for p, q in zip(a, b)]),
+                "x-y": (x - y, [p - q for p, q in zip(a, b)]),
+                "-x": (-x, [-p for p in a]),
+                "r-x": (r - x, [r - a[0]] + [-p for p in a[1:]]),
+                "x*y": (x * y, cyclotomic_product(a, b, phi)),
+                "x*r": (x * r, [p * r for p in a]),
+            }
+            for name, (got, want) in results.items():
+                assert got.coords == tuple(want), (order, name)
+                assert _lowest_terms(got), (order, name)
+                assert got == field.element(want) and hash(got) == hash(field.element(want))
+                assert bool(got) == any(want), (order, name)
+            # a divisor with two nonzero coordinates: inverting a dense
+            # element of degree 58 by Euclid over Q takes seconds
+            d = [Fraction(0)] * n
+            for i in rng.sample(range(n), min(n, 2)):
+                d[i] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 3, 4, 6, 9)))
+            z = field.element(d)
+            q = x / z
+            assert cyclotomic_product(q.coords, d, phi) == a, order
+            zz = z ** -2
+            assert cyclotomic_product(zz.coords, cyclotomic_product(d, d, phi), phi) == unit
+            assert _lowest_terms(zz) and zz * r / r == zz
+            assert _lowest_terms(q)
+            # a rational element equals that int or Fraction, and hashes like
+            # the same element built from other denominators
+            c = field.element([r] + [0] * (n - 1))
+            assert c == r and c == field.coerce(r) and hash(c) == hash(field.coerce(r))
+            assert (x - x) == 0 and (x - x) == Fraction(0) and not (x - x)
+            assert x + y - y == x and hash(x + y - y) == hash(x)
+
+
+def test_cyclonum_is_kept_in_lowest_terms():
+    field = CyclotomicField(3)
+    half = field.element([Fraction(2, 4), 1])
+    assert half == field.element([Fraction(1, 2), 1])
+    assert hash(half) == hash(field.element([Fraction(1, 2), 1]))
+    assert (half.num, half.den) == ((1, 2), 2)
+    # sums and products are divided through by the gcd, too
+    s = field.element([Fraction(1, 6), Fraction(1, 3)]) + field.element([Fraction(1, 3), Fraction(2, 3)])
+    assert (s.num, s.den) == ((1, 2), 2) and s == half
+    p = field.element([Fraction(2, 3), 0]) * field.element([Fraction(3, 2), 0])
+    assert (p.num, p.den) == ((1, 0), 1) and p == 1
+    assert (field.zero.num, field.zero.den) == ((0, 0), 1)
+    assert field.zero is field.zero and field.one is field.one
+
+
+def test_cyclotomic_order_guard_fires_before_building():
+    assert MAX_CYCLOTOMIC_ORDER == 1000
+    tracemalloc.start()
+    try:
+        for order in (MAX_CYCLOTOMIC_ORDER + 1, 2 * 10**9):
+            with pytest.raises(InputError, match=f"MAX_CYCLOTOMIC_ORDER = {MAX_CYCLOTOMIC_ORDER}"):
+                cyclotomic_polynomial(order)
+            with pytest.raises(InputError, match=f"MAX_CYCLOTOMIC_ORDER = {MAX_CYCLOTOMIC_ORDER}"):
+                CyclotomicField(order)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # t^(2*10^9) - 1 alone would take 16 GB
+    assert len(cyclotomic_polynomial(MAX_CYCLOTOMIC_ORDER)) == 401
 
 
 def test_prime_field():

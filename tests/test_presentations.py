@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import isqrt
@@ -384,6 +385,26 @@ def test_specialization_rejects_bad_characters():
         specialization_data(forest, {"v": Fraction(1, 2), "w": Fraction(-1, 2)})
     with pytest.raises(MathError):
         specialization_data(forest, {"v": 1})  # missing vertex
+
+
+def test_oversized_cyclotomic_orders_are_refused_before_building():
+    # a half-label past the limit stops forest_presentation before the
+    # cyclotomic-sum row (10^9 terms here); half-labels 31 and 37 pass one
+    # by one, and CyclotomicField refuses their lcm
+    huge = BipartiteForest(("v",), ("w",), (("v", "w", 2 * 10**9),))
+    lcm_forest = BipartiteForest(("a", "c"), ("b",), (("a", "b", 62), ("c", "b", 74)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="order 1000000000, above MAX_CYCLOTOMIC_ORDER = 1000"):
+            forest_presentation(huge)
+        with pytest.raises(InputError, match="order 1000000000, above MAX_CYCLOTOMIC_ORDER = 1000"):
+            certify_not_finitely_generated(huge, {"v": 1, "w": -1})
+        with pytest.raises(InputError, match="order 1147 is above MAX_CYCLOTOMIC_ORDER = 1000"):
+            certify_not_finitely_generated(lcm_forest, {"a": 1, "b": -1, "c": 1})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_certificate_json_shape():
