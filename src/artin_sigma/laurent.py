@@ -375,6 +375,20 @@ def _tokenize(text: str) -> list[str]:
     return out
 
 
+MAX_POWER_TERMS = 1000
+"""Most terms a power p^e in ``parse_poly`` may expand to, by the bound taken
+before expanding: the product over the variables of e times p's degree span
+in that variable, plus one.  A larger power is an InputError."""
+
+
+def _check_power(p: LaurentPoly, e: int) -> None:
+    bound = 1
+    for exps in zip(*p.terms):
+        bound *= e * (max(exps) - min(exps)) + 1
+        if bound > MAX_POWER_TERMS:
+            raise InputError(f"a power may expand to more than MAX_POWER_TERMS = {MAX_POWER_TERMS} terms")
+
+
 class _PolyParser:
     def __init__(self, text: str, variables, domain):
         self.tokens = _tokenize(text)
@@ -429,6 +443,7 @@ class _PolyParser:
             if tok is None or not tok.isdigit():
                 raise InputError("exponent must be an integer")
             e = int(tok)
+            _check_power(p, e)
             p = p ** (-e if neg else e)
         return p
 

@@ -27,6 +27,11 @@ from .characters import Character, dead_edges, parse_rational
 from .errors import InputError
 from .graphs import LabeledGraph
 
+MAX_POLYHEDRON_VERTICES = 12
+"""Most vertices ``complement_polyhedron`` and ``disconnection_pieces``
+accept; a larger graph is an InputError before anything is enumerated.  The
+candidates are bounded by the 2^n zero sets times the bonds of each rest."""
+
 DOMINANCE = "dominance"
 DISCONNECTION = "disconnection"
 _ONE = Fraction(1)
@@ -82,6 +87,12 @@ class SubSphere:
             "forms": [f.to_json_dict() for f in self.forms],
             "origin": self.origin.to_json_dict(),
         }
+
+
+def _check_vertex_count(graph: LabeledGraph) -> None:
+    if len(graph.vertices) > MAX_POLYHEDRON_VERTICES:
+        raise InputError(f"graph has {len(graph.vertices)} vertices, above "
+                         f"MAX_POLYHEDRON_VERTICES = {MAX_POLYHEDRON_VERTICES}")
 
 
 def _members(mask: int, items) -> tuple:
@@ -177,23 +188,19 @@ def _adjacency(graph: LabeledGraph):
     return adj, ends
 
 
-def _connected(rest: int, adj: list, cut_ends) -> bool:
-    """Whether the vertices of the mask ``rest`` stay connected by the edges
-    among them once the edges ``cut_ends`` are deleted."""
-    adj = list(adj)
-    for i, j in cut_ends:
-        adj[i] &= ~(1 << j)
-        adj[j] &= ~(1 << i)
-    seen = frontier = rest & -rest
+def _component(start: int, within: int, adj) -> int:
+    """The mask of the vertices of ``within`` reached from the mask ``start``
+    along the neighbour masks ``adj``, without leaving ``within``."""
+    seen = frontier = start
     while frontier:
         reach = 0
         while frontier:
             low = frontier & -frontier
             reach |= adj[low.bit_length() - 1]
             frontier ^= low
-        frontier = reach & rest & ~seen
+        frontier = reach & within & ~seen
         seen |= frontier
-    return seen == rest
+    return seen
 
 
 def _closed_neighborhoods(graph: LabeledGraph) -> list:
@@ -208,32 +215,94 @@ def _closed_neighborhoods(graph: LabeledGraph) -> list:
     return out
 
 
+def _bonds(rest: int, fixed: list, removable) -> list:
+    """The edge masks of the bonds of the connected rest.
+
+    ``fixed`` holds neighbour masks by the edges that cannot be cut and
+    ``removable`` the (edge number, i, j) of each even label > 2 edge.
+    Contracting the fixed edges of the rest leaves classes.  A bond is the
+    set of edges between the classes of a set S holding the first class and
+    the others, R - S, where S and R - S are each connected.  S grows by one
+    neighbouring class at a time, which is then taken or excluded for good,
+    so each S is met once; a branch ends once its excluded classes lie in
+    two components of the classes left, since R - S must hold them all."""
+    classes, left = [], rest
+    while left:
+        classes.append(_component(left & -left, rest, fixed))
+        left ^= classes[-1]
+    of = {i: c for c, members in enumerate(classes) for i in range(members.bit_length())
+          if members >> i & 1}
+    qadj, delta = [0] * len(classes), [0] * len(classes)
+    for k, i, j in removable:
+        if rest >> i & rest >> j & 1 and of[i] != of[j]:
+            a, b = of[i], of[j]
+            qadj[a] |= 1 << b
+            qadj[b] |= 1 << a
+            delta[a] ^= 1 << k
+            delta[b] ^= 1 << k
+    every = (1 << len(classes)) - 1
+    out = []
+
+    def grow(s, cut, frontier, excluded):
+        other = every ^ s
+        if not other:
+            return
+        reach = _component(excluded & -excluded or other & -other, other, qadj)
+        if excluded & ~reach:
+            return
+        if reach == other:
+            out.append(cut)
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            c = low.bit_length() - 1
+            grow(s | low, cut ^ delta[c], (frontier | qadj[c]) & ~(s | low | excluded), excluded)
+            excluded |= low
+
+    grow(1, delta[0], qadj[0], 0)
+    return out
+
+
 def _cuts(graph: LabeledGraph) -> list:
     """(Y1 mask, cut mask) pairs: each vanishing set Y1 of at most n - 2
     vertices by increasing size in ``combinations`` order, with each
-    subset-minimal cut of the rest by increasing size then position.  A cut
-    is a mask over edge numbers of even edges with label > 2 inside the rest
-    whose deletion disconnects it; the empty cut alone when the rest is
-    already disconnected."""
+    subset-minimal cut of the rest by increasing size then edge positions.
+    A cut is a mask over edge numbers of even edges with label > 2 inside
+    the rest whose deletion disconnects it; the empty cut alone when the
+    rest is already disconnected.
+
+    A subset-minimal cut of a connected rest R is a bond: the removable
+    edges between S and R - S, where S and R - S each induce a connected
+    graph and no edge that cannot be cut joins them.  Deleting a cut F
+    leaves a component S; the edges between S and R - S are removable, lie
+    in F and disconnect, so they are F.  Were R - S disconnected, the
+    edges at one of its components would be a smaller cut.  Conversely,
+    putting back any edge of a bond joins its two connected sides.  So
+    ``_bonds`` lists them, growing one side as Tsukiyama et al. do ("An
+    algorithm to enumerate all cutsets of a graph in linear time per
+    cutset", JACM 27(4), 1980)."""
     adj, ends = _adjacency(graph)
     n = len(adj)
-    even = [k for k, (_, _, label) in enumerate(graph.edges) if label > 2 and label % 2 == 0]
+    removable, fixed = [], [0] * n
+    for k, ((i, j), (_, _, label)) in enumerate(zip(ends, graph.edges)):
+        if label > 2 and label % 2 == 0:
+            removable.append((k, i, j))
+        else:
+            fixed[i] |= 1 << j
+            fixed[j] |= 1 << i
+    positions = range(len(ends))
+    everything = (1 << n) - 1
     out = []
     for size in range(max(n - 1, 0)):
         for y1 in combinations(range(n), size):
             units = sum(1 << i for i in y1)
-            rest = ((1 << n) - 1) ^ units
-            removable = [k for k in even if rest >> ends[k][0] & rest >> ends[k][1] & 1]
-            found = []
-            for m in range(len(removable) + 1):
-                for cut in combinations(removable, m):
-                    mask = sum(1 << k for k in cut)
-                    if any(prev & mask == prev for prev in found):
-                        continue
-                    if _connected(rest, adj, [ends[k] for k in cut]):
-                        continue
-                    found.append(mask)
-                    out.append((units, mask))
+            rest = everything ^ units
+            if _component(rest & -rest, rest, adj) != rest:
+                out.append((units, 0))
+                continue
+            bonds = _bonds(rest, fixed, removable)
+            bonds.sort(key=lambda cut: (cut.bit_count(), _members(cut, positions)))
+            out.extend((units, cut) for cut in bonds)
     return out
 
 
@@ -255,6 +324,7 @@ def disconnection_pieces(graph: LabeledGraph) -> list:
     """Candidate pieces from vanishing sets Y1 plus even-label cuts
     disconnecting the rest, enumerated by increasing |Y1| then cut size.
     Nothing is pruned here; ``complement_polyhedron`` does that."""
+    _check_vertex_count(graph)
     return [_piece(graph, DISCONNECTION, units, cut) for units, cut in _cuts(graph)]
 
 
@@ -270,12 +340,26 @@ class SphericalPolyhedron:
         return {"pieces": [p.to_json_dict() for p in self.pieces]}
 
 
+def _forest_size(pairs) -> int:
+    """The number of edges in a spanning forest of the graph ``pairs`` form."""
+    parent = {}
+    size = 0
+    for i, j in pairs:
+        while i in parent:
+            i = parent[i]
+        while j in parent:
+            j = parent[j]
+        if i != j:
+            parent[i] = j
+            size += 1
+    return size
+
+
 def complement_polyhedron(graph: LabeledGraph) -> SphericalPolyhedron:
     """The disconnection candidates, pruned once: a piece whose solution set
-    lies inside another piece's is removed, as is any piece forcing the
-    whole character to vanish.  Candidates are visited by rank, then by the
-    canonical key (number of forms, forms as vertex indices); the result is
-    sorted canonically.
+    lies inside another piece's is removed.  Candidates are visited by rank,
+    then by the canonical key (number of forms, forms as vertex indices);
+    the result is sorted canonically.
 
     Dominance candidates are never kept, so they are not enumerated.  Take
     a proper closed neighbourhood N[x] and a vertex y outside it.  Then
@@ -287,29 +371,42 @@ def complement_polyhedron(graph: LabeledGraph) -> SphericalPolyhedron:
     for a kept piece whose span lies in its own, it leaves a kept piece
     whose span lies in the dominance piece's, which is then dropped.
 
-    Every candidate is a unit mask plus a cut-edge mask.  A candidate whose
-    span key was already visited is dropped: equal spans contain each
-    other, and the earlier one was kept or pruned.  Otherwise it is dropped
-    when it lies inside a kept piece by ``subsphere_contained``'s mask
-    test.  Only kept pieces are built as ``SubSphere``s."""
+    A candidate's span is read off its shape, with no ``_span`` call.  Its
+    cut is empty or the bond between the two sides S and R - S of the rest
+    R = V - Y1 (``_cuts``), so every cut edge crosses from S to R - S: the
+    edge sums form a bipartite signed graph on R, and the unit forms sit on
+    Y1, which no cut edge touches.  So
+    - the full vertices are exactly Y1: a component of the cut edges holds
+      no unit vertex and, being bipartite, no odd cycle;
+    - the rank is |Y1| plus the edges of a spanning forest of the cut,
+      n minus the cut's components on R, so it is below n and no candidate
+      forces the whole character to vanish;
+    - an edge sum lies in the span when both ends are in Y1, or when its
+      ends are in one cut component with opposite colours, that is on
+      opposite sides of S; every edge between S and R - S is removable, so
+      is in the cut.  The spanned edges are those inside Y1 and the cut;
+    - so distinct (Y1, cut) pairs have distinct spans, and no span is
+      visited twice.
+    A candidate is dropped when some kept piece (u, c) has u inside Y1 and
+    c inside its spanned edges, ``subsphere_contained``'s test.  Only kept
+    pieces are built as ``SubSphere``s."""
+    _check_vertex_count(graph)
     n = len(graph.vertices)
     _, ends = _adjacency(graph)
     ranked = []
+    last = None
     for units, cut in _cuts(graph):
+        if units != last:  # one Y1's cuts come together
+            last = units
+            inner = sum(1 << k for k, (i, j) in enumerate(ends) if units >> i & units >> j & 1)
         pairs = _members(cut, ends)
-        rank, full, key = _span(n, units, pairs)
-        if rank < n:
-            forms = tuple((i,) for i in range(n) if units >> i & 1) + pairs
-            ranked.append((rank, (len(forms), forms), units, cut, full, key))
+        forms = tuple((i,) for i in range(n) if units >> i & 1) + pairs
+        rank = units.bit_count() + _forest_size(pairs)
+        ranked.append((rank, (len(forms), forms), units, cut, inner | cut))
     ranked.sort(key=lambda r: r[:2])
-    seen = set()
     kept = []  # (canonical key, unit mask, cut-edge mask)
-    for _, order, units, cut, full, key in ranked:
-        if key in seen:
-            continue
-        seen.add(key)
-        spanned = _spanned(key, ends)
-        if not any(u & ~full == 0 and c & ~spanned == 0 for _, u, c in kept):
+    for _, order, units, cut, spanned in ranked:
+        if not any(u & ~units == 0 and c & ~spanned == 0 for _, u, c in kept):
             kept.append((order, units, cut))
     kept.sort(key=lambda k: k[0])
     pieces = tuple(_piece(graph, DISCONNECTION, units, cut) for _, units, cut in kept)

@@ -1,13 +1,15 @@
 """The golden corpus: recorded CLI transcripts that every change must reproduce.
 
 ``tests/golden/graphs/`` holds the input graphs: the README examples, the
-F1-F5 fixtures and 20 seeded random graphs, each random one with its
-character as ``c`` lines.  For every graph a fixed battery of subcommands
+F1-F5 fixtures, 20 seeded random graphs and a K4 on which the two readings
+of the hypothesis differ, each random one and the K4 with its character as
+``c`` lines.  For every graph a fixed battery of subcommands
 (``sigma1``, ``polyhedron``, ``hypothesis``, ``jacobian``, ``kt-certify`` and
 ``groebner``, in both modes where a command has one) is run through
 ``cli.main`` in process, and its exit code, stdout and stderr are written to
-``tests/golden/<graph>.txt``.  The README examples that need no graph file
-and a few malformed inputs have their own transcripts.
+``tests/golden/<graph>.txt``.  The README examples that need no graph file,
+a few malformed inputs and the K4, which only ``sigma1`` runs on, in both
+modes, have their own transcripts.
 
 JSON reports are recorded byte for byte, minus ``timing_ms``, the one field
 that is not deterministic.  ``tests/test_golden.py`` reruns every case and
@@ -72,6 +74,14 @@ FIXTURE_BIPARTITIONS = {
     "f3": "a/b",
     "f4": "a,c/b,d",
     "f5": "a,c/b",
+}
+
+# Which reading of the hypothesis Theorem A needs is open: the default mode
+# asks for no even simple cycle, --mode strict for odd closed reduced paths,
+# and going twice round the label-4 triangle of this K4 is one of length 6.
+READING_TEXTS = {
+    "k4_triangle": "v a\nv b\nv c\nv d\ne a b 4\ne b c 4\ne c a 4\ne a d 2\ne b d 2\n"
+                   "e c d 2\nc a 1\nc b -1\nc c 1\n",
 }
 
 MALFORMED_TEXTS = {
@@ -220,8 +230,13 @@ MALFORMED_CASES = [
 ]
 
 
+READING_CASES = [["sigma1", "graphs/k4_triangle.artin", "--mode", mode]
+                 for mode in ("simple-cycle", "strict")]
+
+
 def all_graph_texts() -> dict:
     texts = dict(README_TEXTS)
+    texts.update(READING_TEXTS)
     texts.update(FIXTURE_TEXTS)
     texts.update(random_graph_texts())
     texts.update(MALFORMED_TEXTS)
@@ -230,10 +245,11 @@ def all_graph_texts() -> dict:
 
 def transcript_groups() -> dict:
     """Transcript name -> list of argv, read from the committed graph files."""
-    groups = {"readme": README_CASES, "malformed": MALFORMED_CASES}
+    groups = {"readme": README_CASES, "malformed": MALFORMED_CASES,
+              "hypothesis_reading": READING_CASES}
     for fname in sorted(os.listdir(GRAPH_DIR)):
         name = fname[:-len(".artin")]
-        if name in README_TEXTS or name in MALFORMED_TEXTS:
+        if name in README_TEXTS or name in MALFORMED_TEXTS or name in READING_TEXTS:
             continue
         with open(os.path.join(GRAPH_DIR, fname), encoding="utf-8") as fh:
             groups[name] = graph_cases(name, fh.read())

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -206,6 +207,16 @@ def test_fox_refuses_an_oversized_derivative(capsys):
     }
 
 
+def test_polyhedron_refuses_too_many_vertices(tmp_path, capsys):
+    text = "".join(f"v x{i}\n" for i in range(13)) + "".join(f"e x{i} x{i + 1} 4\n" for i in range(12))
+    code, out, err = run_cli(capsys, ["polyhedron", graph_file(tmp_path, text)])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "input",
+        "message": "graph has 13 vertices, above MAX_POLYHEDRON_VERTICES = 12",
+    }
+
+
 def test_jacobian_f3(tmp_path, capsys):
     path = graph_file(tmp_path, F3_TEXT)
     blob = run_json(capsys, ["jacobian", path])
@@ -296,6 +307,17 @@ def test_groebner_unit_fixture(capsys):
     assert res["unit_ideal"] is True
     assert res["basis"] == ["1"]
     assert res["mod_p"] == {"2": True, "3": True, "5": True, "7": True, "11": True}
+
+
+def test_groebner_refuses_an_oversized_power(capsys):
+    start = time.process_time()
+    code, out, err = run_cli(capsys, ["groebner", "--vars", "u", "--gens", "(1+u)^20000"])
+    assert time.process_time() - start < 0.5
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "input",
+        "message": "a power may expand to more than MAX_POWER_TERMS = 1000 terms",
+    }
 
 
 def test_groebner_non_unit(capsys):

@@ -15,7 +15,7 @@ from artin_sigma import (
     parse_poly,
 )
 from artin_sigma.fields import MAX_CYCLOTOMIC_ORDER, _MILLER_RABIN_LIMIT, _is_prime, unify_domains
-from artin_sigma.laurent import common_ring
+from artin_sigma.laurent import MAX_POWER_TERMS, _check_power, common_ring
 from oracles import cyclotomic_coefficients, cyclotomic_product
 
 VARS = ("x", "y")
@@ -93,6 +93,26 @@ def test_parse_examples():
         parse_poly("x +", VARS)
     with pytest.raises(InputError):
         parse_poly("z", VARS)
+
+
+def test_power_guard_fires_before_expanding(monkeypatch):
+    x = LaurentPoly.variable("x", VARS, QQ)
+    # the bound is the product over the variables of e * degree span + 1
+    for base, e in ((1 + x, 999), (x ** -2 + x ** 3, 199), (parse_poly("1+x+y", VARS), 30)):
+        _check_power(base, e)
+        with pytest.raises(InputError, match=f"MAX_POWER_TERMS = {MAX_POWER_TERMS}"):
+            _check_power(base, e + 1)
+
+    def refuse(self, e):
+        raise AssertionError("expanded")
+
+    monkeypatch.setattr(LaurentPoly, "__pow__", refuse)
+    for text in ("(1+x)^20000", "(x+y)^32"):
+        with pytest.raises(InputError, match="more than MAX_POWER_TERMS = 1000 terms"):
+            parse_poly(text, VARS)
+    monkeypatch.undo()
+    # a monomial has span 0 and stays one term
+    assert parse_poly("(x*y)^20000", VARS).terms == {(20000, 20000): Fraction(1)}
 
 
 def test_normalized_clears_negatives():

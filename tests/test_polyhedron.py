@@ -1,10 +1,12 @@
 import json
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+import artin_sigma.polyhedron as polyhedron
 from artin_sigma import (
     InputError,
     LabeledGraph,
@@ -20,7 +22,16 @@ from artin_sigma import (
     polyhedron_from_json,
     subsphere_contained,
 )
-from artin_sigma.polyhedron import _piece, _span, _spanned
+from artin_sigma.polyhedron import (
+    MAX_POLYHEDRON_VERTICES,
+    _adjacency,
+    _cuts,
+    _forest_size,
+    _members,
+    _piece,
+    _span,
+    _spanned,
+)
 from conftest import random_character, random_even_graph, random_labeled_graph
 from oracles import complement_member_bruteforce, fraction_rank, in_span, minimal_even_cuts
 
@@ -496,3 +507,64 @@ def test_span_key_matches_oracle():
             shapes.add("two full")
     assert equal > 300 and unequal > 300
     assert {"isolated", "balanced", "unit form", "odd cycle", "two full"} <= shapes
+
+
+def _complete_graph(n, label=4):
+    names = tuple(f"k{i}" for i in range(n))
+    return LabeledGraph(names, tuple((names[i], names[j], label) for i, j in combinations(range(n), 2)))
+
+
+def test_k7_builds_within_budget():
+    # every zero set of K7 leaves a complete rest K_m, whose 2^(m-1) - 1 bonds
+    # are all kept: the sum of C(7, m) (2^(m-1) - 1) over m = 2..7 is 966
+    k7 = _complete_graph(7)
+    start = time.process_time()
+    pieces = complement_polyhedron(k7).pieces
+    assert time.process_time() - start < 2.0
+    assert len(pieces) == 966
+
+
+def test_k6_candidates_match_oracle_cuts():
+    k6 = _complete_graph(6)
+    assert disconnection_pieces(k6) == _pieces_from_oracle_cuts(k6)
+
+
+def test_candidate_spans_read_off_their_shape():
+    # complement_polyhedron reads each candidate's span off (Y1, cut); the
+    # signed-graph union-find _span checks the four facts its docstring proves
+    rng = random.Random(1616)
+    graphs = [random_labeled_graph(rng, max_vertices=7) for _ in range(150)]
+    graphs += [random_labeled_graph(rng, max_vertices=8, labels=(2, 4, 6, 3), p=0.6)
+               for _ in range(30)]
+    graphs += [_complete_graph(5), _complete_graph(6)]
+    candidates = with_cycle = 0
+    for g in graphs:
+        n = len(g.vertices)
+        _, ends = _adjacency(g)
+        keys = set()
+        for units, cut in _cuts(g):
+            pairs = _members(cut, ends)
+            rank, full, key = _span(n, units, pairs)
+            inner = sum(1 << k for k, (i, j) in enumerate(ends) if units >> i & units >> j & 1)
+            assert full == units, (g, units, cut)
+            assert rank == units.bit_count() + _forest_size(pairs) < n, (g, units, cut)
+            assert _spanned(key, ends) == inner | cut, (g, units, cut)
+            assert key not in keys, (g, units, cut)
+            keys.add(key)
+            candidates += 1
+            with_cycle += _forest_size(pairs) < len(pairs)
+    # cuts holding a cycle make the rank differ from |Y1| + |cut|
+    assert candidates > 5000 and with_cycle > 100
+
+
+def test_vertex_limit_fires_before_enumerating(monkeypatch):
+    def enumerate_nothing(graph):
+        raise AssertionError("cuts enumerated")
+
+    monkeypatch.setattr(polyhedron, "_cuts", enumerate_nothing)
+    names = tuple(f"v{i}" for i in range(MAX_POLYHEDRON_VERTICES + 1))
+    for build in (complement_polyhedron, disconnection_pieces):
+        with pytest.raises(InputError, match="13 vertices, above MAX_POLYHEDRON_VERTICES = 12"):
+            build(LabeledGraph(names, ()))
+        with pytest.raises(AssertionError, match="cuts enumerated"):
+            build(LabeledGraph(names[:-1], ()))
