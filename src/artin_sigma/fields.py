@@ -373,6 +373,11 @@ class CycloNum:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNum":
+        """The inverse, by extended Euclid over Q[t] against the cyclotomic
+        polynomial.  Slow: the Fraction cofactors swell, so one call takes
+        seconds for a dense element at M in the fifties and about 15 s at
+        M = 840.  No CLI path calls it (certificates keep their zeta
+        exponents as integers mod M); it backs division and negative powers."""
         if not self:
             raise ZeroDivisionError("inverse of zero")
         g, s, _ = _q_ext_gcd(_q_trim(list(map(Fraction, self.num))), list(map(Fraction, self.field.phi)))

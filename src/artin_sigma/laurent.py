@@ -13,7 +13,9 @@ u^3*v^3 + u^2*v^2 - u*v - 1
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
+from math import lcm, log10
 
 from .errors import InputError
 from .fields import QQ, CycloNum, FpElement, PrimeField, power, unify_domains
@@ -359,6 +361,14 @@ def common_ring(polys):
 # ---------------------------------------------------------------------------
 # parsing
 
+MAX_COEFFICIENT_DIGITS = sys.int_info.default_max_str_digits
+"""Most decimal digits a number written in ``parse_poly`` may have, and most a
+rational coefficient of a parsed power p^e may reach by the bound taken
+before expanding: e times log10 of the larger of p's common denominator and
+the sum of its numerators over it.  This is Python's default int-string limit
+(4300), so every parsed coefficient converts to and from a string.  A longer
+number or a larger power is an InputError."""
+
 _TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_][A-Za-z0-9_]*|\^|\*|\+|\-|\(|\))")
 
 
@@ -370,7 +380,11 @@ def _tokenize(text: str) -> list[str]:
         m = _TOKEN.match(text, pos)
         if not m:
             raise InputError(f"bad character in polynomial at position {pos}: {text[pos:]!r}")
-        out.append(m.group(1))
+        tok = m.group(1)
+        if tok[0].isdigit() and max(map(len, tok.split("/"))) > MAX_COEFFICIENT_DIGITS:
+            raise InputError(
+                f"a number has more than MAX_COEFFICIENT_DIGITS = {MAX_COEFFICIENT_DIGITS} digits")
+        out.append(tok)
         pos = m.end()
     return out
 
@@ -387,6 +401,14 @@ def _check_power(p: LaurentPoly, e: int) -> None:
         bound *= e * (max(exps) - min(exps)) + 1
         if bound > MAX_POWER_TERMS:
             raise InputError(f"a power may expand to more than MAX_POWER_TERMS = {MAX_POWER_TERMS} terms")
+    if p.domain is QQ:
+        coeffs = p.terms.values()
+        den = lcm(*(c.denominator for c in coeffs))
+        height = max(den, sum(abs(c.numerator) * (den // c.denominator) for c in coeffs))
+        if e * log10(height) >= MAX_COEFFICIENT_DIGITS:
+            raise InputError(
+                "a power's coefficients may have more than "
+                f"MAX_COEFFICIENT_DIGITS = {MAX_COEFFICIENT_DIGITS} digits")
 
 
 class _PolyParser:

@@ -6,7 +6,7 @@ Negative exponents are cleared row by row with monomial units, which does not
 change the rank, and the Bareiss scheme keeps every intermediate entry a
 polynomial: the division at each step is exact by the Sylvester identity.
 ``rank_mod_p`` is the same question for an integer matrix read modulo a
-prime, used for the modular lower bound on certificate ranks.
+prime.
 """
 
 from __future__ import annotations

@@ -23,13 +23,12 @@ from math import lcm
 
 from .characters import Character, dead_edges, living_subgraph
 from .errors import InputError, MathError
-from .fields import MAX_CYCLOTOMIC_ORDER, QQ, CycloNum, CyclotomicField, _is_prime
+from .fields import MAX_CYCLOTOMIC_ORDER, QQ, CycloNum, CyclotomicField
 from .graphs import LabeledGraph, all_labels_even, connected_components, cycle_rank
 from .laurent import LaurentPoly
-from .linalg import PolyMatrix, matrix_rank, rank_mod_p
+from .linalg import PolyMatrix
 
 NOT_FINITELY_GENERATED = "not_finitely_generated"
-INCONCLUSIVE = "inconclusive"
 
 
 @dataclass(frozen=True)
@@ -396,8 +395,8 @@ def _integral_values(chi, vertices) -> dict:
 @dataclass(frozen=True)
 class Specialization:
     """Root-of-unity data: cyclotomic order M, per-edge root exponents
-    (vw maps to zeta^k, k = M/m), and a coefficient/exponent image for every
-    vertex (vertex maps to coeff * x^exp)."""
+    (vw maps to zeta^k, k = M/m), and for every vertex a pair (j, e) of a
+    zeta exponent mod M and an x exponent (vertex maps to zeta^j * x^e)."""
 
     order: int
     roots: tuple
@@ -407,8 +406,9 @@ class Specialization:
     def x_images(self) -> dict:
         """Each vertex image as a one-term Laurent polynomial in x."""
         return {
-            v: LaurentPoly.monomial(coeff, (exp,), ("x",), self.domain)
-            for v, (coeff, exp) in self.images.items()
+            v: LaurentPoly.monomial(
+                self.domain.zeta_power(j) if j else self.domain.one, (exp,), ("x",), self.domain)
+            for v, (j, exp) in self.images.items()
         }
 
 
@@ -428,28 +428,26 @@ def specialization_data(forest: BipartiteForest, chi) -> Specialization:
     lset = set(forest.left)
     images = {}
     for base in forest.basepoints:
-        images[base] = (domain.one, values[base])
+        images[base] = (0, values[base])
         queue = deque([base])
         while queue:
             cur = queue.popleft()
-            c_cur, e_cur = images[cur]
+            j_cur, e_cur = images[cur]
             for nbr, _ in forest.adjacency[cur]:
                 if nbr in images:
                     continue
                 pair = (cur, nbr) if cur in lset else (nbr, cur)
-                lam = domain.zeta_power(root_of[pair])
-                images[nbr] = (lam / c_cur, -e_cur)
+                images[nbr] = ((root_of[pair] - j_cur) % order, -e_cur)
                 if -e_cur != values[nbr]:
                     raise MathError("propagated exponent disagrees with the character")
                 queue.append(nbr)
     missing = [v for v in forest.vertices if v not in images]
     if missing:
         raise MathError(f"vertices unreachable from basepoints: {missing}")
-    for v, w, label in forest.edges:
-        lam = domain.one if order == 1 else domain.zeta_power(root_of[(v, w)])
-        cv, ev = images[v]
-        cw, ew = images[w]
-        if cv * cw != lam or ev + ew != 0:
+    for v, w, _ in forest.edges:
+        jv, ev = images[v]
+        jw, ew = images[w]
+        if (jv + jw - root_of[(v, w)]) % order or ev + ew != 0:
             raise MathError("specialization failed a tree-edge consistency check")
     return Specialization(order, roots, images, domain)
 
@@ -467,68 +465,7 @@ def _specialized_matrix(pres: ModulePresentation, images: dict) -> PolyMatrix:
 # ---------------------------------------------------------------------------
 # rank certificates
 
-WITNESS_MODULAR = "witness+modular"
-BAREISS = "bareiss"
-
-# The modular lower bound sends x to _EVALUATION_POINT and zeta_M to a
-# primitive M-th root of unity modulo the first prime p = 1 (mod M) above
-# _PRIME_FLOOR.
-_PRIME_FLOOR = 2**31
-_EVALUATION_POINT = 3
-
-
-def _primes_with_roots(order: int):
-    """Yield (p, r) for the primes p = 1 (mod order) above the floor, in
-    increasing order, with r a primitive order-th root of unity mod p."""
-    factors = [q for q in range(2, order + 1) if order % q == 0 and _is_prime(q)]
-    p = _PRIME_FLOOR + 1 + (-_PRIME_FLOOR) % order
-    while True:
-        if _is_prime(p):
-            h = 2
-            while True:
-                r = pow(h, (p - 1) // order, p)
-                if all(pow(r, order // q, p) != 1 for q in factors):
-                    break
-                h += 1
-            yield p, r
-        p += order
-
-
-def _power_basis(coeff) -> tuple:
-    """Rational coordinates of a coefficient in the power basis of zeta."""
-    return coeff.coords if isinstance(coeff, CycloNum) else (coeff,)
-
-
-def _residue(coeff, p: int, zeta: int) -> int:
-    """Image in F_p of a rational or cyclotomic coefficient, zeta -> zeta."""
-    if isinstance(coeff, CycloNum):
-        num, den = coeff.num, coeff.den
-    else:
-        num, den = (coeff.numerator,), coeff.denominator
-    if den % p == 0:
-        raise ZeroDivisionError(f"denominator of {coeff} vanishes mod {p}")
-    total = 0
-    for c in reversed(num):
-        total = (total * zeta + c) % p
-    return total * pow(den, -1, p) % p
-
-
-def _modular_rank(matrix: PolyMatrix, order: int) -> int:
-    """Rank of the specialized matrix at x = _EVALUATION_POINT modulo the first
-    usable prime: a ring homomorphism, so never above the exact rank."""
-    for p, zeta in _primes_with_roots(order):
-        try:
-            rows = [
-                [
-                    sum(_residue(c, p, zeta) * pow(_EVALUATION_POINT, e, p)
-                        for (e,), c in entry.terms.items())
-                    for entry in row
-                ]
-                for row in matrix.entries
-            ]
-        except ZeroDivisionError:
-            continue
-        return rank_mod_p(rows, p)
+WITNESS_MINOR = "witness+minor"
 
 
 def _witness(images: dict, generators: tuple, domain) -> list:
@@ -547,12 +484,37 @@ def _kills(matrix: PolyMatrix, witness: list, zero: LaurentPoly) -> bool:
     return True
 
 
+def _minor(forest: BipartiteForest) -> tuple:
+    """Row labels and generators of the g - 1 minor, in order.  With
+    v0 = left[0] and w0 = right[0]: the rows right:v0|w0,s on the columns
+    (v0, s) for s != w0, then the rows left:v0,t|w on the columns (t, w) for
+    t != v0 and every w."""
+    (v0, *ts), (w0, *ss) = forest.left, forest.right
+    labels = [f"right:{v0}|{w0},{s}" for s in ss]
+    labels += [f"left:{v0},{t}|{w}" for t in ts for w in forest.right]
+    columns = [(v0, s) for s in ss] + [(t, w) for t in ts for w in forest.right]
+    return labels, columns
+
+
+def _triangular(matrix: PolyMatrix, pres: ModulePresentation, forest: BipartiteForest) -> bool:
+    """True when the minor is lower-triangular with a nonzero diagonal."""
+    row_at = {label: i for i, label in enumerate(pres.row_labels)}
+    col_at = {gen: j for j, gen in enumerate(pres.generators)}
+    labels, columns = _minor(forest)
+    cols = [col_at[gen] for gen in columns]
+    for i, label in enumerate(labels):
+        row = matrix.entries[row_at[label]]
+        if not row[cols[i]] or any(row[j] for j in cols[i + 1:]):
+            return False
+    return True
+
+
 def _entry_string(poly: LaurentPoly) -> str:
     """A specialized entry as a Laurent polynomial in x and zeta over Q, from
     each coefficient's coordinates in the power basis of zeta."""
     terms = {}
     for (e,), c in poly.terms.items():
-        for i, q in enumerate(_power_basis(c)):
+        for i, q in enumerate(c.coords if isinstance(c, CycloNum) else (c,)):
             if q:
                 terms[(e, i)] = q
     return LaurentPoly(("x", "zeta"), terms, QQ).to_string()
@@ -563,8 +525,7 @@ class Certificate:
     """Outcome of the non-finite-generation test for a forest and character.
 
     ``rank_method`` says how the rank was proved; ``witness`` holds the
-    ((v, w), entry string) pairs of the verified kernel vector, or None when
-    it failed its check."""
+    ((v, w), entry string) pairs of the verified kernel vector."""
 
     order: int
     roots: tuple
@@ -584,35 +545,36 @@ class Certificate:
             "rank": self.rank,
             "conclusion": self.conclusion,
             "rank_method": self.rank_method,
-            "witness": None if self.witness is None
-            else {f"({v},{w})": s for (v, w), s in self.witness},
+            "witness": {f"({v},{w})": s for (v, w), s in self.witness},
         }
 
 
 def certify_not_finitely_generated(forest: BipartiteForest, chi) -> Certificate:
-    """Rank certificate: with g generators and specialized relation rank r,
-    r < g certifies non-finite generation of the kernel-restricted module.
+    """Rank certificate: with g generators, the specialized relation rank is
+    g - 1 < g, which certifies non-finite generation of the kernel-restricted
+    module.
 
-    The rank is proved in two exact steps.  The witness u_{v,w} =
+    Two exact checks prove the rank.  The witness u_{v,w} =
     (phi(v) - 1)(phi(w) - 1) is nonzero and every specialized row kills it
-    (edge rows vanish, difference rows cancel), so r <= g - 1.  The modular
-    image of the matrix cannot have a larger rank, so an F_p rank of g - 1
-    gives r >= g - 1.  When either step fails, Bareiss elimination gives r.
+    (edge rows vanish, difference rows cancel), so r <= g - 1.  The minor of
+    ``_minor`` is lower-triangular with diagonal entries -(phi(w0) - 1) and
+    -(phi(v0) - 1), nonzero since phi(v) = zeta^j * x^chi(v) with
+    chi(v) != 0, so r >= g - 1.  Neither check can fail on a forest and
+    character that ``specialization_data`` accepts; a failure raises
+    RuntimeError naming the check.
     """
     pres = forest_presentation(forest)
     spec = specialization_data(forest, chi)
     images = spec.x_images()
     matrix = _specialized_matrix(pres, images)
-    g = len(pres.generators)
     witness = _witness(images, pres.generators, spec.domain)
     if not _kills(matrix, witness, LaurentPoly.zero(("x",), spec.domain)):
-        witness = None
-    if witness is not None and _modular_rank(matrix, spec.order) == g - 1:
-        r, method = g - 1, WITNESS_MODULAR
-    else:
-        r, method = matrix_rank(matrix), BAREISS
+        raise RuntimeError("certificate check failed: the witness is not a nonzero kernel vector")
+    if not _triangular(matrix, pres, forest):
+        raise RuntimeError(
+            "certificate check failed: the minor is not triangular with a nonzero diagonal")
+    g = len(pres.generators)
     base_exps = tuple((b, spec.images[b][1]) for b in forest.basepoints)
-    conclusion = NOT_FINITELY_GENERATED if r < g else INCONCLUSIVE
-    report = None if witness is None else tuple(
-        zip(pres.generators, map(_entry_string, witness)))
-    return Certificate(spec.order, spec.roots, base_exps, g, r, conclusion, method, report)
+    report = tuple(zip(pres.generators, map(_entry_string, witness)))
+    return Certificate(spec.order, spec.roots, base_exps, g, g - 1, NOT_FINITELY_GENERATED,
+                       WITNESS_MINOR, report)

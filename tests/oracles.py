@@ -210,16 +210,35 @@ def parse_x_zeta(text):
     return out
 
 
-def forest_witness_holds(left, right, edges, values, basepoints, witness) -> bool:
-    """Check a certificate's kernel witness on the forest's relation rows.
+def _x_zeta_mul(a, b):
+    out = {}
+    for (x1, z1), c1 in a.items():
+        for (x2, z2), c2 in b.items():
+            key = (x1 + x2, z1 + z2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
+def _x_zeta_add(a, b):
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, 0) + c
+    return out
+
+
+def forest_rows(left, right, edges, values, basepoints):
+    """The named relation rows of a forest after specialization, and the
+    zero test of their entries; None when the images disagree with the
+    character.
 
     Each vertex goes to zeta^j * x^values[v]: a basepoint to x^values[b], and
     across a tree edge labeled 2m the two images multiply to zeta^(M/m), with
     M the lcm of the half-labels.  The rows are the cyclotomic sum of each
-    edge and the left and right difference rows over all generator pairs.
-    Elements of Q(zeta_M)[x^+-1] are dicts {(x exp, zeta exp mod M): coeff};
-    zero means zero modulo the M-th cyclotomic polynomial.  True when the
-    witness ({"(v,w)": entry string}) is nonzero and every row kills it."""
+    edge (``edge:v~w``), and the left (``left:v,t|w``) and right
+    (``right:v|w,s``) difference rows over all generator pairs, each a dict
+    {(v, w): element}.  Elements of Q(zeta_M)[x^+-1] are dicts
+    {(x exp, zeta exp): coeff}; zero means zero modulo the M-th cyclotomic
+    polynomial."""
     halves = [label // 2 for _, _, label in edges]
     order = lcm(*halves)
     phi = cyclotomic_coefficients(order)
@@ -229,20 +248,6 @@ def forest_witness_holds(left, right, edges, values, basepoints, witness) -> boo
         for (xe, ze), c in elem.items():
             by_x.setdefault(xe, [0] * order)[ze % order] += c
         return all(not poly_divmod(poly, phi)[1] for poly in by_x.values())
-
-    def mul(a, b):
-        out = {}
-        for (x1, z1), c1 in a.items():
-            for (x2, z2), c2 in b.items():
-                key = (x1 + x2, (z1 + z2) % order)
-                out[key] = out.get(key, 0) + c1 * c2
-        return out
-
-    def add(a, b):
-        out = dict(a)
-        for key, c in b.items():
-            out[key] = out.get(key, 0) + c
-        return out
 
     adj = {v: [] for v in list(left) + list(right)}
     for v, w, label in edges:
@@ -260,37 +265,65 @@ def forest_witness_holds(left, right, edges, values, basepoints, witness) -> boo
                     image[nbr] = (-xe, (order // (label // 2) - ze) % order)
                     stack.append(nbr)
     if any(image[v][0] != values[v] for v in adj):
-        return False
+        return None
 
     def minus_one(v, sign=1):
         return {image[v]: Fraction(sign), (0, 0): Fraction(-sign)}
 
-    rows = []
+    rows = {}
     for v, w, label in edges:
-        step = mul({image[v]: 1}, {image[w]: 1})
+        step = _x_zeta_mul({image[v]: 1}, {image[w]: 1})
         total, power = {}, {(0, 0): Fraction(1)}
         for _ in range(label // 2):
-            total, power = add(total, power), mul(power, step)
-        rows.append({(v, w): total})
+            total, power = _x_zeta_add(total, power), _x_zeta_mul(power, step)
+        rows[f"edge:{v}~{w}"] = {(v, w): total}
     for i, v in enumerate(left):
         for t in left[i + 1:]:
             for w in right:
-                rows.append({(v, w): minus_one(t), (t, w): minus_one(v, -1)})
+                rows[f"left:{v},{t}|{w}"] = {(v, w): minus_one(t), (t, w): minus_one(v, -1)}
     for v in left:
         for i, w in enumerate(right):
             for s in right[i + 1:]:
-                rows.append({(v, w): minus_one(s), (v, s): minus_one(w, -1)})
+                rows[f"right:{v}|{w},{s}"] = {(v, w): minus_one(s), (v, s): minus_one(w, -1)}
+    return rows, is_zero
 
+
+def forest_witness_holds(left, right, edges, values, basepoints, witness) -> bool:
+    """Check a certificate's kernel witness on the forest's relation rows
+    (``forest_rows``).  True when the witness ({"(v,w)": entry string}) is
+    nonzero and every row kills it."""
+    built = forest_rows(left, right, edges, values, basepoints)
+    if built is None:
+        return False
+    rows, is_zero = built
     u = {(v, w): parse_x_zeta(witness[f"({v},{w})"]) for v in left for w in right}
     if all(is_zero(entry) for entry in u.values()):
         return False
-    for row in rows:
+    for row in rows.values():
         total = {}
         for gen, entry in row.items():
-            total = add(total, mul(entry, u[gen]))
+            total = _x_zeta_add(total, _x_zeta_mul(entry, u[gen]))
         if not is_zero(total):
             return False
     return True
+
+
+def forest_minor(left, right, edges, values, basepoints, labels, columns):
+    """The square minor of the rows named by ``labels`` on the generators
+    ``columns``, rebuilt by ``forest_rows``, and the zero test of its
+    entries.  A label that names no row is a KeyError."""
+    rows, is_zero = forest_rows(left, right, edges, values, basepoints)
+    return [[rows[label].get(col, {}) for col in columns] for label in labels], is_zero
+
+
+def triangular_minor_holds(minor, is_zero) -> bool:
+    """True when the square minor is lower-triangular with a nonzero
+    diagonal, so its determinant is nonzero."""
+    n = len(minor)
+    return all(
+        len(row) == n and not is_zero(row[i]) and all(is_zero(e) for e in row[i + 1:])
+        for i, row in enumerate(minor)
+    )
 
 
 def complement_member_bruteforce(graph_vertices, graph_edges, values) -> bool:

@@ -320,6 +320,24 @@ def test_groebner_refuses_an_oversized_power(capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "gen, message",
+    [
+        ("2^20000*u+1", "a power's coefficients may have more than MAX_COEFFICIENT_DIGITS = 4300 digits"),
+        ("2^1000000000", "a power's coefficients may have more than MAX_COEFFICIENT_DIGITS = 4300 digits"),
+        ("(1+u)^" + "9" * 5000, "a number has more than MAX_COEFFICIENT_DIGITS = 4300 digits"),
+    ],
+    ids=["power", "huge-power", "long-exponent"],
+)
+def test_groebner_refuses_numbers_past_the_digit_limit(capsys, gen, message):
+    # each would end in Python's int-string ValueError (or build 2^(10^9))
+    start = time.process_time()
+    code, out, err = run_cli(capsys, ["groebner", "--vars", "u", "--gens", gen])
+    assert time.process_time() - start < 0.5
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "input", "message": message}
+
+
 def test_groebner_non_unit(capsys):
     blob = run_json(
         capsys, ["groebner", "--vars", "x,y", "--gens", "x^2-y", "y^2-1"]

@@ -15,7 +15,7 @@ from artin_sigma import (
     parse_poly,
 )
 from artin_sigma.fields import MAX_CYCLOTOMIC_ORDER, _MILLER_RABIN_LIMIT, _is_prime, unify_domains
-from artin_sigma.laurent import MAX_POWER_TERMS, _check_power, common_ring
+from artin_sigma.laurent import MAX_COEFFICIENT_DIGITS, MAX_POWER_TERMS, _check_power, common_ring
 from oracles import cyclotomic_coefficients, cyclotomic_product
 
 VARS = ("x", "y")
@@ -113,6 +113,25 @@ def test_power_guard_fires_before_expanding(monkeypatch):
     monkeypatch.undo()
     # a monomial has span 0 and stays one term
     assert parse_poly("(x*y)^20000", VARS).terms == {(20000, 20000): Fraction(1)}
+
+
+def test_digit_guards_fire_before_converting_or_expanding(monkeypatch):
+    # Python's int-string limit is the bound on a written number and on the
+    # coefficients of a power; 2^14284 has 4300 digits, 2^14285 has 4301
+    assert MAX_COEFFICIENT_DIGITS == 4300
+    assert str(parse_poly("2^14284", VARS).terms[(0, 0)]).isdigit()
+    assert parse_poly("1" * 4300 + "/7", VARS).terms[(0, 0)].denominator == 7
+    for text in ("1" * 4301, "1/" + "1" * 4301, "x^" + "1" * 4301):
+        with pytest.raises(InputError, match="a number has more than MAX_COEFFICIENT_DIGITS = 4300"):
+            parse_poly(text, VARS)
+
+    def refuse(self, e):
+        raise AssertionError("expanded")
+
+    monkeypatch.setattr(LaurentPoly, "__pow__", refuse)
+    for text in ("2^14285", "(1/2)^-14285", "2^1000000000", f"({10**100}*x + 1)^43"):
+        with pytest.raises(InputError, match="coefficients may have more than MAX_COEFFICIENT_DIGITS"):
+            parse_poly(text, VARS)
 
 
 def test_normalized_clears_negatives():

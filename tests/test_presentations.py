@@ -2,7 +2,6 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import isqrt
 
 import pytest
 
@@ -25,12 +24,13 @@ from artin_sigma import (
     specialize,
 )
 from artin_sigma import presentations
+from artin_sigma.fields import CycloNum
 from artin_sigma.presentations import (
     Specialization,
     apply_differential,
     specialization_data,
 )
-from oracles import cyclotomic_coefficients, forest_witness_holds
+from oracles import forest_minor, forest_witness_holds, triangular_minor_holds
 
 
 def single_edge_forest(m=2):
@@ -307,9 +307,8 @@ def test_specialization_single_edge_m2():
     spec = specialization_data(forest, {"v": 1, "w": -1})
     assert spec.order == 2
     assert spec.roots == (("v", "w", 1),)
-    field = CyclotomicField(2)
-    assert spec.images["v"] == (field.one, 1)
-    assert spec.images["w"] == (field.zeta_power(1), -1)  # -1 * x^-1
+    assert spec.images["v"] == (0, 1)
+    assert spec.images["w"] == (1, -1)  # zeta_2 * x^-1 = -x^-1
     mat = specialize(forest_presentation(forest), forest, {"v": 1, "w": -1})
     assert mat.nrows == 1 and mat.ncols == 1
     assert mat.entries[0][0].is_zero()
@@ -334,9 +333,9 @@ def test_specialization_f5_matrix(f5):
     forest = dead_edge_forest(chi, (("a", "c"), ("b",)))
     spec = specialization_data(forest, chi)
     field = CyclotomicField(2)
-    assert spec.images["a"] == (field.one, 1)
-    assert spec.images["b"] == (field.zeta_power(1), -1)
-    assert spec.images["c"] == (field.one, 1)
+    assert spec.images["a"] == (0, 1)
+    assert spec.images["b"] == (1, -1)
+    assert spec.images["c"] == (0, 1)
     mat = specialize(forest_presentation(forest), forest, chi)
     x = LaurentPoly.variable("x", ("x",), field)
     one = LaurentPoly.constant(field.one, ("x",), field)
@@ -421,7 +420,7 @@ def test_certificate_json_shape():
         "M", "roots", "basepoint_exponents", "generators", "rank", "conclusion",
         "rank_method", "witness",
     ]
-    assert blob["rank_method"] == "witness+modular"
+    assert blob["rank_method"] == "witness+minor"
     # phi(v) = x and phi(w) = zeta * x^-1, so u = (x - 1)(zeta*x^-1 - 1)
     assert blob["witness"] == {"(v,w)": "-x + zeta + 1 - x^-1*zeta"}
 
@@ -488,15 +487,14 @@ def test_random_forest_certificates_always_conclude():
 
 
 def test_certificate_rank_matches_bareiss():
-    # Bareiss on the specialized matrix is the oracle; a silent fallback to it
-    # inside the certificate shows up as a wrong rank_method
+    # Bareiss on the specialized matrix is the oracle for the closed-form rank
     rng = random.Random(1618)
     for _ in range(25):
         forest, chi = random_forest_with_character(rng)
         cert = certify_not_finitely_generated(forest, chi)
         matrix = specialize(forest_presentation(forest), forest, chi)
         assert cert.rank == matrix_rank(matrix)
-        assert cert.rank_method == "witness+modular"
+        assert cert.rank_method == "witness+minor"
 
 
 def mixed_forest():
@@ -504,24 +502,19 @@ def mixed_forest():
     return forest, {"v": 1, "t": 1, "w": -1, "s": 2}
 
 
-def test_modular_shortfall_falls_back_to_bareiss(monkeypatch):
+def test_failed_certificate_check_raises_and_names_it(monkeypatch):
+    # neither check can fail on a valid forest; if one does, the certificate
+    # says which, with no fallback
     forest, chi = mixed_forest()
-    fast = certify_not_finitely_generated(forest, chi)
-    assert fast.rank_method == "witness+modular"
-    monkeypatch.setattr(presentations, "rank_mod_p", lambda rows, p: len(rows[0]) - 2)
-    slow = certify_not_finitely_generated(forest, chi)
-    assert slow.rank_method == "bareiss"
-    assert slow.rank == fast.rank == fast.generators - 1 == 3
-    assert slow.witness == fast.witness
-
-
-def test_failed_witness_falls_back_to_bareiss(monkeypatch):
-    forest, chi = mixed_forest()
-    monkeypatch.setattr(presentations, "_kills", lambda *args: False)
-    cert = certify_not_finitely_generated(forest, chi)
-    assert cert.rank_method == "bareiss"
-    assert cert.witness is None and cert.to_json_dict()["witness"] is None
-    assert cert.rank == 3
+    with monkeypatch.context() as patch:
+        patch.setattr(presentations, "_kills", lambda *args: False)
+        with pytest.raises(RuntimeError, match="the witness is not a nonzero kernel vector"):
+            certify_not_finitely_generated(forest, chi)
+    with monkeypatch.context() as patch:
+        patch.setattr(presentations, "_triangular", lambda *args: False)
+        with pytest.raises(RuntimeError, match="the minor is not triangular"):
+            certify_not_finitely_generated(forest, chi)
+    assert certify_not_finitely_generated(forest, chi).rank == 3
 
 
 def test_witness_check_rejects_a_non_kernel_vector():
@@ -536,6 +529,24 @@ def test_witness_check_rejects_a_non_kernel_vector():
     assert presentations._kills(matrix, witness, zero)
     assert not presentations._kills(matrix, [zero] * len(witness), zero)
     assert not presentations._kills(matrix, [witness[0] + one] + witness[1:], zero)
+
+
+def test_minor_check_rejects_a_broken_minor():
+    forest, chi = mixed_forest()
+    pres = forest_presentation(forest)
+    spec = specialization_data(forest, chi)
+    matrix = presentations._specialized_matrix(pres, spec.x_images())
+    assert presentations._minor(forest) == (
+        ["right:v|w,s", "left:v,t|w", "left:v,t|s"], [("v", "s"), ("t", "w"), ("t", "s")])
+    assert presentations._triangular(matrix, pres, forest)
+    row = pres.row_labels.index("right:v|w,s")
+    col = {gen: j for j, gen in enumerate(pres.generators)}
+    zero = LaurentPoly.zero(("x",), spec.domain)
+    one = LaurentPoly.constant(spec.domain.one, ("x",), spec.domain)
+    for j, entry in ((col[("v", "s")], zero), (col[("t", "s")], one)):
+        broken = [r[:] for r in matrix.entries]
+        broken[row][j] = entry
+        assert not presentations._triangular(PolyMatrix(broken), pres, forest)
 
 
 def test_witness_passes_independent_check():
@@ -554,21 +565,55 @@ def test_witness_passes_independent_check():
     assert perturbed >= 10
 
 
-def test_modular_prime_and_root_of_unity():
-    # the lower bound is sound only if zeta goes to a root of Phi_M mod p
-    for order in (1, 2, 3, 4, 6, 10, 12, 60):
-        p, r = next(presentations._primes_with_roots(order))
-        assert p > 2**31 and (p - 1) % order == 0
-        assert all(p % q for q in range(2, isqrt(p) + 1))
-        assert [d for d in range(1, order + 1) if pow(r, d, p) == 1] == [order]
-        phi = cyclotomic_coefficients(order)
-        assert sum(c * pow(r, i, p) for i, c in enumerate(phi)) % p == 0
+def forest_args(forest, chi):
+    return forest.left, forest.right, forest.edges, chi, forest.basepoints
 
 
-def test_modular_rank_skips_a_prime_dividing_a_denominator():
-    p, _ = next(presentations._primes_with_roots(1))
-    entry = LaurentPoly.constant(Fraction(1, p), ("x",), QQ)
-    assert presentations._modular_rank(PolyMatrix([[entry]]), 1) == 1
+def test_minor_passes_independent_check():
+    # the oracle rebuilds the named rows and checks the minor is triangular
+    # with a nonzero diagonal; zeroing a diagonal entry or swapping two rows
+    # must fail it
+    rng = random.Random(99)
+    mutated = 0
+    for _ in range(2000):
+        forest, chi = random_forest_with_character(rng)
+        labels, columns = presentations._minor(forest)
+        g = len(forest.left) * len(forest.right)
+        assert len(labels) == len(columns) == g - 1
+        minor, is_zero = forest_minor(*forest_args(forest, chi), labels, columns)
+        assert triangular_minor_holds(minor, is_zero)
+        if minor:
+            k = rng.randrange(len(minor))
+            zeroed = [row[:] for row in minor]
+            zeroed[k][k] = {}
+            assert not triangular_minor_holds(zeroed, is_zero)
+        if len(minor) >= 2:
+            i, j = sorted(rng.sample(range(len(minor)), 2))
+            swapped = minor[:]
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            assert not triangular_minor_holds(swapped, is_zero)
+            mutated += 1
+    assert mutated >= 1000
+
+
+def test_certificates_never_divide_in_the_cyclotomic_field(monkeypatch):
+    # the images are zeta powers times x powers, so no certificate inverts a
+    # CycloNum; the M = 840 star (half-labels 8, 3, 5, 7) would otherwise
+    # spend seconds in CycloNum.inverse
+    def refuse(self):
+        raise AssertionError("CycloNum.inverse called")
+
+    monkeypatch.setattr(CycloNum, "inverse", refuse)
+    rng = random.Random(4242)
+    for _ in range(25):
+        forest, chi = random_forest_with_character(rng)
+        assert certify_not_finitely_generated(forest, chi).rank_method == "witness+minor"
+    star = BipartiteForest(("a", "b", "c", "d"), ("w",), tuple(
+        (v, "w", 2 * m) for v, m in zip("abcd", (8, 3, 5, 7))))
+    chi = {"a": 1, "b": 1, "c": 1, "d": 1, "w": -1}
+    cert = certify_not_finitely_generated(star, chi)
+    assert cert.order == 840
+    assert (cert.generators, cert.rank, cert.rank_method) == (4, 3, "witness+minor")
 
 
 def test_forest_vertices_must_be_graph_names():
