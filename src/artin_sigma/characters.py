@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .errors import InputError
+from .errors import MAX_COEFFICIENT_DIGITS, InputError
 from .graphs import LabeledGraph, full_subgraph
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?\Z")
@@ -25,6 +25,8 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise InputError(f"bad rational {text!r} (expected p or p/q with q > 0)")
+    if max(map(len, text.lstrip("+-").split("/"))) > MAX_COEFFICIENT_DIGITS:
+        raise InputError(f"a number has more than MAX_COEFFICIENT_DIGITS = {MAX_COEFFICIENT_DIGITS} digits")
     return Fraction(text)
 
 

@@ -292,7 +292,7 @@ class PrimeField:
         if isinstance(value, Fraction):
             if value.denominator % self.p == 0:
                 raise ZeroDivisionError(f"denominator of {value} vanishes mod {self.p}")
-            return FpElement(self.p, value.numerator) / FpElement(self.p, value.denominator)
+            return FpElement(self.p, value.numerator * pow(value.denominator, -1, self.p))
         raise TypeError(f"cannot coerce {value!r} into {self.name}")
 
     def __eq__(self, other):

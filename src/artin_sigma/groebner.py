@@ -27,6 +27,21 @@ polynomials (as ``buchberger`` calls them) or ``LaurentPoly``s, which must
 share one variable list (``laurent.common_ring``; a second list is an
 ``InputError``).
 
+Packed coefficients over GF(p) are plain ints in [0, p), converted once on
+packing and once on unpacking, and the ring carries p: the one division
+and S-polynomial kernel takes ``% p`` only when there is a prime, and
+inverts only to make a polynomial monic (``pow(c, -1, p)``).  Over QQ and
+QQ(zeta_M) the coefficients stay field elements.  Every basis element is
+kept monic, so the kernels multiply by no leading-coefficient inverse.
+
+The pair loop (``_pair_loop``) pops pairs in (packed lcm, i, j) order and
+updates them as Gebauer and Moller do ("On an installation of Buchberger's
+algorithm", JSC 6, 1988): criteria M and F and the product criterion prune
+the new pairs, and criterion B the old ones.  ``buchberger`` minimalizes
+and interreduces its basis; ``is_unit_ideal`` (and so ``unit_ideal_mod_p``)
+only asks whether the loop met a nonzero constant, stops there, and never
+interreduces.
+
 Systems whose generators all have at most two terms skip Buchberger for that
 question: a binomial c1*x^a + c2*x^b is a unit multiple of x^(a-b) - lam with
 lam = -c2/c1, and <x^(d_i) - lam_i> is the unit ideal iff some integer vector
@@ -37,10 +52,11 @@ c with sum c_i d_i = 0 has prod lam_i^(c_i) != 1 (Eisenbud and Sturmfels,
 from __future__ import annotations
 
 import heapq
+from itertools import groupby
 from operator import itemgetter, mul
 
 from .errors import InputError
-from .fields import PrimeField
+from .fields import FpElement, PrimeField
 from .laurent import LaurentPoly, common_ring
 
 
@@ -86,9 +102,11 @@ class _PackedRing:
 
     The layout is in the module docstring; ``cap`` is the capacity C,
     ``offset`` the offset Z and ``guards`` the mask of all guard bits.
+    ``prime`` is p for GF(p), whose packed coefficients are ints in [0, p),
+    and None for the other fields, whose coefficients stay field elements.
     """
 
-    __slots__ = ("variables", "order", "domain", "width", "cap", "offset", "guards",
+    __slots__ = ("variables", "order", "domain", "prime", "width", "cap", "offset", "guards",
                  "_shifts", "_weights", "_flip", "_deg_shift")
 
     def __init__(self, variables, order, domain, width):
@@ -96,6 +114,7 @@ class _PackedRing:
         stride = width + 1
         cap = (1 << width) - 1
         self.variables, self.order, self.domain = variables, order, domain
+        self.prime = domain.p if isinstance(domain, PrimeField) else None
         self.width, self.cap = width, cap
         self.guards = sum(1 << (width + k * stride) for k in range(n + 1))
         if order == "grevlex":
@@ -141,10 +160,18 @@ class _PackedRing:
         return m & self.cap if self._deg_shift is None else m >> self._deg_shift
 
     def from_poly(self, f: LaurentPoly) -> "_Packed":
-        return _Packed(self, {self.pack(e): c for e, c in f.terms.items()})
+        pack = self.pack
+        if self.prime:
+            return _Packed(self, {pack(e): c.val for e, c in f.terms.items()})
+        return _Packed(self, {pack(e): c for e, c in f.terms.items()})
 
     def to_poly(self, p: "_Packed") -> LaurentPoly:
-        return LaurentPoly(self.variables, {self.unpack(m): c for m, c in p.terms.items()}, self.domain)
+        unpack, prime = self.unpack, self.prime
+        if prime:
+            terms = {unpack(m): FpElement(prime, c) for m, c in p.terms.items()}
+        else:
+            terms = {unpack(m): c for m, c in p.terms.items()}
+        return LaurentPoly(self.variables, terms, self.domain)
 
     def repack(self, p: "_Packed") -> "_Packed":
         unpack = p.ring.unpack
@@ -163,17 +190,27 @@ class _Packed:
 
     @property
     def lead(self):
-        """(lm, lc, tail, top, exps): the leading monomial and coefficient,
-        the other terms as (monomial, coefficient) pairs, a term of greatest
-        degree (lm itself under grevlex) and lm's exponent vector."""
+        """(lm, tail, top, exps): the leading monomial, the other terms as
+        (monomial, coefficient) pairs, a term of greatest degree (lm itself
+        under grevlex) and lm's exponent vector."""
         if self._lead is None:
             terms = self.terms
             ring = self.ring
             lm = max(terms)
             top = max(terms, key=ring.degree) if ring.order == "lex" else lm
             tail = [(m, c) for m, c in terms.items() if m != lm]
-            self._lead = (lm, terms[lm], tail, top, ring.unpack(lm))
+            self._lead = (lm, tail, top, ring.unpack(lm))
         return self._lead
+
+    def monic(self) -> "_Packed":
+        """This nonzero polynomial divided by its leading coefficient."""
+        ring, terms = self.ring, self.terms
+        lc = terms[self.lead[0]]
+        if lc == 1:
+            return self
+        p = ring.prime
+        inv = pow(lc, -1, p) if p else ring.domain.one / lc
+        return _Packed(ring, {m: c * inv % p if p else c * inv for m, c in terms.items()})
 
 
 def _widening(kernel, polys):
@@ -198,11 +235,11 @@ def _packed_inputs(polys, order):
 
 
 def _divide(polys):
-    """Remainder of polys[0] modulo the nonzero polys[1:], all in one ring."""
+    """Remainder of polys[0] modulo the monic polys[1:], all in one ring."""
     f = polys[0]
     ring = f.ring
-    offset, guards = ring.offset, ring.guards
-    table = [g.lead[:4] for g in polys[1:]]
+    offset, guards, p = ring.offset, ring.guards, ring.prime
+    table = [g.lead[:3] for g in polys[1:]]
     work = dict(f.terms)
     heap = [-m for m in work]
     heapq.heapify(heap)
@@ -213,21 +250,23 @@ def _divide(polys):
         lc = work.pop(lm, None)
         if lc is None:  # a stale entry: the term cancelled
             continue
-        for glm, glc, gtail, gtop in table:
+        for glm, gtail, gtop in table:
             if not (lm - glm + offset) & guards:
-                # work -= (lc / glc) * x^(lm - glm) * g; the leading terms cancel
+                # work -= lc * x^(lm - glm) * g; the leading terms cancel
                 d = lm - glm
                 if (gtop + d) & guards:
                     raise _Spill
-                k = -(lc / glc)
+                k = p - lc if p else -lc
                 for e, c in gtail:
                     m = e + d
                     v = work.get(m)
                     if v is None:
-                        work[m] = k * c
+                        work[m] = k * c % p if p else k * c
                         push(heap, -m)
                     else:
-                        v = v + k * c
+                        v += k * c
+                        if p:
+                            v %= p
                         if v:
                             work[m] = v
                         else:
@@ -239,25 +278,27 @@ def _divide(polys):
 
 
 def _s_kernel(polys):
+    """x^(L - lm f) * f - x^(L - lm g) * g, L the lcm of the leading
+    monomials, for monic f and g in one ring."""
     f, g = polys
     ring = f.ring
-    guards = ring.guards
-    flm, flc, ftail, ftop, fexps = f.lead
-    glm, glc, gtail, gtop, gexps = g.lead
+    guards, p = ring.guards, ring.prime
+    flm, ftail, ftop, fexps = f.lead
+    glm, gtail, gtop, gexps = g.lead
     lcm = ring.lcm(fexps, gexps)
     df, dg = lcm - flm, lcm - glm
     if (ftop + df) & guards or (gtop + dg) & guards:
         raise _Spill
-    one = ring.domain.one
-    cf, cg = one / flc, one / glc
-    terms = {e + df: cf * c for e, c in ftail}
+    terms = {e + df: c for e, c in ftail}
     for e, c in gtail:
         m = e + dg
         v = terms.get(m)
         if v is None:
-            terms[m] = -(cg * c)
+            terms[m] = p - c if p else -c
         else:
-            v = v - cg * c
+            v -= c
+            if p:
+                v %= p
             if v:
                 terms[m] = v
             else:
@@ -269,39 +310,60 @@ def reduce_poly(f, basis, order=DEFAULT_ORDER):
     """Normal form of f modulo the basis (full multivariate division).
 
     Takes LaurentPolys and returns one, or takes packed polynomials in one
-    ring (as ``buchberger`` calls it), whose order is then used, and returns
-    a packed remainder, in a wider ring after a spill.  The division
-    runs on a private copy of f's terms; neither f nor any basis element is
-    modified.
+    ring with a monic basis (as ``buchberger`` calls it), whose order is
+    then used, and returns a packed remainder, in a wider ring after a
+    spill.  The division runs on a private copy of f's terms; neither f nor
+    any basis element is modified.
     """
     if isinstance(f, _Packed):
         return _widening(_divide, [f, *basis])
     packed = _packed_inputs([f, *basis], order)
-    r = _widening(_divide, [packed[0]] + [g for g in packed[1:] if g.terms])
+    r = _widening(_divide, [packed[0]] + [g.monic() for g in packed[1:] if g.terms])
     return r.ring.to_poly(r)
 
 
 def s_polynomial(f, g, order=DEFAULT_ORDER):
-    """S-polynomial of f and g: LaurentPolys, or packed as ``reduce_poly``."""
+    """S-polynomial of f and g: LaurentPolys, or monic packed polynomials
+    as ``reduce_poly`` takes them."""
     if isinstance(f, _Packed):
         return _widening(_s_kernel, [f, g])
     packed = _packed_inputs([f, g], order)
     if not all(p.terms for p in packed):
         raise InputError("the zero polynomial has no S-polynomial")
-    s = _widening(_s_kernel, packed)
+    s = _widening(_s_kernel, [p.monic() for p in packed])
     return s.ring.to_poly(s)
 
 
-def buchberger(gens, order=DEFAULT_ORDER) -> list[LaurentPoly]:
-    """Reduced Groebner basis (monic, sorted by leading monomial)."""
-    key = _order_key(order)
-    basis = [p for p in _packed_inputs(gens, order) if p.terms]
-    if not basis:
-        return []
+def _is_one(p: _Packed) -> bool:
+    return p.lead[0] == p.ring.offset
+
+
+def _pair_loop(basis, order):
+    """Buchberger's pair loop on monic packed polynomials in one ring.
+
+    Returns a Groebner basis of their ideal, monic but neither minimal nor
+    interreduced, in the ring the loop ended in; or, as soon as a constant
+    turns up (an input generator included, before any pair is formed),
+    just that constant.
+
+    Pairs pop in (packed lcm, i, j) order.  Adding element t updates the
+    pairs as Gebauer and Moller do ("On an installation of Buchberger's
+    algorithm", JSC 6, 1988): of the new pairs (i, t), i active, drop those
+    whose lcm another new pair's lcm properly divides (M); of the rest keep
+    one per lcm, the least i, unless one of them has coprime leading
+    monomials, when none is kept (F and the product criterion).  Drop an old
+    pair (i, j) whose lcm L lm_t divides, when lcm(i, t) and lcm(j, t) both
+    differ from L (B).  An element whose leading monomial lm_t divides goes
+    inactive: it forms no new pairs, but still reduces, as every element
+    does, in index order.
+    """
+    for b in basis:
+        if _is_one(b):
+            return [b]
     ring = basis[0].ring
-    variables, domain = ring.variables, ring.domain
     lms = [b.lead[0] for b in basis]
-    exps = [b.lead[4] for b in basis]  # exponent vectors: unchanged by widening
+    exps = [b.lead[3] for b in basis]  # exponent vectors: unchanged by widening
+    active = []  # in index order
     queue = []
 
     def widen(wider):
@@ -313,39 +375,48 @@ def buchberger(gens, order=DEFAULT_ORDER) -> list[LaurentPoly]:
         lms = [b.lead[0] for b in basis]
         queue = [(ring.pack(unpack(m)), i, j) for m, i, j in queue]
 
-    def push_pairs(j):
-        # pairs pop in (lcm, i, j) order: a packed lcm compares as its key
+    def update(t):
+        nonlocal active, queue
+        et = exps[t]
         while True:
             try:
-                pairs = [(ring.lcm(exps[i], exps[j]), i, j) for i in range(j)]
+                new = sorted([(ring.lcm(exps[i], et), i) for i in active])
                 break
             except _Spill:
                 widen(ring.wider())
-        for pair in pairs:
-            heapq.heappush(queue, pair)
+        offset, guards, lt = ring.offset, ring.guards, lms[t]
+        with_t = {i: lcm for lcm, i in new}
 
-    for j in range(len(basis)):
-        push_pairs(j)
-    done = set()
-    while queue:
-        lcm, i, j = heapq.heappop(queue)
-        done.add((i, j))
-        offset, guards = ring.offset, ring.guards
-        # product criterion: coprime leading monomials (lcm / lm_i == lm_j)
-        # reduce to zero anyway
-        if lcm - lms[i] + offset == lms[j]:
-            continue
-        # chain criterion
-        skip = False
-        for k, lm in enumerate(lms):
-            if not (lcm - lm + offset) & guards and k != i and k != j:
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a in done and b in done:
-                    skip = True
+        def t_keeps(k, lcm):
+            # lm_t and lm_k divide lcm, so lcm(k, t) does and cannot spill
+            return (with_t[k] if k in with_t else ring.lcm(exps[k], et)) == lcm
+
+        # B
+        kept = [q for q in queue
+                if (q[0] - lt + offset) & guards or t_keeps(q[1], q[0]) or t_keeps(q[2], q[0])]
+        if len(kept) < len(queue):
+            heapq.heapify(kept)
+            queue = kept
+        # M: new is sorted by lcm, and a proper divisor of a monomial precedes it
+        minimal = []
+        for lcm, i in new:
+            for m, _ in minimal:
+                if m != lcm and not (lcm - m + offset) & guards:
                     break
-        if skip:
-            continue
+            else:
+                minimal.append((lcm, i))
+        # F and the product criterion
+        for lcm, group in groupby(minimal, key=itemgetter(0)):
+            group = [i for _, i in group]
+            if all(lcm - lms[i] + offset != lt for i in group):
+                heapq.heappush(queue, (lcm, group[0], t))
+        active = [i for i in active if (lms[i] - lt + offset) & guards]
+        active.append(t)
+
+    for t in range(len(basis)):
+        update(t)
+    while queue:
+        _, i, j = heapq.heappop(queue)
         s = s_polynomial(basis[i], basis[j], order)
         if s.ring is not ring:
             widen(s.ring)
@@ -354,50 +425,60 @@ def buchberger(gens, order=DEFAULT_ORDER) -> list[LaurentPoly]:
             widen(r.ring)
         if not r.terms:
             continue
-        if r.lead[0] == ring.offset:
-            return [LaurentPoly.constant(domain.one, variables, domain)]
+        r = r.monic()
+        if _is_one(r):
+            return [r]
         basis.append(r)
         lms.append(r.lead[0])
-        exps.append(r.lead[4])
-        push_pairs(len(basis) - 1)
+        exps.append(r.lead[3])
+        update(len(basis) - 1)
+    return [basis[k] for k in active]
 
-    # minimalize: drop elements whose leading monomial another element divides
-    # (on ties the earliest element survives; divisibility is transitive, so
-    # the pairwise rule is safe)
-    minimal = []
-    for i in range(len(basis)):
-        redundant = False
-        for j in range(len(basis)):
-            if i == j or (lms[i] - lms[j] + ring.offset) & ring.guards:
-                continue
-            if lms[j] != lms[i] or j < i:
-                redundant = True
-                break
-        if not redundant:
-            minimal.append(basis[i])
 
-    # interreduce and normalize to monic
+def _interreduced(basis, order):
+    """The reduced Groebner basis from the pair loop's: minimal, each element
+    reduced by the others, sorted by leading monomial."""
+    ring = basis[0].ring
+    offset, guards = ring.offset, ring.guards
+    # no two leading monomials are equal (the later element deactivates the
+    # earlier); drop each element whose leading monomial another one divides
+    lms = [b.lead[0] for b in basis]
+    minimal = [b for b, lm in zip(basis, lms)
+               if not any(m != lm and not (lm - m + offset) & guards for m in lms)]
+    # no other leading monomial divides a minimal element's, so its
+    # remainder keeps its leading term and is monic
+    key = _order_key(order)
     reduced = []
     for i in range(len(minimal)):
         p = minimal[i]
         others = minimal[:i] + minimal[i + 1:]
         r = reduce_poly(p, others, order) if others else p
-        if not r.terms:
-            continue
         if r.ring is not p.ring:
             minimal = [r.ring.repack(q) for q in minimal]
-        _, lc, _, _, lexps = r.lead
-        inv = domain.one / lc
-        monic = r.ring.to_poly(_Packed(r.ring, {m: c * inv for m, c in r.terms.items()}))
-        reduced.append((key(lexps), monic))
+        reduced.append((key(r.lead[3]), r.ring.to_poly(r)))
     reduced.sort(key=itemgetter(0))
     return [p for _, p in reduced]
 
 
+def _groebner_basis(gens, order):
+    """The pair loop's basis for the nonzero gens, monic; [] for none."""
+    basis = [p.monic() for p in _packed_inputs(gens, order) if p.terms]
+    return _pair_loop(basis, order) if basis else []
+
+
+def buchberger(gens, order=DEFAULT_ORDER) -> list[LaurentPoly]:
+    """Reduced Groebner basis (monic, sorted by leading monomial)."""
+    basis = _groebner_basis(gens, order)
+    return _interreduced(basis, order) if basis else []
+
+
 def is_unit_ideal(gens, order=DEFAULT_ORDER) -> bool:
-    """True iff the polynomial ideal generated by gens is the whole ring."""
-    basis = buchberger(gens, order)
-    return len(basis) == 1 and basis[0].is_constant()
+    """True iff the polynomial ideal generated by gens is the whole ring.
+
+    The pair loop stops at the first constant, and nothing is interreduced.
+    """
+    basis = _groebner_basis(gens, order)
+    return len(basis) == 1 and _is_one(basis[0])
 
 
 def saturation_variable(variables) -> str:
@@ -489,7 +570,7 @@ def _saturated(extended):
     last of its variables."""
     ext, domain = extended[0].variables, extended[0].domain
     n = len(ext)
-    sat = LaurentPoly(ext, {(0,) * n: domain.one, (1,) * n: -domain.one}, domain)
+    sat = LaurentPoly(ext, {(0,) * n: domain.one, (1,) * n: domain.coerce(-1)}, domain)
     return extended + [sat]
 
 

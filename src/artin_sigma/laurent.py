@@ -13,11 +13,10 @@ u^3*v^3 + u^2*v^2 - u*v - 1
 from __future__ import annotations
 
 import re
-import sys
 from fractions import Fraction
 from math import lcm, log10
 
-from .errors import InputError
+from .errors import MAX_COEFFICIENT_DIGITS, InputError
 from .fields import QQ, CycloNum, FpElement, PrimeField, power, unify_domains
 
 
@@ -310,14 +309,14 @@ class LaurentPoly:
             sign = "+"
             if isinstance(coeff, (int, Fraction)) and coeff < 0:
                 sign, coeff = "-", -coeff
-            text = str(coeff)
+            text = _coefficient_text(coeff)
             if isinstance(coeff, CycloNum):
                 nonzero = [c for c in coeff.coords if c]
                 if len(nonzero) > 1:
                     text = f"({text})"
                 elif nonzero[0] < 0:
                     sign, coeff = "-", -coeff
-                    text = str(coeff)
+                    text = _coefficient_text(coeff)
             if mono:
                 body = mono if coeff == 1 else f"{text}*{mono}"
             else:
@@ -334,6 +333,14 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({self.to_string()!r}, vars={self.variables})"
+
+
+def _coefficient_text(coeff) -> str:
+    try:
+        return str(coeff)
+    except ValueError:  # Python's int-string limit
+        raise InputError(
+            f"a coefficient has more than MAX_COEFFICIENT_DIGITS = {MAX_COEFFICIENT_DIGITS} digits") from None
 
 
 def common_ring(polys):
@@ -361,13 +368,12 @@ def common_ring(polys):
 # ---------------------------------------------------------------------------
 # parsing
 
-MAX_COEFFICIENT_DIGITS = sys.int_info.default_max_str_digits
-"""Most decimal digits a number written in ``parse_poly`` may have, and most a
-rational coefficient of a parsed power p^e may reach by the bound taken
-before expanding: e times log10 of the larger of p's common denominator and
-the sum of its numerators over it.  This is Python's default int-string limit
-(4300), so every parsed coefficient converts to and from a string.  A longer
-number or a larger power is an InputError."""
+# MAX_COEFFICIENT_DIGITS (from ``errors``) bounds the digits of a number
+# written in ``parse_poly``, and of a rational coefficient of a parsed power
+# p^e by the bound taken before expanding: e times log10 of the larger of p's
+# common denominator and the sum of its numerators over it.  A longer number
+# or a larger power is an InputError, as is printing a coefficient (which
+# Buchberger may grow) past the limit.
 
 _TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_][A-Za-z0-9_]*|\^|\*|\+|\-|\(|\))")
 

@@ -121,6 +121,17 @@ def test_sigma1_rejects_unknown_vertex(tmp_path, capsys):
     assert "zz" in blob["message"]
 
 
+def test_sigma1_refuses_a_character_value_past_the_digit_limit(tmp_path, capsys):
+    # Fraction would raise Python's int-string ValueError
+    path = graph_file(tmp_path, "v a\nv b\ne a b 4\n")
+    code, out, err = run_cli(capsys, ["sigma1", path, "--char", "a=" + "7" * 5000 + ",b=1"])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "input",
+        "message": "a number has more than MAX_COEFFICIENT_DIGITS = 4300 digits",
+    }
+
+
 def test_polyhedron_f5(tmp_path, capsys):
     path = graph_file(tmp_path, F5_TEXT)
     blob = run_json(capsys, ["polyhedron", path])
@@ -326,8 +337,10 @@ def test_groebner_refuses_an_oversized_power(capsys):
         ("2^20000*u+1", "a power's coefficients may have more than MAX_COEFFICIENT_DIGITS = 4300 digits"),
         ("2^1000000000", "a power's coefficients may have more than MAX_COEFFICIENT_DIGITS = 4300 digits"),
         ("(1+u)^" + "9" * 5000, "a number has more than MAX_COEFFICIENT_DIGITS = 4300 digits"),
+        # each factor is under the limit, their product (printed back) is not
+        ("7" * 3000 + "*" + "7" * 3000 + "*u+1", "a coefficient has more than MAX_COEFFICIENT_DIGITS = 4300 digits"),
     ],
-    ids=["power", "huge-power", "long-exponent"],
+    ids=["power", "huge-power", "long-exponent", "long-product"],
 )
 def test_groebner_refuses_numbers_past_the_digit_limit(capsys, gen, message):
     # each would end in Python's int-string ValueError (or build 2^(10^9))

@@ -18,6 +18,7 @@ from artin_sigma import (
     reduce_poly,
     unit_ideal_mod_p,
 )
+from artin_sigma.fields import FpElement
 from artin_sigma.groebner import ORDER_KEYS, leading_term, s_polynomial, saturation_variable, to_prime_field
 from oracles import fraction_rank, poly_gcd_univariate
 
@@ -264,10 +265,11 @@ def test_buchberger_vs_sympy_groebner():
                 assert ours == _sympy_reduced_basis(sympy, gens, symbols, order, p), (case, order, p, gens)
 
 
-@pytest.mark.parametrize("order, expected", [("grevlex", (7, 69)), ("lex", (8, 45))])
+@pytest.mark.parametrize("order, expected", [("grevlex", (6, 68)), ("lex", (7, 38))])
 def test_pair_order_fixes_the_s_polynomials_formed(monkeypatch, order, expected):
-    # pairs pop in (order key of lcm, i, j) order; another order forms other
-    # S-polynomials, so these counts pin the selection, not only the answer
+    # pairs pop in (order key of lcm, i, j) order and the Gebauer-Moller
+    # update drops some; another order or update forms other S-polynomials,
+    # so these counts pin the selection, not only the answer
     calls = []
     original = groebner.s_polynomial
 
@@ -287,11 +289,11 @@ def test_pair_order_fixes_the_s_polynomials_formed(monkeypatch, order, expected)
     assert tuple(counts) == expected
 
 
-@pytest.mark.parametrize("order, expected", [("grevlex", (7, 81)), ("lex", (8, 51))])
+@pytest.mark.parametrize("order, expected", [("grevlex", (6, 80)), ("lex", (7, 44))])
 def test_pair_order_fixes_the_reductions_made(monkeypatch, order, expected):
     # reduce_poly calls through the module global, one per S-polynomial formed
-    # plus one per element interreduced; the counts were measured on the tuple
-    # monomials that came before the packed ones, so together with the test
+    # plus one per element interreduced (crit2 is the unit ideal: the loop
+    # stops at its constant and interreduces nothing); together with the test
     # above they pin the routing and the division, not only the answer
     calls = []
     original = groebner.reduce_poly
@@ -310,6 +312,75 @@ def test_pair_order_fixes_the_reductions_made(monkeypatch, order, expected):
         laurent_unit_ideal(gens, order)
         counts.append(len(calls))
     assert tuple(counts) == expected
+
+
+CRIT2 = ("1 + u*v", "1 + s*u + (s*u)^2", "1 + v*w", "1 + s*w")
+CYCLE4 = tuple(f"1 + x{i}*x{(i + 1) % 4} + (x{i}*x{(i + 1) % 4})^2" for i in range(4))
+
+
+def test_unit_flag_vs_sympy_groebner():
+    # is_unit_ideal stops at the first constant and never interreduces; its
+    # flag must still say whether sympy's reduced basis is {1}, over QQ and
+    # over each GF(p); a third of the systems are made unit
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1988)
+    seen = {True: 0, False: 0}
+    for case in range(30):
+        nvars = rng.randint(2, 3)
+        variables = ("x", "y", "z")[:nvars]
+        symbols = sympy.symbols(variables)
+        gens = _random_ideal(rng, nvars)
+        if case % 3 == 0:
+            # u * g_0 + 1 for a monomial u of positive degree: 1 lies in the ideal
+            u = rng.choice(_exponents(nvars, 2)[1:])
+            made = {tuple(a + b for a, b in zip(e, u)): c for e, c in gens[0].items()}
+            gens.append({**made, (0,) * nvars: 1})
+        polys = [LaurentPoly(variables, g, QQ) for g in gens]
+        one = {frozenset({((0,) * nvars, 1)})}
+        for order in ("grevlex", "lex"):
+            expect = _sympy_reduced_basis(sympy, gens, symbols, order, None) == one
+            assert is_unit_ideal(polys, order) == expect, (case, order, gens)
+            seen[expect] += 1
+        for p in (2, 3, 5, 7, 11):
+            expect = _sympy_reduced_basis(sympy, gens, symbols, "grevlex", p) == one
+            assert unit_ideal_mod_p(polys, p, laurent=False) == expect, (case, p, gens)
+            seen[expect] += 1
+    assert min(seen.values()) >= 50, seen
+
+
+@pytest.mark.parametrize("domain, prime", [(QQ, 7), (PrimeField(5), 5)], ids=["QQ", "GF5"])
+def test_a_constant_generator_forms_no_s_polynomial(monkeypatch, domain, prime):
+    # the pair loop returns a constant input generator before forming a pair
+    formed = []
+    original = groebner.s_polynomial
+
+    def counted(f, g, key=groebner.DEFAULT_ORDER):
+        formed.append((f, g))
+        return original(f, g, key)
+
+    monkeypatch.setattr(groebner, "s_polynomial", counted)
+    gens = [parse_poly(t, UV, domain) for t in ("u^2 + v", "u*v - 1", "3", "2*v^2 + u")]
+    assert is_unit_ideal(gens)
+    assert unit_ideal_mod_p(gens, prime, laurent=False)
+    assert [b.to_string() for b in buchberger(gens)] == ["1"]
+    assert formed == []
+
+
+def test_mod_p_unit_test_does_no_field_element_arithmetic(monkeypatch):
+    # packed GF(p) coefficients are ints in [0, p), converted once on packing,
+    # so on integer generators no FpElement arithmetic runs, in the pair loop
+    # or anywhere else in unit_ideal_mod_p
+    systems = [[P(t, UVSW) for t in CRIT2], [P(t, tuple(f"x{i}" for i in range(4))) for t in CYCLE4]]
+    cases = [(gens, p, laurent) for gens in systems for p in (2, 3, 5, 7, 11) for laurent in (True, False)]
+    expected = [unit_ideal_mod_p(gens, p, laurent=laurent) for gens, p, laurent in cases]
+    assert True in expected and False in expected
+
+    def forbidden(*args):
+        raise AssertionError("FpElement arithmetic")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__", "__truediv__"):
+        monkeypatch.setattr(FpElement, name, forbidden)
+    assert [unit_ideal_mod_p(gens, p, laurent=laurent) for gens, p, laurent in cases] == expected
 
 
 # -- packed monomials -----------------------------------------------------------
@@ -368,7 +439,7 @@ def test_packed_monomials_agree_with_their_definition(order):
     # an S-polynomial spills
     ("lex", ("x^16 - y", "y^16 - z", "x*z - 1"), "s_polynomial"),
     # the lcm of a new pair spills
-    ("grevlex", ("x^200*y - z", "x*y^200 - 1"), "buchberger"),
+    ("grevlex", ("x^200*y - z", "x*y^200 - 1"), "_pair_loop"),
     # interreduction spills: coprime leading monomials, so no S-polynomial
     ("lex", ("z - x^16", "x - y^16"), "reduce_poly"),
 ])
