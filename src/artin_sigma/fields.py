@@ -37,8 +37,8 @@ def _divisors(n: int) -> list[int]:
 
 MAX_CYCLOTOMIC_ORDER = 1000
 """Largest order M of ``cyclotomic_polynomial`` and ``CyclotomicField``; a
-larger one is an InputError.  At M <= 1000 the field's reduction table holds
-at most phi(M)^2 < 10^6 integers and builds in well under a second."""
+larger one is an InputError.  At M <= 1000 the field's table of zeta powers
+holds M * phi(M) < 10^6 integers and builds in well under a second."""
 
 
 def _check_order(order: int) -> None:
@@ -68,71 +68,25 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (order - 1) + [1]
     for d in _divisors(order):
         if d < order:
-            poly, rem = _q_divmod(poly, cyclotomic_polynomial(d))
-            if rem:
+            poly, rem = _divmod_monic(poly, cyclotomic_polynomial(d))
+            if any(rem):
                 raise ArithmeticError("inexact polynomial division")
     return tuple(poly)
 
 
-# ---------------------------------------------------------------------------
-# rational-coefficient polynomial helpers (cyclotomic polynomials and inverses)
-
-def _q_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _q_divmod(a: list[Fraction], b: list[Fraction]):
-    """Quotient and remainder of a by b; integer inputs stay integers when b
-    is monic."""
+def _divmod_monic(a, b):
+    """Quotient and remainder of the integer polynomial a by the monic integer
+    polynomial b, both as ascending coefficient lists."""
     a = list(a)
-    q = [0] * max(1, len(a) - len(b) + 1)
-    lead = b[-1]
-    while len(a) >= len(b) and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        shift = len(a) - len(b)
-        c = a[-1] if lead == 1 else a[-1] / lead
-        q[shift] += c
-        for j, bj in enumerate(b):
-            a[shift + j] -= c * bj
-        _q_trim(a)
-    return _q_trim(q), _q_trim(a)
-
-
-def _q_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
+    n = len(b) - 1
+    q = [0] * (len(a) - n)
+    for shift in range(len(a) - 1 - n, -1, -1):
+        c = a[shift + n]
+        if c:
+            q[shift] = c
             for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _q_trim(out)
-
-
-def _q_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, ai in enumerate(a):
-        out[i] += ai
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return _q_trim(out)
-
-
-def _q_ext_gcd(a: list[Fraction], b: list[Fraction]):
-    """Extended Euclid over Q[t]: returns (g, s, t) with s*a + t*b = g."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while r1:
-        q, r = _q_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _q_sub(s0, _q_mul(q, s1))
-        t0, t1 = t1, _q_sub(t0, _q_mul(q, t1))
-    return r0, s0, t0
+                a[shift + j] -= c * bj
+    return q, a[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -373,20 +327,32 @@ class CycloNum:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNum":
-        """The inverse, by extended Euclid over Q[t] against the cyclotomic
-        polynomial.  Slow: the Fraction cofactors swell, so one call takes
-        seconds for a dense element at M in the fifties and about 15 s at
-        M = 840.  No CLI path calls it (certificates keep their zeta
-        exponents as integers mod M); it backs division and negative powers."""
+        """The inverse through the norm: with P the product of the conjugates
+        sigma_k(num), k a unit mod M other than 1, read off the field's table
+        of zeta powers, num * P is the integer norm N, so the inverse is
+        den * P / N, on ints only.  It costs O(phi(M)^3) integer products: a
+        dense element at M = 59 takes a tenth of a second, at M = 840 a few
+        seconds, and at a prime M near 1000 it stays out of reach.  No CLI
+        path calls it (certificates keep their zeta exponents as integers
+        mod M); it backs division and negative powers."""
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        g, s, _ = _q_ext_gcd(_q_trim(list(map(Fraction, self.num))), list(map(Fraction, self.field.phi)))
-        if len(g) != 1:
-            raise ArithmeticError("cyclotomic polynomial not coprime to element")
-        scale = self.den / g[0]
-        inv = [c * scale for c in s]
-        inv += [0] * (self.field.degree - len(inv))
-        return CycloNum(self.field, inv[: self.field.degree])
+        field = self.field
+        m, powers = field.order, field._powers
+        conj = [1] + [0] * (field.degree - 1)
+        for k in range(2, m):
+            if gcd(k, m) == 1:
+                sigma = [0] * field.degree
+                for i, c in enumerate(self.num):
+                    if c:
+                        sigma = [s + c * r for s, r in zip(sigma, powers[i * k % m])]
+                conj = field._reduce_product(conj, sigma)
+        norm, *rest = field._reduce_product(self.num, conj)
+        if norm == 0 or any(rest):
+            raise ArithmeticError("norm of a nonzero element is not a nonzero rational")
+        if norm < 0:
+            norm, conj = -norm, [-c for c in conj]
+        return _cyclonum(field, [self.den * c for c in conj], norm)
 
     def __truediv__(self, other):
         o = self._co(other)
@@ -458,16 +424,18 @@ class CyclotomicField:
         self.order = order
         self.phi = cyclotomic_polynomial(order)
         self.degree = len(self.phi) - 1
-        # reduction table: coords of t^(degree + j) modulo phi
-        red = []
-        cur = [-c for c in self.phi[:-1]]  # t^degree (phi is monic)
-        red.append(tuple(cur))
-        for _ in range(self.degree - 1):
-            shifted = [0] + cur[:-1]
+        # the coords of zeta^j for 0 <= j < M, each row t times the one
+        # before: a shift, plus t^degree's coords times the overflowing top
+        top_row = [-c for c in self.phi[:-1]]  # t^degree (phi is monic)
+        cur = [1] + [0] * (self.degree - 1)
+        powers = [tuple(cur)]
+        for _ in range(order - 1):
             top = cur[-1]
-            cur = [s + top * r for s, r in zip(shifted, red[0])]
-            red.append(tuple(cur))
-        self._red = red
+            cur = [0] + cur[:-1]
+            if top:
+                cur = [c + top * r for c, r in zip(cur, top_row)]
+            powers.append(tuple(cur))
+        self._powers = powers
         self.zero = _cyclonum(self, (0,) * self.degree, 1)
         self.one = self.coerce(1)
 
@@ -480,19 +448,7 @@ class CyclotomicField:
         return self.zeta_power(1)
 
     def zeta_power(self, k: int) -> CycloNum:
-        k %= self.order
-        if self.degree == 1:
-            # t is congruent to a constant modulo a linear cyclotomic polynomial
-            return self.coerce((-self.phi[0]) ** k)
-        # multiply by t k times: a shift, plus t^degree's row when the top
-        # coordinate overflows; the coordinates stay integers
-        coords = [1] + [0] * (self.degree - 1)
-        for _ in range(k):
-            top = coords.pop()
-            coords.insert(0, 0)
-            if top:
-                coords = [c + top * r for c, r in zip(coords, self._red[0])]
-        return _cyclonum(self, coords, 1)
+        return _cyclonum(self, self._powers[k % self.order], 1)
 
     def element(self, coords) -> CycloNum:
         return CycloNum(self, coords)
@@ -521,10 +477,11 @@ class CyclotomicField:
                 for j, bj in b:
                     prod[i + j] += ai * bj
         out = prod[:n]
+        powers, m = self._powers, self.order
         for j in range(n, 2 * n - 1):
             c = prod[j]
             if c:
-                for i, r in enumerate(self._red[j - n]):
+                for i, r in enumerate(powers[j % m]):
                     out[i] += c * r
         return out
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 from .errors import InputError
 from .fields import QQ
@@ -73,7 +73,7 @@ class FreeWord:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        return reduce(lambda a, b: a * b, [self] * k, FreeWord.identity())
+        return FreeWord(self.letters * k)
 
     def __len__(self):
         return len(self.letters)
@@ -300,11 +300,17 @@ def artin_relator(u: str, v: str, label: int, form: str = STANDARD) -> FreeWord:
     ``standard``: (uvu...)_label (vuv...)_label^-1.
     ``even-commutator``: [(uv)^m, u] for label = 2m; defined only for even
     labels, where it is equivalent to the standard form.
+
+    Either form has 2 * label letters, so a relator longer than
+    ``MAX_WORD_LETTERS`` is refused before any letter is built.
     """
     if label < 2:
         raise InputError("edge labels must be at least 2")
     if u == v:
         raise InputError("relator needs two distinct generators")
+    if 2 * label > MAX_WORD_LETTERS:
+        raise InputError(
+            f"relator of label {label} has more than MAX_WORD_LETTERS = {MAX_WORD_LETTERS} letters")
     if form == STANDARD:
         return alternating_word(u, v, label) * alternating_word(v, u, label).inverse()
     if form == EVEN_COMMUTATOR:

@@ -419,9 +419,12 @@ def _check_power(p: LaurentPoly, e: int) -> None:
 
 class _PolyParser:
     def __init__(self, text: str, variables, domain):
+        self.variables = tuple(variables)
+        for i, name in enumerate(self.variables):
+            if name in self.variables[:i]:
+                raise InputError(f"variable {name!r} is declared twice")
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.variables = tuple(variables)
         self.domain = domain
 
     def peek(self):
@@ -497,7 +500,8 @@ class _PolyParser:
 
 
 def parse_poly(text: str, variables, domain=QQ) -> LaurentPoly:
-    """Parse ``1 + s*u + (s*u)^2``-style syntax into a LaurentPoly.
+    """Parse ``1 + s*u + (s*u)^2``-style syntax into a LaurentPoly.  A
+    variable list that names one variable twice is an InputError.
 
     >>> parse_poly("(a*b)^2 - a^2*b", ("a", "b")).to_string()
     'a^2*b^2 - a^2*b'

@@ -5,8 +5,6 @@ Entries share one variable list and are brought to one coefficient field
 Negative exponents are cleared row by row with monomial units, which does not
 change the rank, and the Bareiss scheme keeps every intermediate entry a
 polynomial: the division at each step is exact by the Sylvester identity.
-``rank_mod_p`` is the same question for an integer matrix read modulo a
-prime.
 """
 
 from __future__ import annotations
@@ -119,23 +117,3 @@ def matrix_rank(matrix) -> int:
             break
     return rank
 
-
-def rank_mod_p(rows, p: int) -> int:
-    """Rank over F_p of a matrix of integers (rows of equal length), by
-    Gaussian elimination on residues."""
-    work = [[x % p for x in row] for row in rows]
-    rank = 0
-    for col in range(len(work[0]) if work else 0):
-        pivot = next((i for i in range(rank, len(work)) if work[i][col]), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        top = work[rank]
-        inv = pow(top[col], -1, p)
-        for i in range(rank + 1, len(work)):
-            row = work[i]
-            if row[col]:
-                f = row[col] * inv % p
-                work[i] = [(a - f * b) % p for a, b in zip(row, top)]
-        rank += 1
-    return rank

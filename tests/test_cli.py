@@ -218,6 +218,17 @@ def test_fox_refuses_an_oversized_derivative(capsys):
     }
 
 
+def test_jacobian_refuses_a_relator_past_the_word_limit(tmp_path, capsys):
+    start = time.process_time()
+    code, out, err = run_cli(capsys, ["jacobian", graph_file(tmp_path, "v a\nv b\ne a b 2000000000\n")])
+    assert time.process_time() - start < 0.5
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "input",
+        "message": "relator of label 2000000000 has more than MAX_WORD_LETTERS = 1000000 letters",
+    }
+
+
 def test_polyhedron_refuses_too_many_vertices(tmp_path, capsys):
     text = "".join(f"v x{i}\n" for i in range(13)) + "".join(f"e x{i} x{i + 1} 4\n" for i in range(12))
     code, out, err = run_cli(capsys, ["polyhedron", graph_file(tmp_path, text)])
@@ -349,6 +360,13 @@ def test_groebner_refuses_numbers_past_the_digit_limit(capsys, gen, message):
     assert time.process_time() - start < 0.5
     assert (code, out) == (2, "")
     assert json.loads(err) == {"error": "input", "message": message}
+
+
+@pytest.mark.parametrize("extra", [[], ["--laurent"]], ids=["plain", "laurent"])
+def test_groebner_refuses_a_repeated_variable(capsys, extra):
+    code, out, err = run_cli(capsys, ["groebner", "--vars", "x,y,x", "--gens", "x-1", *extra])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "input", "message": "variable 'x' is declared twice"}
 
 
 def test_groebner_non_unit(capsys):

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -202,6 +203,36 @@ def test_artin_relator_forms():
         artin_relator("x", "x", 4)
     with pytest.raises(InputError):
         artin_relator("x", "y", 1)
+
+
+@pytest.mark.parametrize("form", [STANDARD, EVEN_COMMUTATOR])
+@pytest.mark.parametrize("label", [MAX_WORD_LETTERS // 2 + 2, 2 * 10**9], ids=["first-even-past", "2e9"])
+def test_artin_relator_refuses_past_the_word_limit_before_building(label, form):
+    # a relator has 2 * label letters in either form; 2e9 would ask for a
+    # list of 10^9 words before any letter is reduced
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match=f"MAX_WORD_LETTERS = {MAX_WORD_LETTERS}"):
+            artin_relator("x", "y", label, form)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_word_power_matches_repeated_products():
+    rng = random.Random(19)
+    for _ in range(60):
+        w, k = rand_word(rng), rng.randint(-5, 5)
+        expect = FreeWord.identity()
+        for _ in range(abs(k)):
+            expect = expect * (w if k > 0 else w.inverse())
+        assert w ** k == expect
+    # one reduction pass, not k: label 8000 used to take seconds
+    start = time.process_time()
+    relator = artin_relator("x", "y", 8000, EVEN_COMMUTATOR)
+    assert time.process_time() - start < 0.5
+    assert len(relator) == 16000
 
 
 def test_even_forms_define_same_relation():

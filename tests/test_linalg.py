@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from artin_sigma import InputError, LaurentPoly, PolyMatrix, QQ, matrix_rank, parse_poly
-from artin_sigma.linalg import exact_divide, rank_mod_p
+from artin_sigma.linalg import exact_divide
 from oracles import fraction_rank
 
 X = ("x",)
@@ -121,19 +121,6 @@ def test_rank_of_integer_entries_is_taken_over_qq():
     assert matrix_rank(rows) == 1
 
 
-def test_rank_mod_p():
-    assert rank_mod_p([], 7) == 0
-    assert rank_mod_p([[0, 0], [0, 0]], 7) == 0
-    # full rank over Q, but the determinant 3 vanishes mod 3
-    assert rank_mod_p([[1, 1], [1, 4]], 3) == 1
-    assert rank_mod_p([[1, 1], [1, 4]], 5) == 2
-    rng = random.Random(31)
-    for _ in range(60):
-        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
-        raw = [[rng.randint(-6, 6) for _ in range(nc)] for _ in range(nr)]
-        assert rank_mod_p(raw, 1_000_003) == fraction_rank(raw)
-
-
 def _poly_product_matrix(rng, n, r, m):
     """Coefficient lists (ascending, in x) of A*B for random n-by-r and r-by-m
     matrices of quadratics, so the rank is at most r."""
@@ -171,18 +158,3 @@ def test_rank_vs_sympy_univariate():
         assert rank == DomainMatrix.from_Matrix(theirs).to_field().rank()
         ranks.add(rank)
     assert ranks >= {1, 2, 3}
-
-
-def test_rank_mod_p_vs_sympy():
-    pytest.importorskip("sympy")
-    from sympy import GF
-    from sympy.polys.matrices import DomainMatrix
-
-    rng = random.Random(405)
-    for p in (2, 3, 7):
-        for _ in range(30):
-            nr, nc = rng.randint(1, 5), rng.randint(1, 5)
-            raw = [[rng.randint(-6, 6) for _ in range(nc)] for _ in range(nr)]
-            field = GF(p)
-            expected = DomainMatrix([[field(v) for v in row] for row in raw], (nr, nc), field).rank()
-            assert rank_mod_p(raw, p) == expected
