@@ -30,7 +30,8 @@ from .graphs import LabeledGraph
 MAX_POLYHEDRON_VERTICES = 12
 """Most vertices ``complement_polyhedron`` and ``disconnection_pieces``
 accept; a larger graph is an InputError before anything is enumerated.  The
-candidates are bounded by the 2^n zero sets times the bonds of each rest."""
+cost is n steps per candidate, and the candidates are at most the 2^n zero
+sets times the bonds of each rest."""
 
 DOMINANCE = "dominance"
 DISCONNECTION = "disconnection"
@@ -165,7 +166,7 @@ def _spanned(key, pairs) -> int:
 def subsphere_contained(a: SubSphere, b: SubSphere, graph: LabeledGraph) -> bool:
     """Whether every character killed by a's forms is killed by b's: b's
     unit vertices are full in the span of a's forms and b's cut edges lie
-    in it, the test ``complement_polyhedron`` prunes with."""
+    in it."""
     adj, ends = _adjacency(graph)
     _, full, key = _span(len(adj), a.units, _members(a.cut, ends))
     return b.units & full == b.units and b.cut & _spanned(key, ends) == b.cut
@@ -323,7 +324,7 @@ def dominance_pieces(graph: LabeledGraph) -> list:
 def disconnection_pieces(graph: LabeledGraph) -> list:
     """Candidate pieces from vanishing sets Y1 plus even-label cuts
     disconnecting the rest, enumerated by increasing |Y1| then cut size.
-    Nothing is pruned here; ``complement_polyhedron`` does that."""
+    Nothing is dropped here."""
     _check_vertex_count(graph)
     return [_piece(graph, DISCONNECTION, units, cut) for units, cut in _cuts(graph)]
 
@@ -356,58 +357,52 @@ def _forest_size(pairs) -> int:
 
 
 def complement_polyhedron(graph: LabeledGraph) -> SphericalPolyhedron:
-    """The disconnection candidates, pruned once: a piece whose solution set
-    lies inside another piece's is removed.  Candidates are visited by rank,
-    then by the canonical key (number of forms, forms as vertex indices);
-    the result is sorted canonically.
+    """The candidates, dominance and disconnection, whose span holds no other
+    candidate's span, sorted by the canonical key (number of forms, forms as
+    vertex indices).  A candidate (Y1, F) of ``_cuts`` is kept when every
+    vertex of Y1 has a neighbour in every component of G[R] - F, R = V - Y1:
+    the components of the rest for an empty cut, where Y1 is then an
+    inclusion-minimal vertex separator (Berry, Bordat and Cogis, IJFCS
+    11(3), 2000), and the two sides of a bond.
 
-    Dominance candidates are never kept, so they are not enumerated.  Take
-    a proper closed neighbourhood N[x] and a vertex y outside it.  Then
-    |N(x)| <= n - 2, and x is isolated in the rest V - N(x), which also
-    holds y; so the rest is disconnected and (Y1 = N(x), empty cut) is a
-    disconnection candidate.  Its forms are a proper subset of the
-    dominance piece's, so it has lower rank and is visited first, and its
-    solution set strictly contains the dominance piece's.  Kept, or dropped
-    for a kept piece whose span lies in its own, it leaves a kept piece
-    whose span lies in the dominance piece's, which is then dropped.
+    The span is read off the shape.  F is empty or the bond between the
+    sides S and R - S of R, so its edge sums form a bipartite signed graph
+    on R, and the unit forms sit on Y1, which no cut edge touches.  So the
+    full vertices are exactly Y1, and an edge sum lies in the span when
+    both ends are in Y1 or it joins S to R - S, and then it is in F.  So
+    (Y1', F')'s span lies in (Y1, F)'s, as ``subsphere_contained`` tests,
+    exactly when Y1' lies in Y1 and F' in F plus the edges inside Y1, and
+    distinct candidates have distinct spans.  The rule keeps exactly the
+    candidates with no other inside:
+    - y in Y1 misses a component C.  C is still a component of
+      G[R + y] - F, so Y1 - y has a candidate inside this one: the empty
+      cut when G[R + y] is disconnected, else a bond inside F.
+    - Every y meets every component, and Y1' is a proper subset of Y1.
+      F' lies in F plus the edges inside D = Y1 - Y1'; deleting them
+      keeps each component of G[R] - F and each edge from D to R, so
+      G[R + D] - F' is connected and F' is no cut.
+    - Y1' = Y1: F' lies in F, and two bonds of one rest are never nested.
 
-    A candidate's span is read off its shape, with no ``_span`` call.  Its
-    cut is empty or the bond between the two sides S and R - S of the rest
-    R = V - Y1 (``_cuts``), so every cut edge crosses from S to R - S: the
-    edge sums form a bipartite signed graph on R, and the unit forms sit on
-    Y1, which no cut edge touches.  So
-    - the full vertices are exactly Y1: a component of the cut edges holds
-      no unit vertex and, being bipartite, no odd cycle;
-    - the rank is |Y1| plus the edges of a spanning forest of the cut,
-      n minus the cut's components on R, so it is below n and no candidate
-      forces the whole character to vanish;
-    - an edge sum lies in the span when both ends are in Y1, or when its
-      ends are in one cut component with opposite colours, that is on
-      opposite sides of S; every edge between S and R - S is removable, so
-      is in the cut.  The spanned edges are those inside Y1 and the cut;
-    - so distinct (Y1, cut) pairs have distinct spans, and no span is
-      visited twice.
-    A candidate is dropped when some kept piece (u, c) has u inside Y1 and
-    c inside its spanned edges, ``subsphere_contained``'s test.  Only kept
-    pieces are built as ``SubSphere``s."""
+    Dominance candidates are never kept, so they are not enumerated: for a
+    proper closed neighbourhood N[x] and a vertex y outside it, x is
+    isolated in the rest V - N(x), which also holds y, so (N(x), empty cut)
+    is a disconnection candidate, whose forms are a proper subset of the
+    dominance piece's.  Only kept pieces are built as ``SubSphere``s."""
     _check_vertex_count(graph)
-    n = len(graph.vertices)
-    _, ends = _adjacency(graph)
-    ranked = []
-    last = None
-    for units, cut in _cuts(graph):
-        if units != last:  # one Y1's cuts come together
-            last = units
-            inner = sum(1 << k for k, (i, j) in enumerate(ends) if units >> i & units >> j & 1)
-        pairs = _members(cut, ends)
-        forms = tuple((i,) for i in range(n) if units >> i & 1) + pairs
-        rank = units.bit_count() + _forest_size(pairs)
-        ranked.append((rank, (len(forms), forms), units, cut, inner | cut))
-    ranked.sort(key=lambda r: r[:2])
+    adj, ends = _adjacency(graph)
+    everything = (1 << len(adj)) - 1
     kept = []  # (canonical key, unit mask, cut-edge mask)
-    for _, order, units, cut, spanned in ranked:
-        if not any(u & ~units == 0 and c & ~spanned == 0 for _, u, c in kept):
-            kept.append((order, units, cut))
+    for units, cut in _cuts(graph):
+        pairs = _members(cut, ends)
+        sides = adj[:]
+        for i, j in pairs:
+            sides[i] ^= 1 << j
+            sides[j] ^= 1 << i
+        rest = everything ^ units
+        # y meets every component of G[R] - F iff its neighbours reach all of R there
+        if all(_component(nbrs & rest, rest, sides) == rest for nbrs in _members(units, adj)):
+            forms = tuple((i,) for i in range(len(adj)) if units >> i & 1) + pairs
+            kept.append(((len(forms), forms), units, cut))
     kept.sort(key=lambda k: k[0])
     pieces = tuple(_piece(graph, DISCONNECTION, units, cut) for _, units, cut in kept)
     return SphericalPolyhedron(graph, pieces)

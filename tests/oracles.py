@@ -170,20 +170,28 @@ def cyclotomic_coefficients(n):
 def cyclotomic_product(a, b, phi):
     """Coordinates of the product of two elements of Q(zeta_M), each given by
     its coordinates in the power basis of zeta: the polynomial product of the
-    coordinate lists as Fractions, with each term of degree at least deg phi
-    cancelled by a multiple of the monic M-th cyclotomic polynomial ``phi``
-    (ascending coefficients), from the top down."""
+    coordinate lists on integer numerators over one common denominator, with
+    each term of degree at least deg phi cancelled by a multiple of the
+    monic M-th cyclotomic polynomial ``phi`` (ascending integer
+    coefficients), from the top down.  Returned as Fractions."""
     n = len(phi) - 1
-    prod = [Fraction(0)] * (len(a) + len(b))
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            prod[i + j] += Fraction(x) * Fraction(y)
+    phi = [Fraction(p) for p in phi]
+    assert phi[-1] == 1 and all(p.denominator == 1 for p in phi)
+    a, b = [Fraction(x) for x in a], [Fraction(y) for y in b]
+    den_a = lcm(*(x.denominator for x in a))
+    den_b = lcm(*(y.denominator for y in b))
+    num_a = [x.numerator * (den_a // x.denominator) for x in a]
+    num_b = [y.numerator * (den_b // y.denominator) for y in b]
+    prod = [0] * (len(a) + len(b))
+    for i, x in enumerate(num_a):
+        for j, y in enumerate(num_b):
+            prod[i + j] += x * y
     for k in range(len(prod) - 1, n - 1, -1):
         c = prod[k]
         if c:
             for i, p in enumerate(phi):
-                prod[k - n + i] -= c * p
-    return prod[:n]
+                prod[k - n + i] -= c * p.numerator
+    return [Fraction(c, den_a * den_b) for c in prod[:n]]
 
 
 def parse_x_zeta(text):

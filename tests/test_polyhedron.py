@@ -514,14 +514,16 @@ def _complete_graph(n, label=4):
     return LabeledGraph(names, tuple((names[i], names[j], label) for i, j in combinations(range(n), 2)))
 
 
-def test_k7_builds_within_budget():
-    # every zero set of K7 leaves a complete rest K_m, whose 2^(m-1) - 1 bonds
-    # are all kept: the sum of C(7, m) (2^(m-1) - 1) over m = 2..7 is 966
-    k7 = _complete_graph(7)
+@pytest.mark.parametrize("n, count", [(7, 966), (9, 9330)], ids=["K7", "K9"])
+def test_complete_graph_builds_within_budget(n, count):
+    # every zero set of K_n leaves a complete rest K_m, whose 2^(m-1) - 1 bonds
+    # are all kept: the sum of C(n, m) (2^(m-1) - 1) over m = 2..n is 966 for
+    # K7 and 9330 for K9
+    kn = _complete_graph(n)
     start = time.process_time()
-    pieces = complement_polyhedron(k7).pieces
+    pieces = complement_polyhedron(kn).pieces
     assert time.process_time() - start < 2.0
-    assert len(pieces) == 966
+    assert len(pieces) == count
 
 
 def test_k6_candidates_match_oracle_cuts():
