@@ -78,6 +78,7 @@ def _emit(report: dict, fmt: str, text_lines) -> None:
 # ---------------------------------------------------------------------------
 # subcommand bodies: each returns (inputs, result, text_lines) and imports
 # what it uses when it runs; ``main`` loads those modules before its clock.
+# text_lines may be a generator, which ``_emit`` reads only for text output.
 
 
 def _cmd_sigma1(args):
@@ -102,7 +103,13 @@ def _cmd_polyhedron(args):
     graph, _, digest = _load_graph_and_char(args.path, None)
     poly = complement_polyhedron(graph)
     inputs = {"graph_sha256": digest}
-    lines = [f"pieces: {len(poly.pieces)}"]
+    return inputs, poly.to_json_dict(), _piece_lines(poly)
+
+
+def _piece_lines(poly):
+    """The text lines of a polyhedron, made as ``_emit`` prints them, so
+    that ``--format json`` makes none."""
+    yield f"pieces: {len(poly.pieces)}"
     for piece in poly.pieces:
         origin = piece.origin
         tag = f"{origin.kind} zero_set={{{','.join(origin.zero_set)}}}"
@@ -110,8 +117,7 @@ def _cmd_polyhedron(args):
             cut = ",".join(f"({u},{v})" for u, v in origin.cut_edges)
             tag += f" cut={{{cut}}}"
         forms = "; ".join(" + ".join(v for v, _ in f.coeffs) for f in piece.forms)
-        lines.append(f"  {tag}: {forms}")
-    return inputs, poly.to_json_dict(), lines
+        yield f"  {tag}: {forms}"
 
 
 def _cmd_hypothesis(args):

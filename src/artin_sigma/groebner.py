@@ -27,12 +27,24 @@ polynomials (as ``buchberger`` calls them) or ``LaurentPoly``s, which must
 share one variable list (``laurent.common_ring``; a second list is an
 ``InputError``).
 
-Packed coefficients over GF(p) are plain ints in [0, p), converted once on
-packing and once on unpacking, and the ring carries p: the one division
-and S-polynomial kernel takes ``% p`` only when there is a prime, and
-inverts only to make a polynomial monic (``pow(c, -1, p)``).  Over QQ and
-QQ(zeta_M) the coefficients stay field elements.  Every basis element is
-kept monic, so the kernels multiply by no leading-coefficient inverse.
+Packed coefficients are ints over QQ and GF(p), and field elements over
+QQ(zeta_M).  A packed polynomial is its terms over a positive int ``den``,
+which is 1 but over QQ: a QQ generator packs with its denominators cleared,
+and "monic" over QQ means primitive with a positive leading coefficient,
+with that coefficient as ``den``.  There is one division kernel; its first
+step on x^(L - lm f) * f by g is the S-polynomial of f and g, L the lcm of
+their leading monomials.  It cancels a leading coefficient c by a reducer
+whose leading coefficient is a without dividing: it scales the dividend by
+a / gcd(a, c), subtracts c / gcd(a, c) times the reducer and folds the
+scale into ``den`` (the primitive pseudo-remainder of Geddes, Czapor and
+Labahn, "Algorithms for Computer Algebra", 1992, ch. 7).  So a remainder
+over QQ is the field's remainder times a positive scalar: the leading
+monomials, the pairs formed and the reduced bases are those of division
+over the field, and unpacking divides by ``den``.  Over GF(p) and
+QQ(zeta_M) every basis element is monic, so the scale is 1; over GF(p) the
+coefficients lie in [0, p), converted once on packing and once on
+unpacking, the ring carries p and the kernel takes ``% p`` only when there
+is a prime.
 
 The pair loop (``_pair_loop``) pops pairs in (packed lcm, i, j) order and
 updates them as Gebauer and Moller do ("On an installation of Buchberger's
@@ -52,11 +64,14 @@ c with sum c_i d_i = 0 has prod lam_i^(c_i) != 1 (Eisenbud and Sturmfels,
 from __future__ import annotations
 
 import heapq
+from functools import cached_property
+from fractions import Fraction
 from itertools import groupby
+from math import gcd, lcm, prod
 from operator import itemgetter, mul
 
 from .errors import InputError
-from .fields import FpElement, PrimeField
+from .fields import QQ, FpElement, PrimeField
 from .laurent import LaurentPoly, common_ring
 
 
@@ -103,7 +118,8 @@ class _PackedRing:
     The layout is in the module docstring; ``cap`` is the capacity C,
     ``offset`` the offset Z and ``guards`` the mask of all guard bits.
     ``prime`` is p for GF(p), whose packed coefficients are ints in [0, p),
-    and None for the other fields, whose coefficients stay field elements.
+    and None for the other fields: ints over QQ, field elements over
+    QQ(zeta_M).
     """
 
     __slots__ = ("variables", "order", "domain", "prime", "width", "cap", "offset", "guards",
@@ -130,14 +146,13 @@ class _PackedRing:
             self._flip, self._deg_shift = 0, None
 
     @classmethod
-    def fitting(cls, variables, order, domain, polys):
-        """The ring whose capacity is at least twice every degree in polys."""
-        degree = 0
-        for p in polys:
-            for e in p.terms:
-                if min(e, default=0) < 0:
-                    raise InputError("Groebner generators must have non-negative exponents")
-                degree = max(degree, sum(e))
+    def fitting(cls, variables, order, domain, systems):
+        """The ring whose capacity is at least twice every degree of the
+        exponent vectors in systems (term dicts)."""
+        exps = [e for terms in systems for e in terms]
+        if any(min(e, default=0) < 0 for e in exps):
+            raise InputError("Groebner generators must have non-negative exponents")
+        degree = max(map(sum, exps), default=0)
         return cls(variables, order, domain, max(_MIN_WIDTH, (2 * degree).bit_length()))
 
     def wider(self) -> "_PackedRing":
@@ -160,52 +175,59 @@ class _PackedRing:
         return m & self.cap if self._deg_shift is None else m >> self._deg_shift
 
     def from_poly(self, f: LaurentPoly) -> "_Packed":
-        pack = self.pack
+        pack, terms = self.pack, f.terms
         if self.prime:
-            return _Packed(self, {pack(e): c.val for e, c in f.terms.items()})
-        return _Packed(self, {pack(e): c for e, c in f.terms.items()})
+            return _Packed(self, {pack(e): c.val for e, c in terms.items()})
+        if self.domain is QQ:
+            den = lcm(*(c.denominator for c in terms.values()))
+            return _Packed(self, {pack(e): c.numerator * (den // c.denominator)
+                                  for e, c in terms.items()}, den)
+        return _Packed(self, {pack(e): c for e, c in terms.items()})
 
     def to_poly(self, p: "_Packed") -> LaurentPoly:
-        unpack, prime = self.unpack, self.prime
+        unpack, prime, den = self.unpack, self.prime, p.den
         if prime:
             terms = {unpack(m): FpElement(prime, c) for m, c in p.terms.items()}
         else:
-            terms = {unpack(m): c for m, c in p.terms.items()}
+            terms = {unpack(m): Fraction(c, den) if den != 1 else c for m, c in p.terms.items()}
         return LaurentPoly(self.variables, terms, self.domain)
 
     def repack(self, p: "_Packed") -> "_Packed":
         unpack = p.ring.unpack
-        return _Packed(self, {self.pack(unpack(m)): c for m, c in p.terms.items()})
+        return _Packed(self, {self.pack(unpack(m)): c for m, c in p.terms.items()}, p.den)
 
 
 class _Packed:
-    """A polynomial as a dict from packed monomials to coefficients."""
+    """A polynomial as a dict from packed monomials to coefficients, over a
+    positive int ``den`` that is 1 but over QQ: the polynomial is
+    terms / den."""
 
-    __slots__ = ("ring", "terms", "_lead")
-
-    def __init__(self, ring, terms):
+    def __init__(self, ring, terms, den=1):
         self.ring = ring
         self.terms = terms
-        self._lead = None
+        self.den = den
 
-    @property
+    @cached_property
     def lead(self):
-        """(lm, tail, top, exps): the leading monomial, the other terms as
-        (monomial, coefficient) pairs, a term of greatest degree (lm itself
-        under grevlex) and lm's exponent vector."""
-        if self._lead is None:
-            terms = self.terms
-            ring = self.ring
-            lm = max(terms)
-            top = max(terms, key=ring.degree) if ring.order == "lex" else lm
-            tail = [(m, c) for m, c in terms.items() if m != lm]
-            self._lead = (lm, tail, top, ring.unpack(lm))
-        return self._lead
+        """(lm, lc, tail, top, exps): the leading monomial and coefficient,
+        the other terms as (monomial, coefficient) pairs, a term of greatest
+        degree (lm itself under grevlex) and lm's exponent vector."""
+        terms = self.terms
+        ring = self.ring
+        lm = max(terms)
+        top = max(terms, key=ring.degree) if ring.order == "lex" else lm
+        tail = [(m, c) for m, c in terms.items() if m != lm]
+        return lm, terms[lm], tail, top, ring.unpack(lm)
 
     def monic(self) -> "_Packed":
-        """This nonzero polynomial divided by its leading coefficient."""
+        """This nonzero polynomial divided by its leading coefficient; over
+        QQ its primitive part with a positive leading coefficient, over that
+        coefficient."""
         ring, terms = self.ring, self.terms
-        lc = terms[self.lead[0]]
+        lc = self.lead[1]
+        if ring.domain is QQ:
+            g = gcd(*terms.values()) if lc > 0 else -gcd(*terms.values())
+            return _Packed(ring, {m: c // g for m, c in terms.items()}, lc // g)
         if lc == 1:
             return self
         p = ring.prime
@@ -230,17 +252,20 @@ def _packed_inputs(polys, order):
     variables, domain, polys = common_ring(polys)
     if not polys:
         return []
-    ring = _PackedRing.fitting(variables, order, domain, polys)
+    ring = _PackedRing.fitting(variables, order, domain, [p.terms for p in polys])
     return [ring.from_poly(p) for p in polys]
 
 
-def _divide(polys):
-    """Remainder of polys[0] modulo the monic polys[1:], all in one ring."""
+def _divide(polys, one_step=False):
+    """Remainder of polys[0] modulo polys[1:], all in one ring, the divisors
+    monic but over QQ; over QQ it is reduced fraction-free, its scale put in
+    ``den``.  With ``one_step``, polys[0] after the reduction of its leading
+    term, which one of polys[1:] must divide."""
     f = polys[0]
     ring = f.ring
     offset, guards, p = ring.offset, ring.guards, ring.prime
-    table = [g.lead[:3] for g in polys[1:]]
-    work = dict(f.terms)
+    table = [g.lead for g in polys[1:]]
+    work, den = dict(f.terms), f.den
     heap = [-m for m in work]
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
@@ -250,13 +275,21 @@ def _divide(polys):
         lc = work.pop(lm, None)
         if lc is None:  # a stale entry: the term cancelled
             continue
-        for glm, gtail, gtop in table:
+        for glm, glc, gtail, gtop, _ in table:
             if not (lm - glm + offset) & guards:
-                # work -= lc * x^(lm - glm) * g; the leading terms cancel
+                # work = s * work + k * x^(lm - glm) * g with s * lc + k * glc
+                # = 0, so the leading terms cancel; s = 1 but over QQ
                 d = lm - glm
                 if (gtop + d) & guards:
                     raise _Spill
-                k = p - lc if p else -lc
+                k = -lc
+                if glc != 1:
+                    h = gcd(lc, glc)
+                    s, k = glc // h, k // h
+                    if s != 1:
+                        work = {m: c * s for m, c in work.items()}
+                        rem = {m: c * s for m, c in rem.items()}
+                        den *= s
                 for e, c in gtail:
                     m = e + d
                     v = work.get(m)
@@ -271,39 +304,25 @@ def _divide(polys):
                             work[m] = v
                         else:
                             del work[m]
+                if one_step:
+                    return _Packed(ring, work, den)
                 break
         else:
             rem[lm] = lc
-    return _Packed(ring, rem)
+    return _Packed(ring, rem, den)
 
 
 def _s_kernel(polys):
-    """x^(L - lm f) * f - x^(L - lm g) * g, L the lcm of the leading
-    monomials, for monic f and g in one ring."""
+    """x^(L - lm f) * f / lc f - x^(L - lm g) * g / lc g, L the lcm of the
+    leading monomials, for f and g in one ring, monic but over QQ: the first
+    step of dividing x^(L - lm f) * f by g, so over QQ a positive multiple,
+    with lcm(lc f, lc g) in ``den``."""
     f, g = polys
-    ring = f.ring
-    guards, p = ring.guards, ring.prime
-    flm, ftail, ftop, fexps = f.lead
-    glm, gtail, gtop, gexps = g.lead
-    lcm = ring.lcm(fexps, gexps)
-    df, dg = lcm - flm, lcm - glm
-    if (ftop + df) & guards or (gtop + dg) & guards:
+    flm, _, _, ftop, fexps = f.lead
+    d = f.ring.lcm(fexps, g.lead[4]) - flm
+    if (ftop + d) & f.ring.guards:
         raise _Spill
-    terms = {e + df: c for e, c in ftail}
-    for e, c in gtail:
-        m = e + dg
-        v = terms.get(m)
-        if v is None:
-            terms[m] = p - c if p else -c
-        else:
-            v -= c
-            if p:
-                v %= p
-            if v:
-                terms[m] = v
-            else:
-                del terms[m]
-    return _Packed(ring, terms)
+    return _divide([_Packed(f.ring, {m + d: c for m, c in f.terms.items()}, f.den), g], True)
 
 
 def reduce_poly(f, basis, order=DEFAULT_ORDER):
@@ -312,8 +331,9 @@ def reduce_poly(f, basis, order=DEFAULT_ORDER):
     Takes LaurentPolys and returns one, or takes packed polynomials in one
     ring with a monic basis (as ``buchberger`` calls it), whose order is
     then used, and returns a packed remainder, in a wider ring after a
-    spill.  The division runs on a private copy of f's terms; neither f nor
-    any basis element is modified.
+    spill; over QQ that remainder is a positive multiple of the true one,
+    which ``to_poly`` divides out.  The division runs on a private copy of
+    f's terms; neither f nor any basis element is modified.
     """
     if isinstance(f, _Packed):
         return _widening(_divide, [f, *basis])
@@ -362,7 +382,7 @@ def _pair_loop(basis, order):
             return [b]
     ring = basis[0].ring
     lms = [b.lead[0] for b in basis]
-    exps = [b.lead[3] for b in basis]  # exponent vectors: unchanged by widening
+    exps = [b.lead[4] for b in basis]  # exponent vectors: unchanged by widening
     active = []  # in index order
     queue = []
 
@@ -430,7 +450,7 @@ def _pair_loop(basis, order):
             return [r]
         basis.append(r)
         lms.append(r.lead[0])
-        exps.append(r.lead[3])
+        exps.append(r.lead[4])
         update(len(basis) - 1)
     return [basis[k] for k in active]
 
@@ -455,21 +475,26 @@ def _interreduced(basis, order):
         r = reduce_poly(p, others, order) if others else p
         if r.ring is not p.ring:
             minimal = [r.ring.repack(q) for q in minimal]
-        reduced.append((key(r.lead[3]), r.ring.to_poly(r)))
+        reduced.append((key(r.lead[4]), r.ring.to_poly(r)))
     reduced.sort(key=itemgetter(0))
     return [p for _, p in reduced]
 
 
-def _groebner_basis(gens, order):
-    """The pair loop's basis for the nonzero gens, monic; [] for none."""
-    basis = [p.monic() for p in _packed_inputs(gens, order) if p.terms]
+def _groebner_basis(packed, order):
+    """The pair loop's basis for the nonzero packed polynomials, monic; []
+    for none."""
+    basis = [p.monic() for p in packed if p.terms]
     return _pair_loop(basis, order) if basis else []
 
 
 def buchberger(gens, order=DEFAULT_ORDER) -> list[LaurentPoly]:
     """Reduced Groebner basis (monic, sorted by leading monomial)."""
-    basis = _groebner_basis(gens, order)
+    basis = _groebner_basis(_packed_inputs(gens, order), order)
     return _interreduced(basis, order) if basis else []
+
+
+def _is_unit(basis) -> bool:
+    return len(basis) == 1 and _is_one(basis[0])
 
 
 def is_unit_ideal(gens, order=DEFAULT_ORDER) -> bool:
@@ -477,8 +502,7 @@ def is_unit_ideal(gens, order=DEFAULT_ORDER) -> bool:
 
     The pair loop stops at the first constant, and nothing is interreduced.
     """
-    basis = _groebner_basis(gens, order)
-    return len(basis) == 1 and _is_one(basis[0])
+    return _is_unit(_groebner_basis(_packed_inputs(gens, order), order))
 
 
 def saturation_variable(variables) -> str:
@@ -518,60 +542,44 @@ def _integer_left_kernel(rows):
     return [r[n:] for r in work[rank:]]
 
 
-def _lattice_unit(polys):
+def _lattice_unit(polys, prime=None):
     """Laurent unit-ideal test for generators of at most two terms.
 
-    ``polys`` are nonzero and share one domain and variable list.  Returns
-    None when some generator has three or more terms; otherwise
-    (flag, witness).  A unit ideal's witness is {"monomial": i} when
-    polys[i] has one term (a unit of the Laurent ring), else
+    ``polys`` are nonzero LaurentPolys over one domain and variable list,
+    or with ``prime`` term dicts of nonzero ints mod prime over one variable
+    list.  Returns None when some generator has three or more terms;
+    otherwise (flag, witness).  A unit ideal's witness is {"monomial": i}
+    when polys[i] has one term (a unit of the Laurent ring), else
     {"relation": c}: with a the lexicographically larger exponent of the
     binomial polys[i] = c1*x^a + c2*x^b, d_i = a - b and lam_i = -c2/c1, the
     vector c has sum c_i d_i = 0 and prod lam_i^(c_i) != 1, so the nonzero
     constant 1 - prod lam_i^(c_i) lies in the ideal.  A proper ideal has
     witness None.
     """
-    if any(len(p.terms) > 2 for p in polys):
+    systems = polys if prime else [p.terms for p in polys]
+    if any(len(t) > 2 for t in systems):
         return None
-    for i, p in enumerate(polys):
-        if len(p.terms) == 1:
+    for i, t in enumerate(systems):
+        if len(t) == 1:
             return True, {"monomial": i}
     rows, lams = [], []
-    for p in polys:
-        b, a = sorted(p.terms)
+    for t in systems:
+        b, a = sorted(t)
         rows.append(tuple(x - y for x, y in zip(a, b)))
-        lams.append(-p.terms[b] / p.terms[a])
+        lams.append(-t[b] * pow(t[a], -1, prime))
     for c in _integer_left_kernel(rows):
-        num = den = polys[0].domain.one
-        for lam, k in zip(lams, c):
-            if k > 0:
-                num = num * lam ** k
-            elif k < 0:
-                den = den * lam ** -k
-        if num != den:
+        num = prod(pow(lam, k, prime) for lam, k in zip(lams, c) if k > 0)
+        den = prod(pow(lam, -k, prime) for lam, k in zip(lams, c) if k < 0)
+        if (num - den) % prime if prime else num != den:
             return True, {"relation": c}
     return False, None
 
 
-def _saturation_system(gens):
-    """The nonzero generators, cleared of negative exponents and extended by
-    the saturation variable, in one domain; with their positions in gens."""
-    variables, _, polys = common_ring(gens)
-    positions = [i for i, p in enumerate(polys) if not p.is_zero()]
-    if not positions:
-        return positions, [], None
-    aux = saturation_variable(variables)
-    ext = variables + (aux,)
-    return positions, [polys[i].normalized().extend_variables(ext) for i in positions], aux
-
-
-def _saturated(extended):
-    """The extended system with 1 - aux * x_1 * ... * x_n appended, aux the
-    last of its variables."""
-    ext, domain = extended[0].variables, extended[0].domain
-    n = len(ext)
-    sat = LaurentPoly(ext, {(0,) * n: domain.one, (1,) * n: domain.coerce(-1)}, domain)
-    return extended + [sat]
+def _cleared(terms):
+    """A term dict times the monomial that clears its negative exponents,
+    with a zero exponent of the saturation variable appended."""
+    low = [min(0, *column) for column in zip(*terms)]
+    return {tuple(x - m for x, m in zip(e, low)) + (0,): c for e, c in terms.items()}
 
 
 def laurent_unit_report(gens, order=DEFAULT_ORDER):
@@ -586,24 +594,26 @@ def laurent_unit_report(gens, order=DEFAULT_ORDER):
     indices and relation entries over ``gens``, zero generators included;
     it is None for a proper ideal or when Buchberger decided.
     """
-    gens = list(gens)
-    positions, extended, aux = _saturation_system(gens)
-    if not extended:
+    variables, domain, polys = common_ring(gens)
+    positions = [i for i, p in enumerate(polys) if p.terms]
+    if not positions:
         return False, [], None, "lattice", None
+    aux = saturation_variable(variables)
+    ext = variables + (aux,)
+    extended = [LaurentPoly(ext, _cleared(polys[i].terms), domain) for i in positions]
     decided = _lattice_unit(extended)
     if decided is not None and decided[0]:
-        domain = extended[0].domain
-        one = LaurentPoly.constant(domain.one, extended[0].variables, domain)
-        witness = decided[1]
-        if "monomial" in witness:
-            witness = {"monomial": positions[witness["monomial"]]}
-        else:
-            relation = [0] * len(gens)
-            for i, c in zip(positions, witness["relation"]):
-                relation[i] = c
-            witness = {"relation": relation}
-        return True, [one], aux, "lattice", witness
-    basis = buchberger(_saturated(extended), order)
+        one = LaurentPoly.constant(domain.one, ext, domain)
+        ((kind, value),) = decided[1].items()
+        if kind == "monomial":
+            value = positions[value]
+        else:  # entry 0 at each zero generator
+            at = dict(zip(positions, value))
+            value = [at.get(i, 0) for i in range(len(polys))]
+        return True, [one], aux, "lattice", {kind: value}
+    n = len(ext)
+    sat = LaurentPoly(ext, {(0,) * n: domain.one, (1,) * n: domain.coerce(-1)}, domain)
+    basis = buchberger(extended + [sat], order)
     if decided is not None:
         return False, basis, aux, "lattice", None
     flag = len(basis) == 1 and basis[0].is_constant()
@@ -624,9 +634,15 @@ def to_prime_field(p: LaurentPoly, prime: int) -> LaurentPoly:
 
     Raises ZeroDivisionError when a denominator vanishes mod prime.
     """
-    field = PrimeField(prime)
-    terms = {e: field.coerce(c) for e, c in p.terms.items()}
-    return LaurentPoly(p.variables, terms, field)
+    return p.coerce_to(PrimeField(prime))
+
+
+def _residue(c, field: PrimeField) -> int:
+    """The coefficient c read in GF(p) as an int in [0, p); a rational whose
+    denominator p divides goes to ``coerce``, which raises."""
+    if isinstance(c, Fraction) and c.denominator % field.p:
+        return c.numerator * pow(c.denominator, -1, field.p) % field.p
+    return field.coerce(c).val
 
 
 def unit_ideal_mod_p(gens, prime: int, laurent: bool = True) -> bool:
@@ -637,15 +653,25 @@ def unit_ideal_mod_p(gens, prime: int, laurent: bool = True) -> bool:
     Laurent ring: when every remaining generator has at most two terms the
     exponent lattice decides (``_lattice_unit``), and otherwise Buchberger
     runs once on the saturated system.  Without it the ideal is taken in
-    the polynomial ring.  A coefficient whose denominator is divisible by
-    prime raises ZeroDivisionError; the generators pass ``common_ring``
-    first, so a non-polynomial is a TypeError.
+    the polynomial ring.  The residues are read off the generators' terms in
+    one pass and packed as they are: no GF(prime) polynomial is built.  A
+    coefficient whose denominator is divisible by prime raises
+    ZeroDivisionError; the generators pass ``common_ring`` first, so a
+    non-polynomial is a TypeError.
     """
-    mapped = [to_prime_field(g, prime) for g in common_ring(gens)[2]]
-    if not laurent:
-        return is_unit_ideal(mapped)
-    extended = _saturation_system(mapped)[1]
-    decided = _lattice_unit(extended)
-    if decided is not None:
-        return decided[0]
-    return is_unit_ideal(_saturated(extended))
+    variables, _, polys = common_ring(gens)
+    field = PrimeField(prime)
+    residues = ({e: r for e, c in g.terms.items() if (r := _residue(c, field))} for g in polys)
+    systems = [_cleared(t) if laurent else t for t in residues if t]
+    if laurent:
+        decided = _lattice_unit(systems, prime)
+        if decided is not None:
+            return decided[0]
+        variables += (saturation_variable(variables),)
+        n = len(variables)
+        systems.append({(0,) * n: 1, (1,) * n: prime - 1})
+    if not systems:
+        return False
+    ring = _PackedRing.fitting(variables, DEFAULT_ORDER, field, systems)
+    packed = [_Packed(ring, {ring.pack(e): c for e, c in t.items()}) for t in systems]
+    return _is_unit(_groebner_basis(packed, DEFAULT_ORDER))

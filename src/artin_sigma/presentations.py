@@ -459,7 +459,9 @@ def specialize(pres: ModulePresentation, forest: BipartiteForest, chi) -> PolyMa
 
 
 def _specialized_matrix(pres: ModulePresentation, images: dict) -> PolyMatrix:
-    return PolyMatrix([[entry.substitute(images) for entry in row] for row in pres.rows])
+    zero = LaurentPoly.zero(("x",), next(iter(images.values())).domain)
+    return PolyMatrix([[entry.substitute(images) if entry else zero for entry in row]
+                       for row in pres.rows])
 
 
 # ---------------------------------------------------------------------------

@@ -156,14 +156,35 @@ def poly_gcd_univariate(a, b):
     return a
 
 
+def _mobius(n):
+    """The Moebius function, by trial division."""
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
 def cyclotomic_coefficients(n):
-    """Ascending coefficients of the n-th cyclotomic polynomial: t^n - 1 with
-    the common roots of t^d - 1 divided out for each proper divisor d of n."""
-    poly = _trim([-1] + [0] * (n - 1) + [1])
-    for d in range(1, n):
-        if n % d == 0:
-            common = poly_gcd_univariate(poly, [-1] + [0] * (d - 1) + [1])
-            poly, _ = poly_divmod(poly, common)
+    """Ascending integer coefficients of the n-th cyclotomic polynomial, by
+    the Moebius product prod_{d | n} (t^d - 1)^mu(n/d): the product of the
+    factors with mu = 1, divided exactly by each factor with mu = -1."""
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    poly = [1]
+    for d in divisors:
+        if _mobius(n // d) == 1:  # times t^d - 1
+            poly = [a - b for a, b in zip([0] * d + poly, poly + [0] * d)]
+    for d in divisors:
+        if _mobius(n // d) == -1:  # poly = (t^d - 1) * q, q read off from the top
+            q = [0] * len(poly)
+            for j in range(len(poly) - 1, d - 1, -1):
+                q[j - d] = poly[j] + q[j]
+            assert poly[:d] == [-c for c in q[:d]], "inexact division"
+            poly = q[:len(poly) - d]
     return poly
 
 

@@ -156,6 +156,25 @@ def test_polyhedron_text_format(tmp_path, capsys):
     assert "a + b" in out
 
 
+def test_polyhedron_json_builds_no_text_line(tmp_path, capsys, monkeypatch):
+    import artin_sigma.cli as cli
+
+    made = []
+    original = cli._piece_lines
+
+    def counted(poly):
+        for line in original(poly):
+            made.append(line)
+            yield line
+
+    monkeypatch.setattr(cli, "_piece_lines", counted)
+    path = graph_file(tmp_path, F5_TEXT)
+    run_json(capsys, ["polyhedron", path])
+    assert made == []
+    code, out, _ = run_cli(capsys, ["polyhedron", path, "--format", "text"])
+    assert code == 0 and out.splitlines() == made and len(made) == 4
+
+
 def test_polyhedron_inputs_and_removed_flag(tmp_path, capsys):
     path = graph_file(tmp_path, F5_TEXT)
     assert list(run_json(capsys, ["polyhedron", path])["inputs"]) == ["graph_sha256"]

@@ -7,6 +7,7 @@ import pytest
 
 import artin_sigma.groebner as groebner
 from artin_sigma import (
+    CyclotomicField,
     InputError,
     LaurentPoly,
     PrimeField,
@@ -381,6 +382,81 @@ def test_mod_p_unit_test_does_no_field_element_arithmetic(monkeypatch):
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__", "__truediv__"):
         monkeypatch.setattr(FpElement, name, forbidden)
     assert [unit_ideal_mod_p(gens, p, laurent=laurent) for gens, p, laurent in cases] == expected
+
+
+def test_rational_unit_test_does_no_fraction_arithmetic(monkeypatch):
+    # packed QQ coefficients are ints over one denominator: generators pack
+    # with their denominators cleared and divide fraction-free, so no
+    # Fraction arithmetic runs in the pair loop; Fractions are only built,
+    # on unpacking the reduced basis
+    X = tuple(f"x{i}" for i in range(4))
+    scaled = ("2*u^2 + 3*v - 1", "3*u*v - 2", "5*v^2 + 1/2*u", "2/3*u^3 - 7/5")
+    systems = [[P(t, UVSW) for t in CRIT2], [P(t, X) for t in CYCLE4], [P(t) for t in scaled]]
+
+    def run():
+        out = []
+        for gens in systems:
+            out.append(is_unit_ideal(gens))
+            out.append(laurent_unit_ideal(gens)[0])
+            out += [[b.terms for b in buchberger(gens, order)] for order in ("grevlex", "lex")]
+        return out
+
+    expected = run()
+    assert True in expected and False in expected
+
+    def forbidden(*args):
+        raise AssertionError("Fraction arithmetic")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
+                 "__rtruediv__", "__floordiv__", "__mod__", "__neg__", "__pow__"):
+        monkeypatch.setattr(Fraction, name, forbidden)
+    got = run()
+    monkeypatch.undo()
+    assert got == expected
+
+
+def test_cyclotomic_coefficients_take_the_monic_route():
+    # over QQ(zeta_3) with zeta = zeta_power(1): x = -zeta*y and x*y = 1 give
+    # y^2 = -zeta^2 = 1 + zeta, a proper ideal also in the Laurent ring, and
+    # x^2 = zeta^2 * (1 + zeta) = -zeta
+    field = CyclotomicField(3)
+    zeta = field.zeta_power(1)
+    X = ("x", "y")
+    gens = [LaurentPoly(X, {(1, 0): 1, (0, 1): zeta}, field), LaurentPoly(X, {(1, 1): 1, (0, 0): -1}, field)]
+    basis = buchberger(gens)
+    assert [b.to_string() for b in basis] == ["x + zeta*y", "y^2 + (-1 - zeta)"]
+    assert not is_unit_ideal(gens)
+    assert not laurent_unit_ideal(gens)[0]
+    assert reduce_poly(LaurentPoly(X, {(2, 0): 1}, field), basis) == LaurentPoly.constant(-zeta, X, field)
+
+
+def _sympy_expr(sympy, terms, symbols):
+    return sum(sympy.Rational(c.numerator, c.denominator) * sympy.prod([x ** k for x, k in zip(symbols, e)])
+               for e, c in terms.items())
+
+
+def test_normal_form_vs_sympy_reduced():
+    # the normal form modulo a Groebner basis is unique, so reduce_poly by
+    # our basis must equal sympy's remainder by sympy's basis; f has rational
+    # coefficients, so the remainder comes out of a fraction-free division
+    # over a denominator
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1992)
+    for case in range(25):
+        nvars = rng.randint(2, 3)
+        variables = ("x", "y", "z")[:nvars]
+        symbols = sympy.symbols(variables)
+        gens = [{e: Fraction(c) for e, c in g.items()} for g in _random_ideal(rng, nvars)]
+        chosen = rng.sample(_exponents(nvars, 4), rng.randint(1, 6))
+        f = {e: Fraction(rng.choice((-7, -3, -1, 1, 2, 5)), rng.randint(1, 6)) for e in chosen}
+        exprs = [_sympy_expr(sympy, g, symbols) for g in gens]
+        polys = [LaurentPoly(variables, g, QQ) for g in gens]
+        for order in ("grevlex", "lex"):
+            ours = reduce_poly(LaurentPoly(variables, f, QQ), buchberger(polys, order), order)
+            basis = sympy.groebner(exprs, *symbols, order=order).exprs
+            _, r = sympy.reduced(_sympy_expr(sympy, f, symbols), basis, *symbols, order=order)
+            theirs = {e: Fraction(int(c.p), int(c.q)) for e, c in sympy.Poly(r, *symbols).terms() if c}
+            assert ours.terms == theirs, (case, order, gens, f)
 
 
 # -- packed monomials -----------------------------------------------------------
