@@ -32,9 +32,9 @@ _EXPORTS = {
         "conjecture_predicate", "decide_sigma1",
     ),
     "polyhedron": (
-        "LinearForm", "PieceOrigin", "SubSphere", "SphericalPolyhedron", "dominance_pieces",
-        "disconnection_pieces", "complement_polyhedron", "polyhedron_contains",
-        "polyhedron_from_json", "subsphere_contained",
+        "SubSphere", "SphericalPolyhedron", "dominance_pieces", "disconnection_pieces",
+        "complement_polyhedron", "polyhedron_contains", "polyhedron_from_json",
+        "subsphere_contained",
     ),
     "fox": (
         "FreeWord", "GroupRingElement", "parse_word", "commutator", "fox_derivative",

@@ -111,12 +111,11 @@ def _piece_lines(poly):
     that ``--format json`` makes none."""
     yield f"pieces: {len(poly.pieces)}"
     for piece in poly.pieces:
-        origin = piece.origin
-        tag = f"{origin.kind} zero_set={{{','.join(origin.zero_set)}}}"
-        if origin.cut_edges:
-            cut = ",".join(f"({u},{v})" for u, v in origin.cut_edges)
+        tag = f"{piece.kind} zero_set={{{','.join(piece.zero_set)}}}"
+        if piece.cut:
+            cut = ",".join(f"({u},{v})" for u, v in piece.cut_edges)
             tag += f" cut={{{cut}}}"
-        forms = "; ".join(" + ".join(v for v, _ in f.coeffs) for f in piece.forms)
+        forms = "; ".join(" + ".join(f) for f in piece.forms)
         yield f"  {tag}: {forms}"
 
 

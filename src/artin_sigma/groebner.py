@@ -629,14 +629,6 @@ def laurent_unit_ideal(gens, order=DEFAULT_ORDER):
     return laurent_unit_report(gens, order)[:3]
 
 
-def to_prime_field(p: LaurentPoly, prime: int) -> LaurentPoly:
-    """Map integer/rational coefficients into GF(prime).
-
-    Raises ZeroDivisionError when a denominator vanishes mod prime.
-    """
-    return p.coerce_to(PrimeField(prime))
-
-
 def _residue(c, field: PrimeField) -> int:
     """The coefficient c read in GF(p) as an int in [0, p); a rational whose
     denominator p divides goes to ``coerce``, which raises."""

@@ -5,10 +5,10 @@ unit forms e_v and edge sums e_u + e_v.  Dominance pieces zero a closed
 neighbourhood; disconnection pieces zero a set Y1 and the sums on even
 label > 2 edges whose deletion disconnects the rest.  Each dominance piece
 lies inside a disconnection piece, so the polyhedron keeps disconnection
-pieces only.  A piece is a unit (vertex) mask and a cut-edge mask; its
-forms are derived from its origin, for output only.  A cut edge's sum
-vanishes exactly when the edge is dead, so membership is decided exactly
-by two mask tests per piece.
+pieces only.  A piece is its graph, its kind, a unit (vertex) mask and a
+cut-edge mask; its zero set, cut edges and forms are read off the masks,
+for output only.  A cut edge's sum vanishes exactly when the edge is dead,
+so membership is decided exactly by two mask tests per piece.
 
 >>> from artin_sigma import character, parse_graph
 >>> f5 = parse_graph("v a\\nv b\\nv c\\ne a b 4\\ne b c 4\\n")
@@ -35,59 +35,43 @@ sets times the bonds of each rest."""
 
 DOMINANCE = "dominance"
 DISCONNECTION = "disconnection"
-_ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class LinearForm:
-    """A rational linear form on vertex values, stored as sorted (vertex,
-    coefficient) pairs with zero coefficients omitted."""
-
-    coeffs: tuple
-
-    def to_json_dict(self) -> dict:
-        return {v: str(c) for v, c in self.coeffs}
-
-
-@dataclass(frozen=True)
-class PieceOrigin:
-    kind: str
-    zero_set: tuple
-    cut_edges: tuple = ()
-
-    def to_json_dict(self) -> dict:
-        out = {"kind": self.kind, "zero_set": list(self.zero_set)}
-        if self.kind == DISCONNECTION:
-            out["cut_edges"] = [[u, v] for u, v in self.cut_edges]
-        return out
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubSphere:
-    """A piece as masks: ``units`` over the vertices, ``cut`` over
-    ``graph.edges``.  Built by ``_piece``, which records the origin too."""
+    """The piece killing e_v for v in the vertex mask ``units`` and
+    e_u + e_v for each edge in the mask ``cut`` over ``graph.edges``."""
 
+    graph: LabeledGraph
+    kind: str
     units: int
     cut: int
-    origin: PieceOrigin
+
+    @property
+    def zero_set(self) -> tuple:
+        return _members(self.units, self.graph.vertices)
+
+    @property
+    def cut_edges(self) -> tuple:
+        return tuple(e[:2] for e in _members(self.cut, self.graph.edges))
 
     @property
     def forms(self) -> tuple:
-        """Unit forms in zero-set order, then edge sums in cut order."""
-        vertex_sets = [(v,) for v in self.origin.zero_set] + list(self.origin.cut_edges)
-        return tuple(LinearForm(tuple((v, _ONE) for v in vs)) for vs in vertex_sets)
+        """Each form as the tuple of its vertices, every coefficient 1: unit
+        forms in zero-set order, then edge sums in cut order."""
+        return tuple((v,) for v in self.zero_set) + self.cut_edges
 
     def contains(self, chi: Character) -> bool:
-        if _piece(chi.graph, self.origin.kind, self.units, self.cut) != self:
+        if chi.graph != self.graph:
             raise InputError("character carrier differs from the piece's graph")
         zero, dead = _character_masks(chi)
         return self.units & zero == self.units and self.cut & dead == self.cut
 
     def to_json_dict(self) -> dict:
-        return {
-            "forms": [f.to_json_dict() for f in self.forms],
-            "origin": self.origin.to_json_dict(),
-        }
+        origin = {"kind": self.kind, "zero_set": list(self.zero_set)}
+        if self.kind == DISCONNECTION:
+            origin["cut_edges"] = [list(e) for e in self.cut_edges]
+        return {"forms": [dict.fromkeys(vs, "1") for vs in self.forms], "origin": origin}
 
 
 def _check_vertex_count(graph: LabeledGraph) -> None:
@@ -98,7 +82,12 @@ def _check_vertex_count(graph: LabeledGraph) -> None:
 
 def _members(mask: int, items) -> tuple:
     """The items at the positions set in ``mask``, in order."""
-    return tuple(x for k, x in enumerate(items) if mask >> k & 1)
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(items[low.bit_length() - 1])
+        mask ^= low
+    return tuple(out)
 
 
 def _character_masks(chi: Character):
@@ -163,11 +152,13 @@ def _spanned(key, pairs) -> int:
     return mask
 
 
-def subsphere_contained(a: SubSphere, b: SubSphere, graph: LabeledGraph) -> bool:
+def subsphere_contained(a: SubSphere, b: SubSphere) -> bool:
     """Whether every character killed by a's forms is killed by b's: b's
     unit vertices are full in the span of a's forms and b's cut edges lie
-    in it."""
-    adj, ends = _adjacency(graph)
+    in it.  Pieces over two different graphs are an InputError."""
+    if a.graph != b.graph:
+        raise InputError("the pieces lie over different graphs")
+    adj, ends = _adjacency(a.graph)
     _, full, key = _span(len(adj), a.units, _members(a.cut, ends))
     return b.units & full == b.units and b.cut & _spanned(key, ends) == b.cut
 
@@ -307,18 +298,10 @@ def _cuts(graph: LabeledGraph) -> list:
     return out
 
 
-def _piece(graph: LabeledGraph, kind: str, units: int, cut: int) -> SubSphere:
-    """The piece killing e_v for v in the vertex mask ``units`` and
-    e_u + e_v for each edge in the edge mask ``cut``."""
-    zero_set = _members(units, graph.vertices)
-    cut_edges = tuple(e[:2] for e in _members(cut, graph.edges))
-    return SubSphere(units, cut, PieceOrigin(kind, zero_set, cut_edges))
-
-
 def dominance_pieces(graph: LabeledGraph) -> list:
     """One candidate piece per vertex whose closed neighborhood is proper:
     all values on the neighborhood vanish.  Exact duplicates are dropped."""
-    return [_piece(graph, DOMINANCE, closed, 0) for closed in _closed_neighborhoods(graph)]
+    return [SubSphere(graph, DOMINANCE, closed, 0) for closed in _closed_neighborhoods(graph)]
 
 
 def disconnection_pieces(graph: LabeledGraph) -> list:
@@ -326,7 +309,7 @@ def disconnection_pieces(graph: LabeledGraph) -> list:
     disconnecting the rest, enumerated by increasing |Y1| then cut size.
     Nothing is dropped here."""
     _check_vertex_count(graph)
-    return [_piece(graph, DISCONNECTION, units, cut) for units, cut in _cuts(graph)]
+    return [SubSphere(graph, DISCONNECTION, units, cut) for units, cut in _cuts(graph)]
 
 
 @dataclass(frozen=True)
@@ -404,7 +387,7 @@ def complement_polyhedron(graph: LabeledGraph) -> SphericalPolyhedron:
             forms = tuple((i,) for i in range(len(adj)) if units >> i & 1) + pairs
             kept.append(((len(forms), forms), units, cut))
     kept.sort(key=lambda k: k[0])
-    pieces = tuple(_piece(graph, DISCONNECTION, units, cut) for _, units, cut in kept)
+    pieces = tuple(SubSphere(graph, DISCONNECTION, units, cut) for _, units, cut in kept)
     return SphericalPolyhedron(graph, pieces)
 
 
@@ -450,8 +433,8 @@ def polyhedron_from_json(graph: LabeledGraph, data: dict) -> SphericalPolyhedron
             units = sum(1 << idx[v] for v in set(zero_set))
             if units.bit_count() < len(zero_set) or cut.bit_count() < len(cut_edges):
                 raise InputError("piece origin repeats a vertex or a cut edge")
-            piece = _piece(graph, kind, units, cut)
-            if forms != [dict(f.coeffs) for f in piece.forms]:
+            piece = SubSphere(graph, kind, units, cut)
+            if forms != [dict.fromkeys(vs, Fraction(1)) for vs in piece.forms]:
                 raise InputError("piece forms differ from the forms its origin gives")
             pieces.append(piece)
     except InputError:

@@ -20,7 +20,7 @@ from artin_sigma import (
     unit_ideal_mod_p,
 )
 from artin_sigma.fields import FpElement
-from artin_sigma.groebner import ORDER_KEYS, leading_term, s_polynomial, saturation_variable, to_prime_field
+from artin_sigma.groebner import ORDER_KEYS, leading_term, s_polynomial, saturation_variable
 from oracles import fraction_rank, poly_gcd_univariate
 
 UV = ("u", "v")
@@ -261,7 +261,7 @@ def test_buchberger_vs_sympy_groebner():
             ours = {frozenset(b.terms.items()) for b in buchberger(polys, order)}
             assert ours == _sympy_reduced_basis(sympy, gens, symbols, order, None), (case, order, gens)
             for p in (2, 3, 5, 7, 11):
-                mapped = [to_prime_field(g, p) for g in polys]
+                mapped = [g.coerce_to(PrimeField(p)) for g in polys]
                 ours = {frozenset((e, c.val) for e, c in b.terms.items()) for b in buchberger(mapped, order)}
                 assert ours == _sympy_reduced_basis(sympy, gens, symbols, order, p), (case, order, p, gens)
 
@@ -621,7 +621,7 @@ def test_lattice_unit_matches_saturated_buchberger_mod_p(prime):
     units = collapsed = 0
     for _ in range(2000):
         gens = _random_binomials(rng, coefficients)
-        mapped = [to_prime_field(g, prime) for g in gens]
+        mapped = [g.coerce_to(PrimeField(prime)) for g in gens]
         collapsed += any(len(m.terms) < len(g.terms) for g, m in zip(gens, mapped))
         expect = _saturated_flag(mapped)
         _assert_lattice_matches(mapped, expect)

@@ -84,7 +84,8 @@ def test_bare_import_loads_no_submodule():
     assert proc.stdout.strip() == "[]"
 
 
-# ``artin_sigma.__all__`` as it was when every name was imported eagerly.
+# ``artin_sigma.__all__`` as it was when every name was imported eagerly, less
+# ``LinearForm`` and ``PieceOrigin``: a polyhedron piece is now its masks.
 PUBLIC_NAMES = [
     "InputError", "MathError", "LabeledGraph", "Block", "parse_artin", "parse_graph",
     "full_subgraph", "is_connected", "is_dominant", "connected_components", "cycle_rank",
@@ -92,17 +93,17 @@ PUBLIC_NAMES = [
     "hypothesis_witness", "HYPOTHESIS_MODES", "SIMPLE_CYCLE", "STRICT", "Character",
     "character", "parse_character", "parse_rational", "lf_subgraph", "living_subgraph",
     "dead_edges", "STATUS_IN", "STATUS_OUT", "STATUS_OUT_CONJECTURAL", "Diagnostics",
-    "Verdict", "conjecture_predicate", "decide_sigma1", "LinearForm", "PieceOrigin",
-    "SubSphere", "SphericalPolyhedron", "dominance_pieces", "disconnection_pieces",
-    "complement_polyhedron", "polyhedron_contains", "polyhedron_from_json",
-    "subsphere_contained", "FreeWord", "GroupRingElement", "parse_word", "commutator",
-    "fox_derivative", "artin_relator", "abelianization_map", "abelianize", "jacobian",
-    "graph_presentation", "LaurentPoly", "parse_poly", "QQ", "PrimeField", "CyclotomicField",
-    "cyclotomic_polynomial", "buchberger", "reduce_poly", "is_unit_ideal",
-    "laurent_unit_ideal", "laurent_unit_report", "unit_ideal_mod_p", "PolyMatrix",
-    "matrix_rank", "BipartiteForest", "ModulePresentation", "Certificate",
-    "forest_presentation", "bipartition_presentation", "dead_edge_forest",
-    "koszul_differential", "specialize", "certify_not_finitely_generated", "__version__",
+    "Verdict", "conjecture_predicate", "decide_sigma1", "SubSphere", "SphericalPolyhedron",
+    "dominance_pieces", "disconnection_pieces", "complement_polyhedron",
+    "polyhedron_contains", "polyhedron_from_json", "subsphere_contained", "FreeWord",
+    "GroupRingElement", "parse_word", "commutator", "fox_derivative", "artin_relator",
+    "abelianization_map", "abelianize", "jacobian", "graph_presentation", "LaurentPoly",
+    "parse_poly", "QQ", "PrimeField", "CyclotomicField", "cyclotomic_polynomial",
+    "buchberger", "reduce_poly", "is_unit_ideal", "laurent_unit_ideal",
+    "laurent_unit_report", "unit_ideal_mod_p", "PolyMatrix", "matrix_rank",
+    "BipartiteForest", "ModulePresentation", "Certificate", "forest_presentation",
+    "bipartition_presentation", "dead_edge_forest", "koszul_differential", "specialize",
+    "certify_not_finitely_generated", "__version__",
 ]
 
 

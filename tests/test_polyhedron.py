@@ -10,7 +10,6 @@ import artin_sigma.polyhedron as polyhedron
 from artin_sigma import (
     InputError,
     LabeledGraph,
-    PieceOrigin,
     SubSphere,
     character,
     complement_polyhedron,
@@ -28,7 +27,6 @@ from artin_sigma.polyhedron import (
     _cuts,
     _forest_size,
     _members,
-    _piece,
     _span,
     _spanned,
 )
@@ -41,8 +39,8 @@ def forms_as_rows(piece, graph):
     rows = []
     for form in piece.forms:
         row = [Fraction(0)] * len(graph.vertices)
-        for v, c in form.coeffs:
-            row[graph.index[v]] = c
+        for v in form:
+            row[graph.index[v]] = Fraction(1)
         rows.append(row)
     return rows
 
@@ -54,7 +52,7 @@ def test_dominance_pieces_f3_empty(f3):
 def test_dominance_pieces_f5(f5):
     pieces = dominance_pieces(f5)
     assert len(pieces) == 2
-    got = sorted(tuple(sorted({v for f in p.forms for v, _ in f.coeffs})) for p in pieces)
+    got = sorted(tuple(sorted({v for f in p.forms for v in f})) for p in pieces)
     assert got == [("a", "b"), ("b", "c")]
 
 
@@ -67,10 +65,11 @@ def test_disconnection_pieces_f3(f3):
     pieces = disconnection_pieces(f3)
     assert len(pieces) == 1
     piece = pieces[0]
-    assert [f.to_json_dict() for f in piece.forms] == [{"a": "1", "b": "1"}]
-    assert piece.origin.kind == "disconnection"
-    assert piece.origin.zero_set == ()
-    assert piece.origin.cut_edges == (("a", "b"),)
+    assert piece.forms == (("a", "b"),)
+    assert piece.to_json_dict()["forms"] == [{"a": "1", "b": "1"}]
+    assert piece.kind == "disconnection"
+    assert piece.zero_set == ()
+    assert piece.cut_edges == (("a", "b"),)
 
 
 def test_complement_polyhedron_f3(f3):
@@ -87,7 +86,7 @@ def test_complement_polyhedron_f5(f5):
     poly = complement_polyhedron(f5)
     assert len(poly.pieces) == 3
     rendered = sorted(
-        tuple(sorted((v, str(c)) for v, c in f.coeffs)) for p in poly.pieces for f in p.forms
+        tuple(sorted(f.items())) for p in poly.pieces for f in p.to_json_dict()["forms"]
     )
     assert rendered == [
         (("a", "1"), ("b", "1")),
@@ -113,12 +112,12 @@ def test_every_dominance_piece_lies_inside_a_disconnection_piece(f1, f3, f4, f5)
     graphs = [f1, f3, f4, f5] + [random_labeled_graph(rng, max_vertices=7) for _ in range(200)]
     checked = 0
     for g in graphs:
-        cut_free = {p.origin.zero_set: p for p in disconnection_pieces(g) if not p.origin.cut_edges}
+        cut_free = {p.zero_set: p for p in disconnection_pieces(g) if not p.cut_edges}
         for d in dominance_pieces(g):
-            zero_set = d.origin.zero_set
+            zero_set = d.zero_set
             x = next(v for v in zero_set if set(zero_set) == {v, *g.adjacency[v]})
             c = cut_free[tuple(v for v in zero_set if v != x)]
-            assert subsphere_contained(d, c, g) and not subsphere_contained(c, d, g), g
+            assert subsphere_contained(d, c) and not subsphere_contained(c, d), g
             checked += 1
     assert checked > 100
 
@@ -133,11 +132,11 @@ def test_f1_four_edge_cut_piece(f1):
     # label>2 edges; that piece's solution set is the span condition
     # chi(u)+chi(v) = chi(v)+chi(w) = chi(w)+chi(s) = chi(s)+chi(u) = 0
     poly = complement_polyhedron(f1)
-    empty_zero = [p for p in poly.pieces if p.origin.zero_set == ()]
+    empty_zero = [p for p in poly.pieces if p.zero_set == ()]
     assert len(empty_zero) == 1
     piece = empty_zero[0]
-    assert piece.origin.kind == "disconnection"
-    assert len(piece.origin.cut_edges) == 4
+    assert piece.kind == "disconnection"
+    assert len(piece.cut_edges) == 4
     rows = forms_as_rows(piece, f1)
     # solution space is the line through (1, 1, -1, -1) in (v, s, u, w) order;
     # the four forms span the same space as the three independent ones below
@@ -163,12 +162,12 @@ def test_f1_membership_matches_conjectural_out(f1):
 
 def test_subsphere_containment(f5):
     # masks over (a, b, c) and over the edges ((a, b), (b, c))
-    sa = _piece(f5, "dominance", 0b011, 0)
-    sb = _piece(f5, "disconnection", 0, 0b01)
-    assert sb.origin == PieceOrigin("disconnection", (), (("a", "b"),))
-    assert subsphere_contained(sa, sb, f5)
-    assert not subsphere_contained(sb, sa, f5)
-    assert subsphere_contained(sa, sa, f5)
+    sa = SubSphere(f5, "dominance", 0b011, 0)
+    sb = SubSphere(f5, "disconnection", 0, 0b01)
+    assert (sb.kind, sb.zero_set, sb.cut_edges) == ("disconnection", (), (("a", "b"),))
+    assert subsphere_contained(sa, sb)
+    assert not subsphere_contained(sb, sa)
+    assert subsphere_contained(sa, sa)
 
 
 def _random_mask_piece(rng, g, p_unit, p_cut):
@@ -177,7 +176,7 @@ def _random_mask_piece(rng, g, p_unit, p_cut):
     ``p_cut``."""
     units = sum(1 << i for i in range(len(g.vertices)) if rng.random() < p_unit)
     cut = sum(1 << k for k in range(len(g.edges)) if rng.random() < p_cut)
-    return _piece(g, "disconnection", units, cut)
+    return SubSphere(g, "disconnection", units, cut)
 
 
 def _cut_component(piece, v):
@@ -185,7 +184,7 @@ def _cut_component(piece, v):
     comp, grew = {v}, True
     while grew:
         grew = False
-        for x, y in piece.origin.cut_edges:
+        for x, y in piece.cut_edges:
             if (x in comp) != (y in comp):
                 comp |= {x, y}
                 grew = True
@@ -204,10 +203,10 @@ def test_subsphere_contained_matches_oracle():
         b = _random_mask_piece(rng, g, 1.5 / len(g.vertices), 1.5 / max(len(g.edges), 1))
         rows = forms_as_rows(a, g)
         expect = all(in_span(vec, rows) for vec in forms_as_rows(b, g))
-        assert subsphere_contained(a, b, g) == expect, (g, a, b)
+        assert subsphere_contained(a, b) == expect, (g, a, b)
         outcomes.append(expect)
         full_by_odd_cycle += expect and any(
-            not _cut_component(a, v) & set(a.origin.zero_set) for v in b.origin.zero_set)
+            not _cut_component(a, v) & set(a.zero_set) for v in b.zero_set)
     # both answers are common, so neither side is checked only vacuously
     assert 300 < sum(outcomes) < 2700
     # some unit vertex of b is full in a's span only through an odd cycle of
@@ -222,19 +221,18 @@ def test_no_piece_contained_in_another(f1, f3, f4, f5):
         for i, a in enumerate(pieces):
             for j, b in enumerate(pieces):
                 if i != j:
-                    assert not subsphere_contained(a, b, g), (i, j)
+                    assert not subsphere_contained(a, b), (i, j)
 
 
 def test_forms_have_small_integer_coefficients(f1, f4, f5):
     for g in (f1, f4, f5):
         for piece in complement_polyhedron(g).pieces:
-            for form in piece.forms:
-                coeffs = [c for _, c in form.coeffs]
-                assert all(c == 1 for c in coeffs)
-                if piece.origin.kind == "dominance":
-                    assert len(form.coeffs) == 1
+            for form in piece.to_json_dict()["forms"]:
+                assert all(c == "1" for c in form.values())
+                if piece.kind == "dominance":
+                    assert len(form) == 1
                 else:
-                    assert len(form.coeffs) in (1, 2)
+                    assert len(form) in (1, 2)
 
 
 def test_membership_equals_bruteforce_random():
@@ -263,13 +261,29 @@ def test_carrier_mismatch(f3, f4, f5):
     with pytest.raises(InputError):
         polyhedron_contains(poly, character(f5, {"a": 1}))
     # a piece's masks are positions in its own graph's vertices and edges:
-    # F5's second edge (b, c) is missing from F3, and F4's second edge is (a, d)
+    # F5's second edge (b, c) is missing from F3, and F4's second edge is (a, d);
+    # on the path a-b-c-d with labels 4 the masks name the same cut edge, but
+    # the path is still another graph
     piece = complement_polyhedron(f5).pieces[2]
-    assert piece.origin.cut_edges == (("b", "c"),)
+    assert piece.cut_edges == (("b", "c"),)
     assert piece.contains(character(f5, {"b": 1, "c": -1}))
-    for other in (f3, f4):
+    path = parse_graph("v a\nv b\nv c\nv d\ne a b 4\ne b c 4\ne c d 4\n")
+    assert SubSphere(path, piece.kind, piece.units, piece.cut).cut_edges == piece.cut_edges
+    for other in (f3, f4, path):
         with pytest.raises(InputError, match="carrier differs"):
             piece.contains(character(other, {"a": 1}))
+        with pytest.raises(InputError, match="carrier differs"):
+            polyhedron_contains(complement_polyhedron(f5), character(other, {"a": 1}))
+
+
+def test_subsphere_contained_refuses_pieces_over_two_graphs(f5):
+    path = parse_graph("v a\nv b\nv c\nv d\ne a b 4\ne b c 4\ne c d 4\n")
+    a = SubSphere(f5, "disconnection", 0b010, 0)
+    b = SubSphere(path, "disconnection", 0b010, 0)
+    assert subsphere_contained(a, a) and subsphere_contained(b, b)
+    for first, second in ((a, b), (b, a)):
+        with pytest.raises(InputError, match="different graphs"):
+            subsphere_contained(first, second)
 
 
 def test_json_round_trip(f1, f5):
@@ -295,8 +309,8 @@ def _pruned_by_oracle(g):
     idx = g.index
 
     def key(piece):
-        forms = tuple(tuple((idx[v], c) for v, c in f.coeffs) for f in piece.forms)
-        return (len(piece.forms), forms, piece.origin.kind)
+        forms = tuple(tuple(idx[v] for v in f) for f in piece.forms)
+        return (len(piece.forms), forms, piece.kind)
 
     candidates = dominance_pieces(g) + disconnection_pieces(g)
     ranked = sorted(
@@ -329,7 +343,7 @@ def test_single_prune_matches_oracle():
         pieces = complement_polyhedron(g).pieces
         assert pieces == _pruned_by_oracle(g), g
         for a in pieces:
-            assert not any(b is not a and subsphere_contained(a, b, g) for b in pieces), g
+            assert not any(b is not a and subsphere_contained(a, b) for b in pieces), g
 
 
 def test_polyhedron_from_json_rejects_malformed(f5):
@@ -391,7 +405,8 @@ def test_polyhedron_from_json_rejects_malformed(f5):
 def _pieces_from_oracle_cuts(g):
     """Disconnection pieces as the polyhedron documents them, with each
     vanishing set's cuts taken from ``oracles.minimal_even_cuts`` and the
-    masks built here from the vertex and edge positions."""
+    masks built here from the vertex and edge positions.  Each piece reads
+    its zero set and cut edges back off the masks as the oracle names them."""
     pieces = []
     for size in range(max(len(g.vertices) - 1, 0)):
         for y1 in combinations(g.vertices, size):
@@ -399,8 +414,10 @@ def _pieces_from_oracle_cuts(g):
             for cut in minimal_even_cuts(g, rest):
                 units = sum(1 << g.vertices.index(v) for v in y1)
                 cut_mask = sum(1 << g.edges.index(e) for e in cut)
-                origin = PieceOrigin("disconnection", y1, tuple((u, v) for u, v, _ in cut))
-                pieces.append(SubSphere(units, cut_mask, origin))
+                piece = SubSphere(g, "disconnection", units, cut_mask)
+                assert piece.zero_set == y1, (g, y1)
+                assert piece.cut_edges == tuple((u, v) for u, v, _ in cut), (g, cut)
+                pieces.append(piece)
     return pieces
 
 
@@ -419,7 +436,7 @@ def test_disconnection_pieces_match_oracle_cuts():
     for g in graphs:
         pieces = disconnection_pieces(g)
         assert pieces == _pieces_from_oracle_cuts(g), g
-        cut_sizes.update(len(p.origin.cut_edges) for p in pieces)
+        cut_sizes.update(len(p.cut_edges) for p in pieces)
     # the empty cut, single edges and the two-edge cuts of the cycles all occur
     assert {0, 1, 2} <= cut_sizes
 
