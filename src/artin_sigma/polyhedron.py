@@ -30,8 +30,11 @@ from .graphs import LabeledGraph
 MAX_POLYHEDRON_VERTICES = 12
 """Most vertices ``complement_polyhedron`` and ``disconnection_pieces``
 accept; a larger graph is an InputError before anything is enumerated.  The
-cost is n steps per candidate, and the candidates are at most the 2^n zero
-sets times the bonds of each rest."""
+build walks at most the 2^n zero sets, only those whose every vertex keeps
+two neighbours in the rest, and lists the components or the bonds of each
+rest; a candidate then costs two mask tests per zeroed vertex (one per
+component for an empty cut).  ``disconnection_pieces`` lists the
+candidates of every zero set of at most n - 2 vertices."""
 
 DOMINANCE = "dominance"
 DISCONNECTION = "disconnection"
@@ -207,14 +210,28 @@ def _closed_neighborhoods(graph: LabeledGraph) -> list:
     return out
 
 
-def _bonds(rest: int, fixed: list, removable) -> list:
-    """The edge masks of the bonds of the connected rest.
+def _split_edges(graph: LabeledGraph):
+    """Neighbour masks, edge index pairs, neighbour masks by the edges that
+    cannot be cut, and the (edge number, i, j) of each even label > 2 edge."""
+    adj, ends = _adjacency(graph)
+    removable, fixed = [], [0] * len(adj)
+    for k, ((i, j), (_, _, label)) in enumerate(zip(ends, graph.edges)):
+        if label > 2 and label % 2 == 0:
+            removable.append((k, i, j))
+        else:
+            fixed[i] |= 1 << j
+            fixed[j] |= 1 << i
+    return adj, ends, fixed, removable
 
-    ``fixed`` holds neighbour masks by the edges that cannot be cut and
-    ``removable`` the (edge number, i, j) of each even label > 2 edge.
+
+def _bonds(rest: int, fixed: list, removable) -> list:
+    """The bonds of the connected rest, as (edge mask, side) pairs.
+
+    ``fixed`` and ``removable`` are as ``_split_edges`` gives them.
     Contracting the fixed edges of the rest leaves classes.  A bond is the
     set of edges between the classes of a set S holding the first class and
-    the others, R - S, where S and R - S are each connected.  S grows by one
+    the others, R - S, where S and R - S are each connected; the side is S
+    as a vertex mask, the union of its classes.  S grows by one
     neighbouring class at a time, which is then taken or excluded for good,
     so each S is met once; a branch ends once its excluded classes lie in
     two components of the classes left, since R - S must hold them all."""
@@ -235,7 +252,7 @@ def _bonds(rest: int, fixed: list, removable) -> list:
     every = (1 << len(classes)) - 1
     out = []
 
-    def grow(s, cut, frontier, excluded):
+    def grow(s, cut, side, frontier, excluded):
         other = every ^ s
         if not other:
             return
@@ -243,15 +260,16 @@ def _bonds(rest: int, fixed: list, removable) -> list:
         if excluded & ~reach:
             return
         if reach == other:
-            out.append(cut)
+            out.append((cut, side))
         while frontier:
             low = frontier & -frontier
             frontier ^= low
             c = low.bit_length() - 1
-            grow(s | low, cut ^ delta[c], (frontier | qadj[c]) & ~(s | low | excluded), excluded)
+            grow(s | low, cut ^ delta[c], side | classes[c],
+                 (frontier | qadj[c]) & ~(s | low | excluded), excluded)
             excluded |= low
 
-    grow(1, delta[0], qadj[0], 0)
+    grow(1, delta[0], classes[0], qadj[0], 0)
     return out
 
 
@@ -273,15 +291,8 @@ def _cuts(graph: LabeledGraph) -> list:
     ``_bonds`` lists them, growing one side as Tsukiyama et al. do ("An
     algorithm to enumerate all cutsets of a graph in linear time per
     cutset", JACM 27(4), 1980)."""
-    adj, ends = _adjacency(graph)
+    adj, ends, fixed, removable = _split_edges(graph)
     n = len(adj)
-    removable, fixed = [], [0] * n
-    for k, ((i, j), (_, _, label)) in enumerate(zip(ends, graph.edges)):
-        if label > 2 and label % 2 == 0:
-            removable.append((k, i, j))
-        else:
-            fixed[i] |= 1 << j
-            fixed[j] |= 1 << i
     positions = range(len(ends))
     everything = (1 << n) - 1
     out = []
@@ -292,7 +303,7 @@ def _cuts(graph: LabeledGraph) -> list:
             if _component(rest & -rest, rest, adj) != rest:
                 out.append((units, 0))
                 continue
-            bonds = _bonds(rest, fixed, removable)
+            bonds = [cut for cut, _ in _bonds(rest, fixed, removable)]
             bonds.sort(key=lambda cut: (cut.bit_count(), _members(cut, positions)))
             out.extend((units, cut) for cut in bonds)
     return out
@@ -366,26 +377,56 @@ def complement_polyhedron(graph: LabeledGraph) -> SphericalPolyhedron:
       G[R + D] - F' is connected and F' is no cut.
     - Y1' = Y1: F' lies in F, and two bonds of one rest are never nested.
 
+    The rule is read off masks.  A bond's F is every edge between its side
+    S and R - S (an edge that cannot be cut never joins them), and both
+    sides are connected, so G[R] - F has exactly the two components S and
+    R - S.  For an empty cut the components of G[R] are listed once.  Each
+    y then costs one mask test per component.
+
+    Only zero sets that can keep a piece are walked.  A kept (Y1, F) has at
+    least two components of G[R] - F, and each y in Y1 has a neighbour in
+    each, so y has at least two neighbours in R.  Growing Y1 shrinks R, so
+    a zero set that fails this test fails it for every superset: the zero
+    sets are walked depth first, adding vertices by increasing index, and
+    a subtree is cut at its first zero set that fails, as well as past
+    n - 2 vertices.
+
     Dominance candidates are never kept, so they are not enumerated: for a
     proper closed neighbourhood N[x] and a vertex y outside it, x is
     isolated in the rest V - N(x), which also holds y, so (N(x), empty cut)
     is a disconnection candidate, whose forms are a proper subset of the
     dominance piece's.  Only kept pieces are built as ``SubSphere``s."""
     _check_vertex_count(graph)
-    adj, ends = _adjacency(graph)
-    everything = (1 << len(adj)) - 1
+    adj, ends, fixed, removable = _split_edges(graph)
+    n = len(adj)
     kept = []  # (canonical key, unit mask, cut-edge mask)
-    for units, cut in _cuts(graph):
-        pairs = _members(cut, ends)
-        sides = adj[:]
-        for i, j in pairs:
-            sides[i] ^= 1 << j
-            sides[j] ^= 1 << i
-        rest = everything ^ units
-        # y meets every component of G[R] - F iff its neighbours reach all of R there
-        if all(_component(nbrs & rest, rest, sides) == rest for nbrs in _members(units, adj)):
-            forms = tuple((i,) for i in range(len(adj)) if units >> i & 1) + pairs
-            kept.append(((len(forms), forms), units, cut))
+
+    def keep(units, cut):
+        forms = tuple((i,) for i in range(n) if units >> i & 1) + _members(cut, ends)
+        kept.append(((len(forms), forms), units, cut))
+
+    def walk(units, rest, first):
+        nbrs = _members(units, adj)
+        part = _component(rest & -rest, rest, adj)
+        if part != rest:
+            parts, left = [part], rest ^ part
+            while left:
+                parts.append(_component(left & -left, left, adj))
+                left ^= parts[-1]
+            if all(m & c for m in nbrs for c in parts):
+                keep(units, 0)
+        else:
+            for cut, side in _bonds(rest, fixed, removable):
+                if all(m & side and m & (rest ^ side) for m in nbrs):
+                    keep(units, cut)
+        if len(nbrs) < n - 2:
+            for v in range(first, n):
+                smaller = rest ^ 1 << v
+                if all((m & smaller).bit_count() > 1 for m in nbrs + (adj[v],)):
+                    walk(units | 1 << v, smaller, v + 1)
+
+    if n >= 2:
+        walk(0, (1 << n) - 1, 0)
     kept.sort(key=lambda k: k[0])
     pieces = tuple(SubSphere(graph, DISCONNECTION, units, cut) for _, units, cut in kept)
     return SphericalPolyhedron(graph, pieces)

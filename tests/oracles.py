@@ -388,3 +388,41 @@ def complement_member_bruteforce(graph_vertices, graph_edges, values) -> bool:
                     if not bfs_connected(rest, kept):
                         return True
     return False
+
+
+def kept_by_local_rule(n, ends, candidates):
+    """The (Y1 mask, cut mask) candidates the polyhedron keeps, in canonical
+    order: a candidate is kept when, for every y in Y1, a search from y's
+    neighbours in the rest R reaches all of R along the edges of R outside
+    the cut, so y meets every component of G[R] - F.  ``ends`` holds the
+    (i, j) vertex numbers of each edge, and cut masks are over its
+    positions.  The canonical order is by the number of forms, then the
+    forms: (i,) for each i in Y1 by index, then each cut edge's (i, j)."""
+    nbrs = {v: set() for v in range(n)}
+    for i, j in ends:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    kept = []
+    for units, cut in candidates:
+        zero = [v for v in range(n) if units >> v & 1]
+        rest = set(range(n)) - set(zero)
+        pairs = [ends[k] for k in range(len(ends)) if cut >> k & 1]
+        inside = {v: set() for v in rest}
+        for k, (i, j) in enumerate(ends):
+            if i in rest and j in rest and not cut >> k & 1:
+                inside[i].add(j)
+                inside[j].add(i)
+        meets_all = True
+        for y in zero:
+            seen = nbrs[y] & rest
+            frontier = list(seen)
+            while frontier:
+                for w in inside[frontier.pop()] - seen:
+                    seen.add(w)
+                    frontier.append(w)
+            meets_all = meets_all and seen == rest
+        if meets_all:
+            forms = tuple((v,) for v in zero) + tuple(pairs)
+            kept.append(((len(forms), forms), units, cut))
+    kept.sort()
+    return [(units, cut) for _, units, cut in kept]

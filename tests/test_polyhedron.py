@@ -31,7 +31,13 @@ from artin_sigma.polyhedron import (
     _spanned,
 )
 from conftest import random_character, random_even_graph, random_labeled_graph
-from oracles import complement_member_bruteforce, fraction_rank, in_span, minimal_even_cuts
+from oracles import (
+    complement_member_bruteforce,
+    fraction_rank,
+    in_span,
+    kept_by_local_rule,
+    minimal_even_cuts,
+)
 
 
 def forms_as_rows(piece, graph):
@@ -531,6 +537,18 @@ def _complete_graph(n, label=4):
     return LabeledGraph(names, tuple((names[i], names[j], label) for i, j in combinations(range(n), 2)))
 
 
+def _cycle_graph(n, label=4):
+    names = tuple(f"c{i}" for i in range(n))
+    return LabeledGraph(names, tuple((names[i], names[(i + 1) % n], label) for i in range(n)))
+
+
+def _grid_graph(rows, cols, label=4):
+    names = tuple(f"x{i}" for i in range(rows * cols))
+    pairs = [(i, i + 1) for i in range(rows * cols) if i % cols != cols - 1]
+    pairs += [(i, i + cols) for i in range((rows - 1) * cols)]
+    return LabeledGraph(names, tuple((names[i], names[j], label) for i, j in pairs))
+
+
 @pytest.mark.parametrize("n, count", [(7, 966), (9, 9330)], ids=["K7", "K9"])
 def test_complete_graph_builds_within_budget(n, count):
     # every zero set of K_n leaves a complete rest K_m, whose 2^(m-1) - 1 bonds
@@ -577,13 +595,58 @@ def test_candidate_spans_read_off_their_shape():
 
 
 def test_vertex_limit_fires_before_enumerating(monkeypatch):
-    def enumerate_nothing(graph):
-        raise AssertionError("cuts enumerated")
+    # the build's first step is the connectivity search of the whole graph,
+    # and disconnection_pieces lists the candidates of _cuts
+    def enumerate_nothing(*args):
+        raise AssertionError("enumerated")
 
-    monkeypatch.setattr(polyhedron, "_cuts", enumerate_nothing)
     names = tuple(f"v{i}" for i in range(MAX_POLYHEDRON_VERTICES + 1))
-    for build in (complement_polyhedron, disconnection_pieces):
+    for build, first_step in ((complement_polyhedron, "_component"),
+                              (disconnection_pieces, "_cuts")):
+        monkeypatch.setattr(polyhedron, first_step, enumerate_nothing)
         with pytest.raises(InputError, match="13 vertices, above MAX_POLYHEDRON_VERTICES = 12"):
             build(LabeledGraph(names, ()))
-        with pytest.raises(AssertionError, match="cuts enumerated"):
+        with pytest.raises(AssertionError, match="enumerated"):
             build(LabeledGraph(names[:-1], ()))
+        monkeypatch.undo()
+
+
+def test_build_matches_local_rule_oracle():
+    # the build walks only the zero sets whose vertices keep two neighbours in
+    # the rest and reads the rule off masks; the oracle filters every
+    # candidate of _cuts by a search per zeroed vertex
+    rng = random.Random(2323)
+    graphs = [LabeledGraph(tuple(f"e{i}" for i in range(6)), ())]
+    graphs += [_cycle_graph(n) for n in range(4, 13)]
+    graphs += [_grid_graph(3, 4)] + [_complete_graph(n) for n in (5, 6, 7)]
+    for trial in range(500):
+        labels = ((4,), (2, 4, 6), (2, 3, 4, 5, 6))[trial % 3]
+        graphs.append(random_labeled_graph(rng, max_vertices=9, labels=labels,
+                                           p=rng.choice((0.25, 0.4, 0.55))))
+    shapes = set()
+    for g in graphs:
+        _, ends = _adjacency(g)
+        expect = kept_by_local_rule(len(g.vertices), ends, _cuts(g))
+        assert [(p.units, p.cut) for p in complement_polyhedron(g).pieces] == expect, g
+        shapes.update((units.bit_count() > 0, cut > 0) for units, cut in expect)
+    # pieces with and without zeroed vertices and cut edges all occur
+    assert shapes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_cycle_piece_count(n):
+    # Cn keeps C(n, 2) two-edge cuts, n(n - 2) pieces zeroing one vertex and
+    # cutting one edge, and C(n, 2) - n empty cuts at two non-adjacent vertices
+    count = n * (n - 1) // 2 + n * (n - 2) + n * (n - 1) // 2 - n
+    assert len(complement_polyhedron(_cycle_graph(n)).pieces) == count
+
+
+def test_cycle_18_builds_within_budget(monkeypatch):
+    # every zeroed vertex of C18 needs both neighbours in the rest, so only
+    # its 5,778 independent sets are walked, of the 2^18 zero sets
+    monkeypatch.setattr(polyhedron, "MAX_POLYHEDRON_VERTICES", 18)
+    c18 = _cycle_graph(18)
+    start = time.process_time()
+    pieces = complement_polyhedron(c18).pieces
+    assert time.process_time() - start < 1.0
+    assert len(pieces) == 576
