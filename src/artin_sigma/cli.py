@@ -47,7 +47,11 @@ def _read_source(path: str):
                 data = fh.read()
         except OSError as exc:
             raise InputError(f"cannot read {path}: {exc.strerror}") from None
-    return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise InputError(f"{'stdin' if path == '-' else path} is not UTF-8 text") from None
+    return text, hashlib.sha256(data).hexdigest()
 
 
 def _load_graph_and_char(path: str, char_override):

@@ -9,7 +9,8 @@ import sys
 
 MAX_COEFFICIENT_DIGITS = sys.int_info.default_max_str_digits
 """Most decimal digits a number may have in any input (a polynomial's
-coefficient or exponent, a character value) and in a printed coefficient.
+coefficient or exponent, a character value, an edge label) and in a
+printed coefficient.
 This is Python's default int-string limit (4300), so every accepted number
 converts to and from a string; a longer one is an InputError.  ``laurent``
 re-exports it with the bounds it applies before expanding a power."""

@@ -9,7 +9,12 @@ The text format (conventionally ``.artin``) is line based::
     e a b 4      # edge between declared vertices, label 4
     c a 1/2      # optional character value, consumed by the character parser
 
-Blank lines are ignored; endpoints must be declared before use.
+Blank lines are ignored; endpoints must be declared before use.  A label
+has at most ``MAX_COEFFICIENT_DIGITS`` digits.
+
+Each graph keeps one neighbour mask per vertex position
+(``LabeledGraph.masks``), and ``component`` is the one component search on
+such masks, shared with the polyhedron and the presentations.
 
 >>> g = parse_graph("v a\\nv b\\ne a b 4\\n")
 >>> g.vertices
@@ -24,7 +29,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .errors import InputError
+from .errors import MAX_COEFFICIENT_DIGITS, InputError
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -72,12 +77,21 @@ class LabeledGraph:
         return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
-    def adjacency(self) -> dict:
-        adj = {v: [] for v in self.vertices}
+    def masks(self) -> tuple:
+        """The neighbour mask of each vertex, by position: bit j of
+        ``masks[i]`` is set when vertices i and j are adjacent."""
+        idx = self.index
+        masks = [0] * len(idx)
         for u, v, _ in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return {v: tuple(ns) for v, ns in adj.items()}
+            i, j = idx[u], idx[v]
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+        return tuple(masks)
+
+    @cached_property
+    def adjacency(self) -> dict:
+        """The neighbours of each vertex by name, in declaration order."""
+        return {v: members(m, self.vertices) for v, m in zip(self.vertices, self.masks)}
 
     @cached_property
     def _labels(self) -> dict:
@@ -136,6 +150,9 @@ def parse_artin(text: str):
                     raise InputError(f"line {lineno}: vertex {name!r} used before declaration")
             if not (label_text.isascii() and label_text.isdigit()):
                 raise InputError(f"line {lineno}: bad label {label_text!r}")
+            if len(label_text) > MAX_COEFFICIENT_DIGITS:
+                raise InputError(f"line {lineno}: label has more than "
+                                 f"MAX_COEFFICIENT_DIGITS = {MAX_COEFFICIENT_DIGITS} digits")
             label = int(label_text)
             if label < 2:
                 raise InputError(f"line {lineno}: label must be >= 2")
@@ -167,9 +184,45 @@ def full_subgraph(graph: LabeledGraph, vertex_set) -> LabeledGraph:
     return LabeledGraph(vertices, edges)
 
 
+def members(mask: int, items) -> tuple:
+    """The items at the positions set in ``mask``, in order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(items[low.bit_length() - 1])
+        mask ^= low
+    return tuple(out)
+
+
+def component(start: int, within: int, masks) -> int:
+    """The mask of the vertices of ``within`` reached from the mask ``start``
+    along the neighbour masks ``masks``, without leaving ``within``."""
+    seen = frontier = start
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & within & ~seen
+        seen |= frontier
+    return seen
+
+
+def components(within: int, masks) -> list:
+    """The components of the vertex mask ``within`` along the neighbour masks
+    ``masks``, as masks, in order of their lowest vertex."""
+    out = []
+    while within:
+        out.append(component(within & -within, within, masks))
+        within ^= out[-1]
+    return out
+
+
 def is_connected(graph: LabeledGraph) -> bool:
     """At most one component; the empty graph counts as connected."""
-    return len(connected_components(graph)) <= 1
+    everything = (1 << len(graph.vertices)) - 1
+    return component(everything & -everything, everything, graph.masks) == everything
 
 
 def is_dominant(graph: LabeledGraph, vertex_set) -> bool:
@@ -182,38 +235,20 @@ def is_dominant(graph: LabeledGraph, vertex_set) -> bool:
     unknown = inside - set(graph.vertices)
     if unknown:
         raise InputError(f"unknown vertices {sorted(unknown)}")
-    for v in graph.vertices:
-        if v in inside:
-            continue
-        if not any(w in inside for w in graph.adjacency[v]):
-            return False
-    return True
+    mask = sum(1 << graph.index[v] for v in inside)
+    return all(m & mask for i, m in enumerate(graph.masks) if not mask >> i & 1)
 
 
 def connected_components(graph: LabeledGraph) -> list:
     """Components in order of their first vertex, each in declaration order."""
-    adj = graph.adjacency
-    comp_of: dict = {}
-    comps = []
-    for start in graph.vertices:
-        if start in comp_of:
-            continue
-        comp_of[start] = len(comps)
-        stack = [start]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in comp_of:
-                    comp_of[w] = len(comps)
-                    stack.append(w)
-        comps.append([])
-    for v in graph.vertices:
-        comps[comp_of[v]].append(v)
-    return [tuple(c) for c in comps]
+    everything = (1 << len(graph.vertices)) - 1
+    return [members(c, graph.vertices) for c in components(everything, graph.masks)]
 
 
 def cycle_rank(graph: LabeledGraph) -> int:
     """First Betti number |E| - |V| + number of components."""
-    return len(graph.edges) - len(graph.vertices) + len(connected_components(graph))
+    everything = (1 << len(graph.vertices)) - 1
+    return len(graph.edges) - len(graph.vertices) + len(components(everything, graph.masks))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from itertools import combinations
 
 from .characters import Character, dead_edges, parse_rational
 from .errors import InputError
-from .graphs import LabeledGraph
+from .graphs import LabeledGraph, component, components, members
 
 MAX_POLYHEDRON_VERTICES = 12
 """Most vertices ``complement_polyhedron`` and ``disconnection_pieces``
@@ -52,11 +52,11 @@ class SubSphere:
 
     @property
     def zero_set(self) -> tuple:
-        return _members(self.units, self.graph.vertices)
+        return members(self.units, self.graph.vertices)
 
     @property
     def cut_edges(self) -> tuple:
-        return tuple(e[:2] for e in _members(self.cut, self.graph.edges))
+        return tuple(e[:2] for e in members(self.cut, self.graph.edges))
 
     @property
     def forms(self) -> tuple:
@@ -81,16 +81,6 @@ def _check_vertex_count(graph: LabeledGraph) -> None:
     if len(graph.vertices) > MAX_POLYHEDRON_VERTICES:
         raise InputError(f"graph has {len(graph.vertices)} vertices, above "
                          f"MAX_POLYHEDRON_VERTICES = {MAX_POLYHEDRON_VERTICES}")
-
-
-def _members(mask: int, items) -> tuple:
-    """The items at the positions set in ``mask``, in order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(items[low.bit_length() - 1])
-        mask ^= low
-    return tuple(out)
 
 
 def _character_masks(chi: Character):
@@ -161,8 +151,8 @@ def subsphere_contained(a: SubSphere, b: SubSphere) -> bool:
     in it.  Pieces over two different graphs are an InputError."""
     if a.graph != b.graph:
         raise InputError("the pieces lie over different graphs")
-    adj, ends = _adjacency(a.graph)
-    _, full, key = _span(len(adj), a.units, _members(a.cut, ends))
+    ends = _ends(a.graph)
+    _, full, key = _span(len(a.graph.vertices), a.units, members(a.cut, ends))
     return b.units & full == b.units and b.cut & _spanned(key, ends) == b.cut
 
 
@@ -170,40 +160,17 @@ def subsphere_contained(a: SubSphere, b: SubSphere) -> bool:
 # piece enumeration on vertex and edge numbers
 
 
-def _adjacency(graph: LabeledGraph):
-    """Per-vertex neighbour masks and the (i, j) index pair of each edge."""
+def _ends(graph: LabeledGraph) -> list:
+    """The (i, j) vertex positions of each edge."""
     idx = graph.index
-    adj = [0] * len(idx)
-    ends = []
-    for u, v, _ in graph.edges:
-        i, j = idx[u], idx[v]
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-        ends.append((i, j))
-    return adj, ends
-
-
-def _component(start: int, within: int, adj) -> int:
-    """The mask of the vertices of ``within`` reached from the mask ``start``
-    along the neighbour masks ``adj``, without leaving ``within``."""
-    seen = frontier = start
-    while frontier:
-        reach = 0
-        while frontier:
-            low = frontier & -frontier
-            reach |= adj[low.bit_length() - 1]
-            frontier ^= low
-        frontier = reach & within & ~seen
-        seen |= frontier
-    return seen
+    return [(idx[u], idx[v]) for u, v, _ in graph.edges]
 
 
 def _closed_neighborhoods(graph: LabeledGraph) -> list:
     """Distinct proper closed neighbourhoods as vertex masks, in vertex order."""
-    adj, _ = _adjacency(graph)
-    everything = (1 << len(adj)) - 1
+    everything = (1 << len(graph.vertices)) - 1
     out = []
-    for x, nbrs in enumerate(adj):
+    for x, nbrs in enumerate(graph.masks):
         closed = nbrs | 1 << x
         if closed != everything and closed not in out:
             out.append(closed)
@@ -213,7 +180,7 @@ def _closed_neighborhoods(graph: LabeledGraph) -> list:
 def _split_edges(graph: LabeledGraph):
     """Neighbour masks, edge index pairs, neighbour masks by the edges that
     cannot be cut, and the (edge number, i, j) of each even label > 2 edge."""
-    adj, ends = _adjacency(graph)
+    adj, ends = graph.masks, _ends(graph)
     removable, fixed = [], [0] * len(adj)
     for k, ((i, j), (_, _, label)) in enumerate(zip(ends, graph.edges)):
         if label > 2 and label % 2 == 0:
@@ -235,12 +202,9 @@ def _bonds(rest: int, fixed: list, removable) -> list:
     neighbouring class at a time, which is then taken or excluded for good,
     so each S is met once; a branch ends once its excluded classes lie in
     two components of the classes left, since R - S must hold them all."""
-    classes, left = [], rest
-    while left:
-        classes.append(_component(left & -left, rest, fixed))
-        left ^= classes[-1]
-    of = {i: c for c, members in enumerate(classes) for i in range(members.bit_length())
-          if members >> i & 1}
+    classes = components(rest, fixed)
+    of = {i: c for c, cls in enumerate(classes) for i in range(cls.bit_length())
+          if cls >> i & 1}
     qadj, delta = [0] * len(classes), [0] * len(classes)
     for k, i, j in removable:
         if rest >> i & rest >> j & 1 and of[i] != of[j]:
@@ -256,7 +220,7 @@ def _bonds(rest: int, fixed: list, removable) -> list:
         other = every ^ s
         if not other:
             return
-        reach = _component(excluded & -excluded or other & -other, other, qadj)
+        reach = component(excluded & -excluded or other & -other, other, qadj)
         if excluded & ~reach:
             return
         if reach == other:
@@ -300,11 +264,11 @@ def _cuts(graph: LabeledGraph) -> list:
         for y1 in combinations(range(n), size):
             units = sum(1 << i for i in y1)
             rest = everything ^ units
-            if _component(rest & -rest, rest, adj) != rest:
+            if component(rest & -rest, rest, adj) != rest:
                 out.append((units, 0))
                 continue
             bonds = [cut for cut, _ in _bonds(rest, fixed, removable)]
-            bonds.sort(key=lambda cut: (cut.bit_count(), _members(cut, positions)))
+            bonds.sort(key=lambda cut: (cut.bit_count(), members(cut, positions)))
             out.extend((units, cut) for cut in bonds)
     return out
 
@@ -333,21 +297,6 @@ class SphericalPolyhedron:
 
     def to_json_dict(self) -> dict:
         return {"pieces": [p.to_json_dict() for p in self.pieces]}
-
-
-def _forest_size(pairs) -> int:
-    """The number of edges in a spanning forest of the graph ``pairs`` form."""
-    parent = {}
-    size = 0
-    for i, j in pairs:
-        while i in parent:
-            i = parent[i]
-        while j in parent:
-            j = parent[j]
-        if i != j:
-            parent[i] = j
-            size += 1
-    return size
 
 
 def complement_polyhedron(graph: LabeledGraph) -> SphericalPolyhedron:
@@ -402,17 +351,13 @@ def complement_polyhedron(graph: LabeledGraph) -> SphericalPolyhedron:
     kept = []  # (canonical key, unit mask, cut-edge mask)
 
     def keep(units, cut):
-        forms = tuple((i,) for i in range(n) if units >> i & 1) + _members(cut, ends)
+        forms = tuple((i,) for i in range(n) if units >> i & 1) + members(cut, ends)
         kept.append(((len(forms), forms), units, cut))
 
     def walk(units, rest, first):
-        nbrs = _members(units, adj)
-        part = _component(rest & -rest, rest, adj)
-        if part != rest:
-            parts, left = [part], rest ^ part
-            while left:
-                parts.append(_component(left & -left, left, adj))
-                left ^= parts[-1]
+        nbrs = members(units, adj)
+        parts = components(rest, adj)
+        if len(parts) > 1:
             if all(m & c for m in nbrs for c in parts):
                 keep(units, 0)
         else:

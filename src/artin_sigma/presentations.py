@@ -18,13 +18,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 
 from .characters import Character, dead_edges, living_subgraph
 from .errors import InputError, MathError
 from .fields import MAX_CYCLOTOMIC_ORDER, QQ, CycloNum, CyclotomicField
-from .graphs import LabeledGraph, all_labels_even, connected_components, cycle_rank
+from .graphs import LabeledGraph, all_labels_even, connected_components
 from .laurent import LaurentPoly
 from .linalg import PolyMatrix
 
@@ -35,7 +34,8 @@ NOT_FINITELY_GENERATED = "not_finitely_generated"
 class BipartiteForest:
     """Vertex sides ``left``/``right``, acyclic cross edges labeled 2m (m >= 2),
     and one basepoint per connected component (isolated vertices are their
-    own components)."""
+    own components).  ``graph`` is the validated ``LabeledGraph`` on
+    ``left + right`` and the edges."""
 
     left: tuple
     right: tuple
@@ -63,9 +63,10 @@ class BipartiteForest:
             norm_edges.append((v, w, label))
         # the graph rejects bad names, duplicate vertices and duplicate edges
         graph = LabeledGraph(left + right, tuple(norm_edges))
-        if cycle_rank(graph) != 0:
-            raise MathError("forest edges contain a cycle")
         comps = connected_components(graph)
+        # a forest has one edge fewer than vertices in each component
+        if len(graph.edges) != len(graph.vertices) - len(comps):
+            raise MathError("forest edges contain a cycle")
         comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
 
         basepoints = self.basepoints
@@ -88,6 +89,7 @@ class BipartiteForest:
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "edges", graph.edges)
         object.__setattr__(self, "basepoints", basepoints)
+        object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "_components", tuple(comps))
 
     @property
@@ -96,14 +98,6 @@ class BipartiteForest:
 
     def components(self) -> tuple:
         return self._components
-
-    @cached_property
-    def adjacency(self) -> dict:
-        adj = {v: [] for v in self.vertices}
-        for v, w, label in self.edges:
-            adj[v].append((w, label))
-            adj[w].append((v, label))
-        return adj
 
     def with_basepoints(self, basepoints) -> "BipartiteForest":
         return BipartiteForest(self.left, self.right, self.edges, tuple(basepoints))
@@ -433,7 +427,7 @@ def specialization_data(forest: BipartiteForest, chi) -> Specialization:
         while queue:
             cur = queue.popleft()
             j_cur, e_cur = images[cur]
-            for nbr, _ in forest.adjacency[cur]:
+            for nbr in forest.graph.adjacency[cur]:
                 if nbr in images:
                     continue
                 pair = (cur, nbr) if cur in lset else (nbr, cur)

@@ -28,6 +28,46 @@ def bfs_connected(vertices, edge_pairs) -> bool:
     return len(seen) == len(vertices)
 
 
+def connected_components(vertices, edge_pairs) -> list:
+    """Components in order of their first vertex, each in the order of
+    ``vertices``, by a depth-first search on names."""
+    adj = {v: [] for v in vertices}
+    for u, v in edge_pairs:
+        adj[u].append(v)
+        adj[v].append(u)
+    comp_of: dict = {}
+    comps = []
+    for start in vertices:
+        if start in comp_of:
+            continue
+        comp_of[start] = len(comps)
+        stack = [start]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in comp_of:
+                    comp_of[w] = len(comps)
+                    stack.append(w)
+        comps.append([])
+    for v in vertices:
+        comps[comp_of[v]].append(v)
+    return [tuple(c) for c in comps]
+
+
+def forest_size(pairs) -> int:
+    """The number of edges in a spanning forest of the graph ``pairs`` form."""
+    parent = {}
+    size = 0
+    for i, j in pairs:
+        while i in parent:
+            i = parent[i]
+        while j in parent:
+            j = parent[j]
+        if i != j:
+            parent[i] = j
+            size += 1
+    return size
+
+
 def minimal_even_cuts(graph, rest):
     """Subset-minimal even-label cuts of the subgraph induced on ``rest``, in
     the order the polyhedron enumerates them: the removable edges (even

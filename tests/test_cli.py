@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -470,3 +471,32 @@ def test_cli_rejects_non_ascii_decimal_labels(tmp_path, capsys, label):
     assert code == 2
     assert out == ""
     assert json.loads(err) == {"error": "input", "message": f"line 3: bad label {label!r}"}
+
+
+@pytest.mark.parametrize("command", ["sigma1", "polyhedron", "hypothesis", "jacobian", "kt-certify"])
+def test_graph_commands_refuse_a_label_past_the_digit_limit(tmp_path, capsys, command):
+    # int() would raise Python's int-string ValueError
+    path = graph_file(tmp_path, "v a\nv b\ne a b " + "9" * 5000 + "\n")
+    code, out, err = run_cli(capsys, [command, path])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "input",
+        "message": "line 3: label has more than MAX_COEFFICIENT_DIGITS = 4300 digits",
+    }
+    # a label of exactly that many digits is read
+    path = graph_file(tmp_path, "v a\nv b\ne a b " + "9" * 4300 + "\n")
+    assert run_json(capsys, ["hypothesis", path])["result"]["holds"] is True
+
+
+@pytest.mark.parametrize("from_stdin", [False, True])
+def test_graph_source_that_is_not_utf8_is_refused(tmp_path, capsys, monkeypatch, from_stdin):
+    data = b"\xff\xfe"
+    if from_stdin:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        path, name = "-", "stdin"
+    else:
+        path = name = str(tmp_path / "g.artin")
+        (tmp_path / "g.artin").write_bytes(data)
+    code, out, err = run_cli(capsys, ["hypothesis", path])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "input", "message": f"{name} is not UTF-8 text"}

@@ -21,18 +21,18 @@ from artin_sigma import (
     polyhedron_from_json,
     subsphere_contained,
 )
+from artin_sigma.graphs import members
 from artin_sigma.polyhedron import (
     MAX_POLYHEDRON_VERTICES,
-    _adjacency,
     _cuts,
-    _forest_size,
-    _members,
+    _ends,
     _span,
     _spanned,
 )
 from conftest import random_character, random_even_graph, random_labeled_graph
 from oracles import (
     complement_member_bruteforce,
+    forest_size,
     fraction_rank,
     in_span,
     kept_by_local_rule,
@@ -577,31 +577,31 @@ def test_candidate_spans_read_off_their_shape():
     candidates = with_cycle = 0
     for g in graphs:
         n = len(g.vertices)
-        _, ends = _adjacency(g)
+        ends = _ends(g)
         keys = set()
         for units, cut in _cuts(g):
-            pairs = _members(cut, ends)
+            pairs = members(cut, ends)
             rank, full, key = _span(n, units, pairs)
             inner = sum(1 << k for k, (i, j) in enumerate(ends) if units >> i & units >> j & 1)
             assert full == units, (g, units, cut)
-            assert rank == units.bit_count() + _forest_size(pairs) < n, (g, units, cut)
+            assert rank == units.bit_count() + forest_size(pairs) < n, (g, units, cut)
             assert _spanned(key, ends) == inner | cut, (g, units, cut)
             assert key not in keys, (g, units, cut)
             keys.add(key)
             candidates += 1
-            with_cycle += _forest_size(pairs) < len(pairs)
+            with_cycle += forest_size(pairs) < len(pairs)
     # cuts holding a cycle make the rank differ from |Y1| + |cut|
     assert candidates > 5000 and with_cycle > 100
 
 
 def test_vertex_limit_fires_before_enumerating(monkeypatch):
-    # the build's first step is the connectivity search of the whole graph,
-    # and disconnection_pieces lists the candidates of _cuts
+    # the build's first step lists the components of the whole graph, and
+    # disconnection_pieces lists the candidates of _cuts
     def enumerate_nothing(*args):
         raise AssertionError("enumerated")
 
     names = tuple(f"v{i}" for i in range(MAX_POLYHEDRON_VERTICES + 1))
-    for build, first_step in ((complement_polyhedron, "_component"),
+    for build, first_step in ((complement_polyhedron, "components"),
                               (disconnection_pieces, "_cuts")):
         monkeypatch.setattr(polyhedron, first_step, enumerate_nothing)
         with pytest.raises(InputError, match="13 vertices, above MAX_POLYHEDRON_VERTICES = 12"):
@@ -625,7 +625,7 @@ def test_build_matches_local_rule_oracle():
                                            p=rng.choice((0.25, 0.4, 0.55))))
     shapes = set()
     for g in graphs:
-        _, ends = _adjacency(g)
+        ends = _ends(g)
         expect = kept_by_local_rule(len(g.vertices), ends, _cuts(g))
         assert [(p.units, p.cut) for p in complement_polyhedron(g).pieces] == expect, g
         shapes.update((units.bit_count() > 0, cut > 0) for units, cut in expect)

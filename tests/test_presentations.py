@@ -462,13 +462,17 @@ def random_forest_with_character(rng):
                 parent[ra] = rb
                 edges.append((a, b, 2 * rng.randint(2, 4)))
     forest = BipartiteForest(left, right, tuple(edges))
+    adjacency = {x: [] for x in left + right}
+    for v, w, _ in forest.edges:
+        adjacency[v].append(w)
+        adjacency[w].append(v)
     values = {}
     for base in forest.basepoints:
         values[base] = rng.choice([1, 2, 3, -1, -2, -3])
         stack = [base]
         while stack:
             cur = stack.pop()
-            for nbr, _ in forest.adjacency[cur]:
+            for nbr in adjacency[cur]:
                 if nbr not in values:
                     values[nbr] = -values[cur]
                     stack.append(nbr)
