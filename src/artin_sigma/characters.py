@@ -5,6 +5,14 @@ takes equal values on the endpoints of every odd-labeled edge (those
 generators are conjugate, so any homomorphism to the reals must agree on
 them).  Characters are always considered up to positive scaling; ``negate``
 and ``scale`` are provided for the symmetry checks.
+
+A character is read through two masks, each derived once and kept: ``zero``,
+the vertex positions where it vanishes, and ``dead``, the mask over
+``graph.edges`` of its dead edges, the even label > 2 edges
+(``LabeledGraph.removable``) whose endpoint values sum to zero (Meier,
+Meinert and VanWyk, Topology Appl. 110, 2001).  The support, ``dead_edges``
+and the living subgraph here, and polyhedron membership and the dead-edge
+forest elsewhere, read them.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from functools import cached_property
 from math import gcd, lcm
 
 from .errors import MAX_COEFFICIENT_DIGITS, InputError
-from .graphs import LabeledGraph, full_subgraph
+from .graphs import LabeledGraph, full_subgraph, members
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?\Z")
 
@@ -60,8 +68,21 @@ class Character:
         except KeyError:
             raise InputError(f"unknown vertex {vertex!r}") from None
 
+    @cached_property
+    def zero(self) -> int:
+        """The mask of the vertex positions where the character vanishes."""
+        return sum(1 << i for i, x in enumerate(self.entries) if not x)
+
+    @cached_property
+    def dead(self) -> int:
+        """The mask over ``graph.edges`` of the dead edges: removable, with
+        endpoint values summing to zero."""
+        graph, vals = self.graph, self.values
+        return sum(1 << k for k, (u, v, _) in enumerate(graph.edges)
+                   if graph.removable >> k & 1 and vals[u] + vals[v] == 0)
+
     def support(self) -> tuple:
-        return tuple(v for v, x in zip(self.graph.vertices, self.entries) if x != 0)
+        return members(((1 << len(self.entries)) - 1) ^ self.zero, self.graph.vertices)
 
     def negate(self) -> "Character":
         return Character(self.graph, tuple(-x for x in self.entries))
@@ -123,17 +144,14 @@ def lf_subgraph(chi: Character) -> LabeledGraph:
 
 
 def dead_edges(chi: Character) -> tuple:
-    """Edges killed by a character: label even and > 2, endpoint values
-    summing to zero."""
-    vals = chi.values
-    return tuple((u, v, label) for u, v, label in chi.graph.edges
-                 if label > 2 and label % 2 == 0 and vals[u] + vals[v] == 0)
+    """Edges killed by a character (``Character.dead``), in edge order."""
+    return members(chi.dead, chi.graph.edges)
 
 
 def living_subgraph(chi: Character) -> LabeledGraph:
     """The support subgraph with dead edges removed (vertex set unchanged)."""
     support = chi.support()
     inside = set(support)
-    dead = set(dead_edges(chi))
-    return LabeledGraph(support, tuple(e for e in chi.graph.edges
-                                       if e[0] in inside and e[1] in inside and e not in dead))
+    dead = chi.dead
+    return LabeledGraph(support, tuple(e for k, e in enumerate(chi.graph.edges)
+                                       if e[0] in inside and e[1] in inside and not dead >> k & 1))

@@ -13,8 +13,9 @@ Blank lines are ignored; endpoints must be declared before use.  A label
 has at most ``MAX_COEFFICIENT_DIGITS`` digits.
 
 Each graph keeps one neighbour mask per vertex position
-(``LabeledGraph.masks``), and ``component`` is the one component search on
-such masks, shared with the polyhedron and the presentations.
+(``LabeledGraph.masks``) and the mask of its even label > 2 edges
+(``LabeledGraph.removable``), and ``component`` is the one component search
+on such masks, shared with the polyhedron and the presentations.
 
 >>> g = parse_graph("v a\\nv b\\ne a b 4\\n")
 >>> g.vertices
@@ -87,6 +88,12 @@ class LabeledGraph:
             masks[i] |= 1 << j
             masks[j] |= 1 << i
         return tuple(masks)
+
+    @cached_property
+    def removable(self) -> int:
+        """The mask over ``edges`` of the edges with an even label above 2:
+        the edges a character can kill and a cut can delete."""
+        return sum(1 << k for k, e in enumerate(self.edges) if e[2] > 2 and e[2] % 2 == 0)
 
     @cached_property
     def adjacency(self) -> dict:

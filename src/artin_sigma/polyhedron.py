@@ -8,7 +8,8 @@ lies inside a disconnection piece, so the polyhedron keeps disconnection
 pieces only.  A piece is its graph, its kind, a unit (vertex) mask and a
 cut-edge mask; its zero set, cut edges and forms are read off the masks,
 for output only.  A cut edge's sum vanishes exactly when the edge is dead,
-so membership is decided exactly by two mask tests per piece.
+so membership is decided exactly by two mask tests per piece, against the
+character's ``zero`` and ``dead`` masks.
 
 >>> from artin_sigma import character, parse_graph
 >>> f5 = parse_graph("v a\\nv b\\nv c\\ne a b 4\\ne b c 4\\n")
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .characters import Character, dead_edges, parse_rational
+from .characters import Character, parse_rational
 from .errors import InputError
 from .graphs import LabeledGraph, component, components, members
 
@@ -67,8 +68,7 @@ class SubSphere:
     def contains(self, chi: Character) -> bool:
         if chi.graph != self.graph:
             raise InputError("character carrier differs from the piece's graph")
-        zero, dead = _character_masks(chi)
-        return self.units & zero == self.units and self.cut & dead == self.cut
+        return self.units & chi.zero == self.units and self.cut & chi.dead == self.cut
 
     def to_json_dict(self) -> dict:
         origin = {"kind": self.kind, "zero_set": list(self.zero_set)}
@@ -81,14 +81,6 @@ def _check_vertex_count(graph: LabeledGraph) -> None:
     if len(graph.vertices) > MAX_POLYHEDRON_VERTICES:
         raise InputError(f"graph has {len(graph.vertices)} vertices, above "
                          f"MAX_POLYHEDRON_VERTICES = {MAX_POLYHEDRON_VERTICES}")
-
-
-def _character_masks(chi: Character):
-    """The vertex mask where chi vanishes and the edge mask of its dead edges
-    (``characters.dead_edges``)."""
-    zero = sum(1 << i for i, x in enumerate(chi.entries) if not x)
-    dead = set(dead_edges(chi))
-    return zero, sum(1 << k for k, e in enumerate(chi.graph.edges) if e in dead)
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +171,11 @@ def _closed_neighborhoods(graph: LabeledGraph) -> list:
 
 def _split_edges(graph: LabeledGraph):
     """Neighbour masks, edge index pairs, neighbour masks by the edges that
-    cannot be cut, and the (edge number, i, j) of each even label > 2 edge."""
+    cannot be cut, and the (edge number, i, j) of each removable edge."""
     adj, ends = graph.masks, _ends(graph)
     removable, fixed = [], [0] * len(adj)
-    for k, ((i, j), (_, _, label)) in enumerate(zip(ends, graph.edges)):
-        if label > 2 and label % 2 == 0:
+    for k, (i, j) in enumerate(ends):
+        if graph.removable >> k & 1:
             removable.append((k, i, j))
         else:
             fixed[i] |= 1 << j
@@ -380,7 +372,7 @@ def complement_polyhedron(graph: LabeledGraph) -> SphericalPolyhedron:
 def polyhedron_contains(polyhedron: SphericalPolyhedron, chi: Character) -> bool:
     if chi.graph != polyhedron.graph:
         raise InputError("character carrier differs from the polyhedron's graph")
-    zero, dead = _character_masks(chi)
+    zero, dead = chi.zero, chi.dead
     return any(p.units & zero == p.units and p.cut & dead == p.cut for p in polyhedron.pieces)
 
 
@@ -412,10 +404,10 @@ def polyhedron_from_json(graph: LabeledGraph, data: dict) -> SphericalPolyhedron
                 raise InputError(f"piece origin names unknown vertices {sorted(unknown)}")
             cut = 0
             for u, v in cut_edges:
-                label = graph.label(u, v)
-                if label == 2 or label % 2:
+                label, k = graph.label(u, v), edge_no[frozenset((u, v))]
+                if not graph.removable >> k & 1:
                     raise InputError(f"cut edge ({u}, {v}) has label {label}, not even and > 2")
-                cut |= 1 << edge_no[frozenset((u, v))]
+                cut |= 1 << k
             units = sum(1 << idx[v] for v in set(zero_set))
             if units.bit_count() < len(zero_set) or cut.bit_count() < len(cut_edges):
                 raise InputError("piece origin repeats a vertex or a cut edge")

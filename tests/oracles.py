@@ -395,6 +395,13 @@ def triangular_minor_holds(minor, is_zero) -> bool:
     )
 
 
+def dead_edges(edges, values) -> list:
+    """The (u, v, label) edges that the character with name-keyed ``values``
+    kills: label even and above 2, endpoint values summing to zero."""
+    return [(u, v, label) for u, v, label in edges
+            if label > 2 and label % 2 == 0 and values[u] + values[v] == 0]
+
+
 def complement_member_bruteforce(graph_vertices, graph_edges, values) -> bool:
     """Direct reading of the complement region: either some vertex's closed
     neighborhood is zeroed out, or some (zero set, dead-edge cut) disconnects

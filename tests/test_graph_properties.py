@@ -1,7 +1,10 @@
 """Property tests for the graph structure, drawn by the hypothesis library:
 the blocks partition the edges, and each block is a single edge or stays
 connected after removing any one of its vertices; components, connectivity,
-cycle rank and dominance agree with plain-Python definitions."""
+cycle rank and dominance agree with plain-Python definitions; a character's
+zero and dead-edge masks, and what reads them, agree with name-based ones."""
+
+from fractions import Fraction
 
 import pytest
 
@@ -11,13 +14,20 @@ st = hypothesis.strategies
 from artin_sigma import (  # noqa: E402
     LabeledGraph,
     blocks,
+    character,
+    complement_polyhedron,
     connected_components,
     cycle_rank,
+    dead_edges,
     is_connected,
     is_dominant,
+    living_subgraph,
+    polyhedron_contains,
 )
+from artin_sigma.graphs import members  # noqa: E402
 from oracles import bfs_connected, forest_size  # noqa: E402
 from oracles import connected_components as oracle_components  # noqa: E402
+from oracles import dead_edges as oracle_dead_edges  # noqa: E402
 
 
 @st.composite
@@ -59,3 +69,44 @@ def test_components_connectivity_rank_and_dominance_match_definitions(graph, dat
                   for v in graph.vertices}
     dominated = all(v in inside or neighbours[v] & inside for v in graph.vertices)
     assert is_dominant(graph, inside) == dominated, (graph, inside)
+
+
+# zero, negative and rational values, each with its opposite
+VALUES = sorted({Fraction(p, q) for p in range(-2, 3) for q in (1, 2)})
+
+
+@st.composite
+def characters(draw):
+    """A graph and name-keyed character values, equal across odd edges."""
+    graph = draw(labeled_graphs())
+    odd = [(u, v) for u, v, label in graph.edges if label % 2]
+    values = {}
+    for cls in oracle_components(graph.vertices, odd):
+        values.update(dict.fromkeys(cls, draw(st.sampled_from(VALUES))))
+    hypothesis.assume(any(values.values()))
+    return graph, values
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@hypothesis.given(characters())
+def test_character_masks_and_their_readers_match_definitions(drawn):
+    graph, values = drawn
+    chi = character(graph, values)
+    zeros = {v for v in graph.vertices if values[v] == 0}
+    dead = tuple(oracle_dead_edges(graph.edges, values))
+    assert members(chi.zero, graph.vertices) == tuple(v for v in graph.vertices if v in zeros)
+    assert members(chi.dead, graph.edges) == dead
+    assert dead_edges(chi) == dead
+    living = living_subgraph(chi)
+    assert living.vertices == tuple(v for v in graph.vertices if v not in zeros)
+    assert living.edges == tuple(e for e in graph.edges
+                                 if zeros.isdisjoint(e[:2]) and e not in dead)
+    # a piece holds chi when its zero set lies in the zeros and its cut
+    # edges among the dead ones
+    dead_pairs = {e[:2] for e in dead}
+    poly = complement_polyhedron(graph)
+    held = [set(p.zero_set) <= zeros and set(p.cut_edges) <= dead_pairs for p in poly.pieces]
+    assert [p.contains(chi) for p in poly.pieces] == held, (graph, values)
+    assert polyhedron_contains(poly, chi) == any(held)
+    fresh = character(graph, values)
+    assert chi == fresh and hash(chi) == hash(fresh)

@@ -240,6 +240,9 @@ def test_dead_edge_forest_bipartition_validation(f5):
         dead_edge_forest(chi, (("a",), ("b",)))  # does not cover c
     with pytest.raises(InputError):
         dead_edge_forest(chi, (("a", "b"), ("b", "c")))  # overlap
+    # every vertex is covered, but zz is no vertex: the error names it
+    with pytest.raises(InputError, match=r"unknown vertices \['zz'\]"):
+        dead_edge_forest(chi, (("a", "zz"), ("b", "c")))
     # a living edge must not cross the split
     g2 = parse_graph("v a\nv b\nv c\ne a b 4\ne b c 2\n")
     chi2 = character(g2, {"a": 1, "b": -1, "c": 2})
@@ -404,6 +407,35 @@ def test_oversized_cyclotomic_orders_are_refused_before_building():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def split_cycle_forest(n):
+    """The dead-edge forest of the label-4 n-cycle under the character 1 on
+    its first n/2 vertices and -1 on the rest: two tree edges, n/2 vertices
+    a side."""
+    names = [f"x{i}" for i in range(n)]
+    h = n // 2
+    return BipartiteForest(names[:h], names[h:], ((names[h - 1], names[h], 4), (names[0], names[-1], 4)))
+
+
+def test_oversized_presentations_are_refused_before_building(monkeypatch):
+    # C26 has 2030 rows over 169 generators, C80 62402 over 1600; C24's
+    # 1586 rows over 144 generators (228,384 entries) pass the check
+    def no_rows(*args):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(presentations, "_cyclotomic_sum_row", no_rows)
+    assert presentations.MAX_RELATION_ENTRIES == 250_000
+    for n, rows, gens in ((26, 2030, 169), (80, 62402, 1600)):
+        forest = split_cycle_forest(n)
+        values = {v: 1 for v in forest.left} | {w: -1 for w in forest.right}
+        message = f"{rows} rows over {gens} generators, above MAX_RELATION_ENTRIES = 250000"
+        with pytest.raises(InputError, match=message):
+            forest_presentation(forest)
+        with pytest.raises(InputError, match=message):
+            certify_not_finitely_generated(forest, values)
+    with pytest.raises(AssertionError, match="a row was built"):
+        forest_presentation(split_cycle_forest(24))
 
 
 def test_certificate_json_shape():
