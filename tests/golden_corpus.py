@@ -8,8 +8,9 @@ of the hypothesis differ, each random one and the K4 with its character as
 ``groebner``, in both modes where a command has one) is run through
 ``cli.main`` in process, and its exit code, stdout and stderr are written to
 ``tests/golden/<graph>.txt``.  The README examples that need no graph file,
-a few malformed inputs and the K4, which only ``sigma1`` runs on, in both
-modes, have their own transcripts.
+a few malformed inputs, the K4, which only ``sigma1`` runs on, in both
+modes, and a forest at M = 15, which only ``kt-certify`` runs on, have their
+own transcripts.
 
 JSON reports are recorded byte for byte, minus ``timing_ms``, the one field
 that is not deterministic.  ``tests/test_golden.py`` reruns every case and
@@ -82,6 +83,14 @@ FIXTURE_BIPARTITIONS = {
 READING_TEXTS = {
     "k4_triangle": "v a\nv b\nv c\nv d\ne a b 4\ne b c 4\ne c a 4\ne a d 2\ne b d 2\n"
                    "e c d 2\nc a 1\nc b -1\nc c 1\n",
+}
+
+# Dead edges with labels 6 and 10 (half-labels 3 and 5): M = 15, Phi_15 has
+# degree 8, and the witness at (c,b) carries zeta^13, a residue past the
+# degree, so its entry string is read off a row of the zeta-power table.
+CYCLOTOMIC_TEXTS = {
+    "m15": "v a\nv b\nv c\nv d\nv e\ne a b 6\ne b c 10\ne a c 2\ne a d 2\ne b e 2\n"
+           "c a 1\nc b -1\nc c 1\nc d 2\nc e -3\n",
 }
 
 MALFORMED_TEXTS = {
@@ -234,9 +243,17 @@ READING_CASES = [["sigma1", "graphs/k4_triangle.artin", "--mode", mode]
                  for mode in ("simple-cycle", "strict")]
 
 
+CYCLOTOMIC_CASES = [
+    ["kt-certify", "graphs/m15.artin"],
+    ["kt-certify", "graphs/m15.artin", "--char", "a=3,b=-3,c=3,d=-1,e=2"],
+    ["kt-certify", "graphs/m15.artin", "--format", "text"],
+]
+
+
 def all_graph_texts() -> dict:
     texts = dict(README_TEXTS)
     texts.update(READING_TEXTS)
+    texts.update(CYCLOTOMIC_TEXTS)
     texts.update(FIXTURE_TEXTS)
     texts.update(random_graph_texts())
     texts.update(MALFORMED_TEXTS)
@@ -246,10 +263,11 @@ def all_graph_texts() -> dict:
 def transcript_groups() -> dict:
     """Transcript name -> list of argv, read from the committed graph files."""
     groups = {"readme": README_CASES, "malformed": MALFORMED_CASES,
-              "hypothesis_reading": READING_CASES}
+              "hypothesis_reading": READING_CASES, "cyclotomic": CYCLOTOMIC_CASES}
+    own = README_TEXTS.keys() | MALFORMED_TEXTS.keys() | READING_TEXTS.keys() | CYCLOTOMIC_TEXTS.keys()
     for fname in sorted(os.listdir(GRAPH_DIR)):
         name = fname[:-len(".artin")]
-        if name in README_TEXTS or name in MALFORMED_TEXTS or name in READING_TEXTS:
+        if name in own:
             continue
         with open(os.path.join(GRAPH_DIR, fname), encoding="utf-8") as fh:
             groups[name] = graph_cases(name, fh.read())
