@@ -14,7 +14,6 @@ from artin_sigma import (
     InputError,
     LaurentPoly,
     MathError,
-    PolyMatrix,
     QQ,
     bipartition_presentation,
     certify_not_finitely_generated,
