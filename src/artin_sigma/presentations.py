@@ -32,13 +32,16 @@ NOT_FINITELY_GENERATED = "not_finitely_generated"
 
 MAX_RELATION_ENTRIES = 250_000
 """Most entries, rows times generators, that the defining presentation of a
-forest may have.  ``_edge_rows`` counts them from |L|, |R| and |E| and
-refuses a larger forest with an InputError before any row is built.  The
-largest accepted split label-4 cycle is C24: 1,586 rows over 144
-generators, 228,384 entries, certified by ``kt-certify`` in about 0.25 s and
-24 MB on a 2-core Xeon with Python 3.11, and in about 0.4 s and 32 MB with
-label 1994 (M = 997).  ``bipartition_presentation`` has at most twice as
-many rows."""
+forest may have.  The rows themselves are sparse (one entry per edge row,
+two per difference row), but the limit counts rows times generators, the
+size of the dense matrix ``specialize`` returns.  ``_edge_rows`` counts
+them from |L|, |R| and |E| and refuses a larger forest with an InputError
+before any row is built.  The largest accepted split label-4 cycle is C24:
+1,586 rows over 144 generators, 228,384 entries of which 3,170 are stored,
+certified by ``kt-certify`` in about 0.27 s of process time and 23 MB peak
+RSS on a 2-core Xeon with Python 3.11, and in about 0.4 s and 34 MB with
+label 1994 (M = 997).  C26 is refused.  ``bipartition_presentation`` has at
+most twice as many rows."""
 
 
 @dataclass(frozen=True)
@@ -116,8 +119,9 @@ class BipartiteForest:
 
 @dataclass
 class ModulePresentation:
-    """Relation rows over generators f_{v,w}; entries are Laurent polynomials
-    in the forest vertices."""
+    """Relation rows over generators f_{v,w}.  Each row is a dict
+    {generator position: Laurent polynomial in the forest vertices} that
+    holds only the row's nonzero entries."""
 
     variables: tuple
     generators: tuple
@@ -130,19 +134,14 @@ class ModulePresentation:
         var_order = tuple(sorted(self.variables))
         gen_order = tuple(sorted(self.generators))
         gen_pos = {g: i for i, g in enumerate(self.generators)}
+        zero = LaurentPoly.zero(self.variables)
         out = set()
         for row in self.rows:
-            entries = [row[gen_pos[g]].reorder_variables(var_order) for g in gen_order]
-            if all(e.is_zero() for e in entries):
+            entries = [row.get(gen_pos[g], zero).reorder_variables(var_order) for g in gen_order]
+            first = next((e for e in entries if not e.is_zero()), None)
+            if first is None:
                 continue
-            sign = 0
-            for e in entries:
-                if not e.is_zero():
-                    lead = max(e.terms)
-                    c = e.terms[lead]
-                    sign = 1 if c > 0 else -1
-                    break
-            if sign < 0:
+            if first.terms[max(first.terms)] < 0:
                 entries = [-e for e in entries]
             out.add(tuple(tuple(sorted(e.terms.items())) for e in entries))
         return frozenset(out)
@@ -160,8 +159,8 @@ def _cyclotomic_sum_row(v, w, label, variables):
 
 
 def _edge_rows(forest: BipartiteForest):
-    """The generators (v, w) for v left and w right, their positions, the
-    zero entry, and one cyclotomic-sum row per tree edge with its labels.
+    """The generators (v, w) for v left and w right, their positions, and
+    one cyclotomic-sum row per tree edge with its labels.
     A half-label above MAX_CYCLOTOMIC_ORDER and a presentation of more than
     MAX_RELATION_ENTRIES entries are InputErrors, raised before any row is
     built."""
@@ -180,22 +179,17 @@ def _edge_rows(forest: BipartiteForest):
     variables = forest.vertices
     generators = tuple((v, w) for v in forest.left for w in forest.right)
     gen_pos = {g: i for i, g in enumerate(generators)}
-    zero = LaurentPoly.zero(variables)
-    rows = []
-    labels = []
-    for v, w, label in forest.edges:
-        row = [zero] * len(generators)
-        row[gen_pos[(v, w)]] = _cyclotomic_sum_row(v, w, label, variables)
-        rows.append(row)
-        labels.append(f"edge:{v}~{w}")
-    return generators, gen_pos, zero, rows, labels
+    rows = [{gen_pos[(v, w)]: _cyclotomic_sum_row(v, w, label, variables)}
+            for v, w, label in forest.edges]
+    labels = [f"edge:{v}~{w}" for v, w, _ in forest.edges]
+    return generators, gen_pos, rows, labels
 
 
 def forest_presentation(forest: BipartiteForest) -> ModulePresentation:
     """The defining presentation: cyclotomic-sum rows for tree edges plus the
     two difference families over all generator pairs."""
     variables = forest.vertices
-    generators, gen_pos, zero, rows, labels = _edge_rows(forest)
+    generators, gen_pos, rows, labels = _edge_rows(forest)
     one = LaurentPoly.constant(1, variables)
     # each t - 1 and its negative is built once and shared by the rows
     less_one = {t: _var(t, variables) - one for t in variables}
@@ -203,18 +197,12 @@ def forest_presentation(forest: BipartiteForest) -> ModulePresentation:
     for i, v in enumerate(forest.left):
         for t in forest.left[i + 1:]:
             for w in forest.right:
-                row = [zero] * len(generators)
-                row[gen_pos[(v, w)]] = less_one[t]
-                row[gen_pos[(t, w)]] = minus[v]
-                rows.append(row)
+                rows.append({gen_pos[(v, w)]: less_one[t], gen_pos[(t, w)]: minus[v]})
                 labels.append(f"left:{v},{t}|{w}")
     for v in forest.left:
         for i, w in enumerate(forest.right):
             for s in forest.right[i + 1:]:
-                row = [zero] * len(generators)
-                row[gen_pos[(v, w)]] = less_one[s]
-                row[gen_pos[(v, s)]] = minus[w]
-                rows.append(row)
+                rows.append({gen_pos[(v, w)]: less_one[s], gen_pos[(v, s)]: minus[w]})
                 labels.append(f"right:{v}|{w},{s}")
 
     return ModulePresentation(variables, generators, rows, tuple(labels))
@@ -348,32 +336,26 @@ def bipartition_presentation(chi: Character, bipartition=None) -> ModulePresenta
     Generators are the cross pairs e_v ^ e_w (v left, w right); rows are the
     cyclotomic sums of the cross edges together with the projections of all
     degree-3 Koszul differentials d3(e_v ^ e_w ^ e_t), where the projection
-    kills same-side wedges and orients cross wedges left-first.
+    kills same-side wedges.  The variables list the left side first, so d3
+    already writes each cross wedge left-first, as a generator.
     """
     graph = chi.graph
     if not all_labels_even(graph):
         raise MathError("construction requires every edge label to be even")
     forest = dead_edge_forest(chi, bipartition)
     variables = forest.vertices
-    generators, gen_pos, zero, rows, labels = _edge_rows(forest)
-    lset = set(forest.left)
+    generators, gen_pos, rows, labels = _edge_rows(forest)
     for v, w in generators:
         for t in variables:
             if t == v or t == w:
                 continue
-            row = [zero] * len(generators)
-            nonzero = False
-            for (p, q), poly in koszul_differential(3, (v, w, t), variables).items():
-                if p in lset and q not in lset:
-                    gen, sign = (p, q), 1
-                elif q in lset and p not in lset:
-                    gen, sign = (q, p), -1
-                else:
-                    continue
-                contrib = poly if sign > 0 else -poly
-                row[gen_pos[gen]] = row[gen_pos[gen]] + contrib
-                nonzero = nonzero or not contrib.is_zero()
-            if nonzero:
+            # the three wedges of d3(e_v ^ e_w ^ e_t) are distinct pairs, so
+            # the cross ones are distinct generators: each entry is set once,
+            # and each is a nonzero +-(x - 1)
+            row = {gen_pos[pair]: poly
+                   for pair, poly in koszul_differential(3, (v, w, t), variables).items()
+                   if pair in gen_pos}
+            if row:
                 rows.append(row)
                 labels.append(f"wedge:{v},{w},{t}")
 
@@ -491,12 +473,11 @@ def _specialized_matrix(pres: ModulePresentation, spec: Specialization) -> list:
     rows = []
     for row in pres.rows:
         out = {}
-        for col, entry in enumerate(row):
-            if entry:
-                acc = out[col] = {}
-                for exps, c in entry.terms.items():
-                    key = (sum(map(mul, exps, es)), sum(map(mul, exps, js)) % order)
-                    acc[key] = acc.get(key, 0) + (c.numerator if c.denominator == 1 else c)
+        for col, entry in row.items():
+            acc = out[col] = {}
+            for exps, c in entry.terms.items():
+                key = (sum(map(mul, exps, es)), sum(map(mul, exps, js)) % order)
+                acc[key] = acc.get(key, 0) + (c.numerator if c.denominator == 1 else c)
         rows.append(out)
     return rows
 

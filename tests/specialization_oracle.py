@@ -74,9 +74,11 @@ def x_images(spec) -> dict:
 
 
 def specialized_matrix(pres, images: dict) -> PolyMatrix:
+    """The dense specialized matrix: each row's entries substituted, its
+    absent columns filled with zero."""
     zero = LaurentPoly.zero(("x",), next(iter(images.values())).domain)
-    return PolyMatrix([[substitute(entry, images) if entry else zero for entry in row]
-                       for row in pres.rows])
+    return PolyMatrix([[substitute(row[j], images) if j in row else zero
+                        for j in range(len(pres.generators))] for row in pres.rows])
 
 
 def witness(images: dict, generators: tuple, domain) -> list:

@@ -213,7 +213,7 @@ def test_integer_input_lands_in_qq():
     amap = abelianization_map(parse_graph("v a\nv b\nv c\ne a b 3\ne b c 4\n"))
     assert in_qq(abelianize(parse_word("a b^-2 c"), amap))
     pres = forest_presentation(BipartiteForest(("v", "t"), ("w",), (("v", "w", 6),)))
-    assert all(in_qq(entry) for row in pres.rows for entry in row)
+    assert all(in_qq(entry) for row in pres.rows for entry in row.values())
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,15 @@ from artin_sigma import (
     specialize,
 )
 from artin_sigma import presentations
+from artin_sigma.characters import living_subgraph
 from artin_sigma.fields import CycloNum
+from artin_sigma.graphs import connected_components
 from artin_sigma.presentations import (
     Specialization,
     apply_differential,
     specialization_data,
 )
+from conftest import random_even_graph
 from oracles import forest_minor, forest_witness_holds, triangular_minor_holds
 
 
@@ -98,22 +101,24 @@ def test_forest_presentation_single_edge():
     pres = forest_presentation(single_edge_forest(m=2))
     assert pres.generators == (("v", "w"),)
     assert len(pres.rows) == 1
+    assert list(pres.rows[0]) == [0]
     assert pres.rows[0][0].to_string() == "v*w + 1"
 
 
 def test_forest_presentation_m3():
     pres = forest_presentation(single_edge_forest(m=3))
+    assert list(pres.rows[0]) == [0]
     assert pres.rows[0][0].to_string() == "v^2*w^2 + v*w + 1"
 
 
 def test_forest_presentation_f5_rows():
     pres = forest_presentation(f5_forest())
     assert pres.generators == (("a", "b"), ("c", "b"))
-    strings = [[e.to_string() for e in row] for row in pres.rows]
+    strings = [{j: e.to_string() for j, e in row.items()} for row in pres.rows]
     assert strings == [
-        ["a*b + 1", "0"],
-        ["0", "c*b + 1"],
-        ["c - 1", "-a + 1"],
+        {0: "a*b + 1"},
+        {1: "c*b + 1"},
+        {0: "c - 1", 1: "-a + 1"},
     ]
     assert pres.row_labels == ("edge:a~b", "edge:c~b", "left:a,c|b")
 
@@ -135,13 +140,12 @@ def test_canonical_form_invariances():
     flipped = ModulePresentation(
         pres.variables,
         pres.generators,
-        [[-e for e in row] for row in reversed(pres.rows)],
+        [{j: -e for j, e in row.items()} for row in reversed(pres.rows)],
     )
     assert flipped.canonical_form() == canon
     # duplicated and zero rows disappear
-    zero_row = [LaurentPoly.zero(pres.variables, QQ)] * len(pres.generators)
     padded = ModulePresentation(
-        pres.variables, pres.generators, pres.rows + [zero_row] + pres.rows[:1]
+        pres.variables, pres.generators, pres.rows + [{}] + pres.rows[:1]
     )
     assert padded.canonical_form() == canon
 
@@ -303,6 +307,29 @@ def test_bipartition_presentation_larger_even_graph():
     assert direct.canonical_form() == via_forest.canonical_form()
 
 
+def test_bipartition_presentation_equals_forest_presentation_seeded():
+    # each wedge row sets its cross entries once, with no accumulation; the
+    # forest presentation is the reference on every character that splits
+    rng = random.Random(1)
+    checked = 0
+    for _ in range(3000):
+        g = random_even_graph(rng)
+        chi = character(g, {v: rng.choice((1, -1, 2, -2)) for v in g.vertices})
+        comps = connected_components(living_subgraph(chi))
+        if len(comps) < 2:
+            continue
+        cut = rng.randint(1, len(comps) - 1)
+        split = ([v for c in comps[:cut] for v in c], [v for c in comps[cut:] for v in c])
+        try:
+            forest = dead_edge_forest(chi, split)
+        except MathError:  # the dead cross edges hold a cycle
+            continue
+        direct = bipartition_presentation(chi, split)
+        assert direct.canonical_form() == forest_presentation(forest).canonical_form(), (g, chi)
+        checked += 1
+    assert checked >= 1500
+
+
 # ---------------------------------------------------------------------------
 # specialization at roots of unity
 
@@ -438,6 +465,17 @@ def test_oversized_presentations_are_refused_before_building(monkeypatch):
             certify_not_finitely_generated(forest, values)
     with pytest.raises(AssertionError, match="a row was built"):
         forest_presentation(split_cycle_forest(24))
+
+
+def test_split_c24_rows_hold_only_their_nonzero_entries():
+    # 2 edge rows of one entry and 1,584 difference rows of two: 3,170
+    # stored entries, where the dense matrix specialize returns has 228,384
+    pres = forest_presentation(split_cycle_forest(24))
+    assert len(pres.rows) == 1586
+    for label, row in zip(pres.row_labels, pres.rows):
+        assert len(row) == (1 if label.startswith("edge:") else 2), label
+        assert all(not entry.is_zero() for entry in row.values()), label
+    assert sum(map(len, pres.rows)) == 3170
 
 
 def test_large_labels_certify_within_budget():
