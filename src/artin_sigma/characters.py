@@ -18,13 +18,13 @@ forest elsewhere, read them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
 from .errors import MAX_COEFFICIENT_DIGITS, InputError
 from .graphs import LabeledGraph, full_subgraph, members
+from .value import Value
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?\Z")
 
@@ -38,24 +38,23 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-@dataclass(frozen=True)
-class Character:
-    graph: LabeledGraph
-    entries: tuple  # Fractions aligned with graph.vertices
+class Character(Value):
+    _fields = ("graph", "entries")  # entries: Fractions aligned with graph.vertices
 
-    def __post_init__(self):
-        entries = tuple(Fraction(x) for x in self.entries)
-        if len(entries) != len(self.graph.vertices):
+    def __init__(self, graph: LabeledGraph, entries: tuple):
+        entries = tuple(Fraction(x) for x in entries)
+        if len(entries) != len(graph.vertices):
             raise InputError("character length does not match the vertex list")
         if not any(entries):
             raise InputError("character must not vanish on every vertex")
-        idx = self.graph.index
-        for u, v, label in self.graph.edges:
+        idx = graph.index
+        for u, v, label in graph.edges:
             if label % 2 == 1 and entries[idx[u]] != entries[idx[v]]:
                 raise InputError(
                     f"odd edge ({u}, {v}) forces equal values, got "
                     f"{entries[idx[u]]} and {entries[idx[v]]}"
                 )
+        object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "entries", entries)
 
     @cached_property

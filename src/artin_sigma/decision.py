@@ -15,8 +15,6 @@ conjectural completion, flagged by its own status value.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
 from .characters import Character, lf_subgraph, living_subgraph
 from .graphs import (
     SIMPLE_CYCLE,
@@ -26,6 +24,7 @@ from .graphs import (
     is_connected,
     is_dominant,
 )
+from .value import Value
 
 STATUS_IN = "in"
 STATUS_OUT = "out"
@@ -38,27 +37,44 @@ PROV_LOW_CYCLE_RANK = "low_cycle_rank"
 PROV_CONJECTURE_ONLY = "conjecture_only"
 
 
-@dataclass(frozen=True)
-class Diagnostics:
-    lf_connected: bool
-    lf_dominant: bool
-    l_connected: bool
-    even: bool
-    hypothesis_holds: bool
-    cycle_rank: int
+class Diagnostics(Value):
+    _fields = ("lf_connected", "lf_dominant", "l_connected", "even", "hypothesis_holds",
+               "cycle_rank")
+
+    def __init__(self, lf_connected: bool, lf_dominant: bool, l_connected: bool, even: bool,
+                 hypothesis_holds: bool, cycle_rank: int):
+        object.__setattr__(self, "lf_connected", lf_connected)
+        object.__setattr__(self, "lf_dominant", lf_dominant)
+        object.__setattr__(self, "l_connected", l_connected)
+        object.__setattr__(self, "even", even)
+        object.__setattr__(self, "hypothesis_holds", hypothesis_holds)
+        object.__setattr__(self, "cycle_rank", cycle_rank)
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "lf_connected": self.lf_connected,
+            "lf_dominant": self.lf_dominant,
+            "l_connected": self.l_connected,
+            "even": self.even,
+            "hypothesis_holds": self.hypothesis_holds,
+            "cycle_rank": self.cycle_rank,
+        }
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: str
-    provenance: str
-    diagnostics: Diagnostics
+class Verdict(Value):
+    _fields = ("status", "provenance", "diagnostics")
+
+    def __init__(self, status: str, provenance: str, diagnostics: Diagnostics):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "diagnostics", diagnostics)
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "status": self.status,
+            "provenance": self.provenance,
+            "diagnostics": self.diagnostics.to_json_dict(),
+        }
 
 
 def conjecture_predicate(chi: Character) -> bool:

@@ -427,14 +427,14 @@ class CyclotomicField:
         # the coords of zeta^j for 0 <= j < M, each row t times the one
         # before: a shift, plus t^degree's coords times the overflowing top
         top_row = [-c for c in self.phi[:-1]]  # t^degree (phi is monic)
-        cur = [1] + [0] * (self.degree - 1)
-        powers = [tuple(cur)]
+        row = (1,) + (0,) * (self.degree - 1)
+        powers = [row]
         for _ in range(order - 1):
-            top = cur[-1]
-            cur = [0] + cur[:-1]
+            top = row[-1]
+            row = (0,) + row[:-1]
             if top:
-                cur = [c + top * r for c, r in zip(cur, top_row)]
-            powers.append(tuple(cur))
+                row = tuple([c + top * r for c, r in zip(row, top_row)])
+            powers.append(row)
         self._powers = powers
         self.zero = _cyclonum(self, (0,) * self.degree, 1)
         self.one = self.coerce(1)

@@ -15,13 +15,13 @@ its values yields Jacobian matrices over Laurent polynomials.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InputError
 from .fields import QQ
 from .graphs import LabeledGraph, connected_components
 from .laurent import LaurentPoly
+from .value import Value
 
 
 def _reduce_letters(letters):
@@ -326,16 +326,18 @@ def artin_relator(u: str, v: str, label: int, form: str = STANDARD) -> FreeWord:
 # abelianization
 
 
-@dataclass(frozen=True)
-class AbelianizationMap:
+class AbelianizationMap(Value):
     """Vertex classes of a labeled graph merged along odd-labeled edges.
 
     Each class maps to one Laurent variable named after its first-declared
     member; even-labeled edges impose no identification.
     """
 
-    graph: object
-    classes: tuple
+    _fields = ("graph", "classes")
+
+    def __init__(self, graph, classes: tuple):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "classes", classes)
 
     @cached_property
     def class_index(self) -> dict:
@@ -376,12 +378,14 @@ def abelianize(element, amap: AbelianizationMap) -> LaurentPoly:
     return LaurentPoly(variables, terms, QQ)
 
 
-@dataclass
-class JacobianMatrix:
-    generators: tuple
-    relators: tuple
-    variables: tuple
-    entries: list  # rows follow relators, columns follow generators
+class JacobianMatrix(Value, frozen=False):
+    _fields = ("generators", "relators", "variables", "entries")
+
+    def __init__(self, generators: tuple, relators: tuple, variables: tuple, entries: list):
+        self.generators = generators
+        self.relators = relators
+        self.variables = variables
+        self.entries = entries  # rows follow relators, columns follow generators
 
 
 def jacobian(generators, relators, amap: AbelianizationMap) -> JacobianMatrix:

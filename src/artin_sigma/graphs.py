@@ -27,21 +27,19 @@ on such masks, shared with the polyhedron and the presentations.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import MAX_COEFFICIENT_DIGITS, InputError
+from .value import Value
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
-    vertices: tuple
-    edges: tuple
+class LabeledGraph(Value):
+    _fields = ("vertices", "edges")
 
-    def __post_init__(self):
-        vertices = tuple(self.vertices)
+    def __init__(self, vertices: tuple, edges: tuple):
+        vertices = tuple(vertices)
         seen = set()
         for v in vertices:
             if not isinstance(v, str) or not _NAME_RE.match(v):
@@ -52,7 +50,7 @@ class LabeledGraph:
         index = {v: i for i, v in enumerate(vertices)}
         norm = []
         pairs = set()
-        for edge in self.edges:
+        for edge in edges:
             try:
                 u, v, label = edge
             except (TypeError, ValueError):
@@ -258,12 +256,14 @@ def cycle_rank(graph: LabeledGraph) -> int:
     return len(graph.edges) - len(graph.vertices) + len(components(everything, graph.masks))
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(Value):
     """One biconnected component: its vertex set and its edge set."""
 
-    vertices: tuple
-    edges: tuple
+    _fields = ("vertices", "edges")
+
+    def __init__(self, vertices: tuple, edges: tuple):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
 
 
 def blocks(graph: LabeledGraph) -> list:

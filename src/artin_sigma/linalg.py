@@ -9,10 +9,9 @@ polynomial: the division at each step is exact by the Sylvester identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InputError
 from .laurent import LaurentPoly, common_ring
+from .value import Value
 
 
 def _lex_leading(f: LaurentPoly):
@@ -41,14 +40,13 @@ def exact_divide(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(variables, quot, dom)
 
 
-@dataclass
-class PolyMatrix:
+class PolyMatrix(Value, frozen=False):
     """A rectangular matrix of Laurent polynomials over one variable list."""
 
-    entries: list
+    _fields = ("entries",)
 
-    def __post_init__(self):
-        rows = [list(r) for r in self.entries]
+    def __init__(self, entries: list):
+        rows = [list(r) for r in entries]
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):

@@ -20,13 +20,13 @@ character's ``zero`` and ``dead`` masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from .characters import Character, parse_rational
 from .errors import InputError
 from .graphs import LabeledGraph, component, components, members
+from .value import Value
 
 MAX_POLYHEDRON_VERTICES = 12
 """Most vertices ``complement_polyhedron`` and ``disconnection_pieces``
@@ -41,15 +41,17 @@ DOMINANCE = "dominance"
 DISCONNECTION = "disconnection"
 
 
-@dataclass(frozen=True, slots=True)
-class SubSphere:
+class SubSphere(Value):
     """The piece killing e_v for v in the vertex mask ``units`` and
     e_u + e_v for each edge in the mask ``cut`` over ``graph.edges``."""
 
-    graph: LabeledGraph
-    kind: str
-    units: int
-    cut: int
+    __slots__ = _fields = ("graph", "kind", "units", "cut")
+
+    def __init__(self, graph: LabeledGraph, kind: str, units: int, cut: int):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "units", units)
+        object.__setattr__(self, "cut", cut)
 
     @property
     def zero_set(self) -> tuple:
@@ -279,10 +281,12 @@ def disconnection_pieces(graph: LabeledGraph) -> list:
     return [SubSphere(graph, DISCONNECTION, units, cut) for units, cut in _cuts(graph)]
 
 
-@dataclass(frozen=True)
-class SphericalPolyhedron:
-    graph: LabeledGraph
-    pieces: tuple
+class SphericalPolyhedron(Value):
+    _fields = ("graph", "pieces")
+
+    def __init__(self, graph: LabeledGraph, pieces: tuple):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "pieces", pieces)
 
     def contains(self, chi: Character) -> bool:
         return polyhedron_contains(self, chi)

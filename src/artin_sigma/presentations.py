@@ -16,7 +16,6 @@ generated.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -27,6 +26,7 @@ from .fields import MAX_CYCLOTOMIC_ORDER, QQ, CyclotomicField
 from .graphs import LabeledGraph, all_labels_even, connected_components, members
 from .laurent import LaurentPoly
 from .linalg import PolyMatrix
+from .value import Value
 
 NOT_FINITELY_GENERATED = "not_finitely_generated"
 
@@ -38,32 +38,28 @@ size of the dense matrix ``specialize`` returns.  ``_edge_rows`` counts
 them from |L|, |R| and |E| and refuses a larger forest with an InputError
 before any row is built.  The largest accepted split label-4 cycle is C24:
 1,586 rows over 144 generators, 228,384 entries of which 3,170 are stored,
-certified by ``kt-certify`` in about 0.27 s of process time and 23 MB peak
-RSS on a 2-core Xeon with Python 3.11, and in about 0.4 s and 34 MB with
+certified by ``kt-certify`` in about 0.13 s of process time and 22 MB peak
+RSS on a 2-core Xeon with Python 3.11, and in about 0.24 s and 30 MB with
 label 1994 (M = 997).  C26 is refused.  ``bipartition_presentation`` has at
 most twice as many rows."""
 
 
-@dataclass(frozen=True)
-class BipartiteForest:
+class BipartiteForest(Value):
     """Vertex sides ``left``/``right``, acyclic cross edges labeled 2m (m >= 2),
     and one basepoint per connected component (isolated vertices are their
     own components).  ``graph`` is the validated ``LabeledGraph`` on
     ``left + right`` and the edges."""
 
-    left: tuple
-    right: tuple
-    edges: tuple
-    basepoints: tuple = None
+    _fields = ("left", "right", "edges", "basepoints")
 
-    def __post_init__(self):
-        left = tuple(self.left)
-        right = tuple(self.right)
+    def __init__(self, left: tuple, right: tuple, edges: tuple, basepoints: tuple = None):
+        left = tuple(left)
+        right = tuple(right)
         if not left or not right:
             raise InputError("both sides of the forest must be nonempty")
         lset, rset = set(left), set(right)
         norm_edges = []
-        for edge in self.edges:
+        for edge in edges:
             try:
                 v, w, label = edge
             except (TypeError, ValueError):
@@ -83,7 +79,6 @@ class BipartiteForest:
             raise MathError("forest edges contain a cycle")
         comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
 
-        basepoints = self.basepoints
         if basepoints is None:
             basepoints = tuple(c[0] for c in comps)
         else:
@@ -117,33 +112,34 @@ class BipartiteForest:
         return BipartiteForest(self.left, self.right, self.edges, tuple(basepoints))
 
 
-@dataclass
-class ModulePresentation:
+class ModulePresentation(Value, frozen=False):
     """Relation rows over generators f_{v,w}.  Each row is a dict
     {generator position: Laurent polynomial in the forest vertices} that
     holds only the row's nonzero entries."""
 
-    variables: tuple
-    generators: tuple
-    rows: list
-    row_labels: tuple = ()
+    _fields = ("variables", "generators", "rows", "row_labels")
+
+    def __init__(self, variables: tuple, generators: tuple, rows: list, row_labels: tuple = ()):
+        self.variables = variables
+        self.generators = generators
+        self.rows = rows
+        self.row_labels = row_labels
 
     def canonical_form(self) -> frozenset:
-        """Order-independent fingerprint: variables and generators sorted,
-        zero rows dropped, each row sign-normalized and serialized."""
+        """Order-independent fingerprint: each row's nonzero entries keyed by
+        generator name, in sorted generator order, over the sorted variables;
+        zero rows dropped, each row sign-normalized by its first entry."""
         var_order = tuple(sorted(self.variables))
-        gen_order = tuple(sorted(self.generators))
-        gen_pos = {g: i for i, g in enumerate(self.generators)}
-        zero = LaurentPoly.zero(self.variables)
         out = set()
         for row in self.rows:
-            entries = [row.get(gen_pos[g], zero).reorder_variables(var_order) for g in gen_order]
-            first = next((e for e in entries if not e.is_zero()), None)
-            if first is None:
+            entries = sorted((self.generators[j], e.reorder_variables(var_order))
+                             for j, e in row.items() if not e.is_zero())
+            if not entries:
                 continue
-            if first.terms[max(first.terms)] < 0:
-                entries = [-e for e in entries]
-            out.add(tuple(tuple(sorted(e.terms.items())) for e in entries))
+            first = entries[0][1]
+            sign = -1 if first.terms[max(first.terms)] < 0 else 1
+            out.add(tuple((g, tuple(sorted((x, sign * c) for x, c in e.terms.items())))
+                          for g, e in entries))
         return frozenset(out)
 
 
@@ -384,8 +380,7 @@ def _integral_values(chi, vertices) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class Specialization:
+class Specialization(Value):
     """Root-of-unity data: cyclotomic order M, per-edge root exponents
     (vw maps to zeta^k, k = M/m), and for every vertex a pair (j, e) of a
     zeta exponent mod M and an x exponent (vertex maps to zeta^j * x^e).
@@ -396,10 +391,13 @@ class Specialization:
     zero test reduces the map to power-basis coordinates per x exponent,
     off the one table ``powers``."""
 
-    order: int
-    roots: tuple
-    images: dict
-    domain: object
+    _fields = ("order", "roots", "images", "domain")
+
+    def __init__(self, order: int, roots: tuple, images: dict, domain):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "domain", domain)
 
     @property
     def powers(self):
@@ -569,21 +567,25 @@ def _entry_string(coords: dict) -> str:
     return LaurentPoly(("x", "zeta"), terms, QQ).to_string()
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Value):
     """Outcome of the non-finite-generation test for a forest and character.
 
     ``rank_method`` says how the rank was proved; ``witness`` holds the
     ((v, w), entry string) pairs of the verified kernel vector."""
 
-    order: int
-    roots: tuple
-    basepoint_exponents: tuple
-    generators: int
-    rank: int
-    conclusion: str
-    rank_method: str
-    witness: tuple
+    _fields = ("order", "roots", "basepoint_exponents", "generators", "rank", "conclusion",
+               "rank_method", "witness")
+
+    def __init__(self, order: int, roots: tuple, basepoint_exponents: tuple, generators: int,
+                 rank: int, conclusion: str, rank_method: str, witness: tuple):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "basepoint_exponents", basepoint_exponents)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "conclusion", conclusion)
+        object.__setattr__(self, "rank_method", rank_method)
+        object.__setattr__(self, "witness", witness)
 
     def to_json_dict(self) -> dict:
         return {

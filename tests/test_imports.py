@@ -2,8 +2,9 @@
 
 ``import artin_sigma`` resolves its public names lazily (PEP 562) and the CLI
 imports each subcommand's modules when that subcommand runs.  These tests pin
-the module sets in fresh interpreters, the public surface, and the parser's
-choice lists against their homes in ``graphs`` and ``groebner``.
+the module sets in fresh interpreters, with ``dataclasses`` and ``inspect``
+never among them, the public surface, and the parser's choice lists against
+their homes in ``graphs`` and ``groebner``.
 """
 
 import argparse
@@ -21,16 +22,22 @@ from test_cli import F3_TEXT, graph_file, run_python
 # The package modules each subcommand loads, besides ``cli`` and ``errors``:
 # exact sets, so ``sigma1`` and ``hypothesis`` load none of the algebra stack
 # (fields, laurent, groebner, linalg, presentations, polyhedron, fox) and
-# ``groebner`` none of the graph side.
+# ``groebner`` none of the graph side.  ``value``, the base of the value
+# classes, comes with ``graphs``.
 SUBCOMMAND_MODULES = {
-    "sigma1": {"graphs", "characters", "decision"},
-    "hypothesis": {"graphs"},
-    "polyhedron": {"graphs", "characters", "polyhedron"},
-    "fox": {"fox", "graphs", "laurent", "fields"},
-    "jacobian": {"fox", "graphs", "laurent", "fields"},
-    "kt-certify": {"presentations", "linalg", "laurent", "fields", "characters", "graphs"},
+    "sigma1": {"graphs", "characters", "decision", "value"},
+    "hypothesis": {"graphs", "value"},
+    "polyhedron": {"graphs", "characters", "polyhedron", "value"},
+    "fox": {"fox", "graphs", "laurent", "fields", "value"},
+    "jacobian": {"fox", "graphs", "laurent", "fields", "value"},
+    "kt-certify": {"presentations", "linalg", "laurent", "fields", "characters", "graphs",
+                   "value"},
     "groebner": {"groebner", "laurent", "fields"},
 }
+
+# Standard-library modules that no subcommand loads: ``dataclasses`` pulls in
+# ``inspect``, which pulls in ``ast``, ``dis`` and ``tokenize``.
+HEAVY_MODULES = {"dataclasses", "inspect"}
 
 # Run a subcommand with stdout discarded; print every module loaded when
 # ``main`` starts its clock and once the subcommand has run.
@@ -71,6 +78,7 @@ def test_subcommand_loads_only_its_own_modules(tmp_path, command):
     assert report["code"] == 0
     package = {m.split(".", 1)[1] for m in report["after"] if m.startswith("artin_sigma.")}
     assert package == SUBCOMMAND_MODULES[command] | {"cli", "errors"}
+    assert HEAVY_MODULES.isdisjoint(report["after"])
     # only subcommands that read a graph file hash it
     assert ("hashlib" in report["after"]) == (command not in ("fox", "groebner"))
     # the body imports nothing new once the clock runs, so timing_ms leaves imports out

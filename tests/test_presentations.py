@@ -478,6 +478,22 @@ def test_split_c24_rows_hold_only_their_nonzero_entries():
     assert sum(map(len, pres.rows)) == 3170
 
 
+def test_split_c24_canonical_form_reorders_only_the_stored_entries(monkeypatch):
+    # one reorder_variables call per stored entry, not one per row and generator
+    pres = forest_presentation(split_cycle_forest(24))
+    calls = []
+    reorder = LaurentPoly.reorder_variables
+
+    def counted(self, new_variables):
+        calls.append(1)
+        return reorder(self, new_variables)
+
+    monkeypatch.setattr(LaurentPoly, "reorder_variables", counted)
+    canon = pres.canonical_form()
+    assert len(calls) == 3170
+    assert len(canon) == 1586
+
+
 def test_large_labels_certify_within_budget():
     # label 1994 (M = 997): the digests are of the certificates the
     # zeta-power expansion gave, which took 3.6 s and 9 s of process time
