@@ -32,10 +32,12 @@ MAX_POLYHEDRON_VERTICES = 12
 """Most vertices ``complement_polyhedron`` and ``disconnection_pieces``
 accept; a larger graph is an InputError before anything is enumerated.  The
 build walks at most the 2^n zero sets, only those whose every vertex keeps
-two neighbours in the rest, and lists the components or the bonds of each
-rest; a candidate then costs two mask tests per zeroed vertex (one per
-component for an empty cut).  ``disconnection_pieces`` lists the
-candidates of every zero set of at most n - 2 vertices."""
+two neighbours in the rest.  Each takes the components of its rest from its
+parent zero set, searching again only the one that lost the new vertex, and
+lists the bonds of a connected rest; a candidate then costs two mask tests
+per zeroed vertex (one per component for an empty cut), and the kept pieces
+sort by one integer each.  ``disconnection_pieces`` lists the candidates of
+every zero set of at most n - 2 vertices."""
 
 DOMINANCE = "dominance"
 DISCONNECTION = "disconnection"
@@ -73,10 +75,12 @@ class SubSphere(Value):
         return self.units & chi.zero == self.units and self.cut & chi.dead == self.cut
 
     def to_json_dict(self) -> dict:
-        origin = {"kind": self.kind, "zero_set": list(self.zero_set)}
+        zero_set, cut_edges = self.zero_set, self.cut_edges
+        origin = {"kind": self.kind, "zero_set": list(zero_set)}
         if self.kind == DISCONNECTION:
-            origin["cut_edges"] = [list(e) for e in self.cut_edges]
-        return {"forms": [dict.fromkeys(vs, "1") for vs in self.forms], "origin": origin}
+            origin["cut_edges"] = [list(e) for e in cut_edges]
+        forms = [{v: "1"} for v in zero_set] + [dict.fromkeys(e, "1") for e in cut_edges]
+        return {"forms": forms, "origin": origin}
 
 
 def _check_vertex_count(graph: LabeledGraph) -> None:
@@ -197,8 +201,11 @@ def _bonds(rest: int, fixed: list, removable) -> list:
     so each S is met once; a branch ends once its excluded classes lie in
     two components of the classes left, since R - S must hold them all."""
     classes = components(rest, fixed)
-    of = {i: c for c, cls in enumerate(classes) for i in range(cls.bit_length())
-          if cls >> i & 1}
+    of = [0] * len(fixed)
+    for c, cls in enumerate(classes):
+        while cls:
+            of[(cls & -cls).bit_length() - 1] = c
+            cls &= cls - 1
     qadj, delta = [0] * len(classes), [0] * len(classes)
     for k, i, j in removable:
         if rest >> i & rest >> j & 1 and of[i] != of[j]:
@@ -298,11 +305,12 @@ class SphericalPolyhedron(Value):
 def complement_polyhedron(graph: LabeledGraph) -> SphericalPolyhedron:
     """The candidates, dominance and disconnection, whose span holds no other
     candidate's span, sorted by the canonical key (number of forms, forms as
-    vertex indices).  A candidate (Y1, F) of ``_cuts`` is kept when every
-    vertex of Y1 has a neighbour in every component of G[R] - F, R = V - Y1:
-    the components of the rest for an empty cut, where Y1 is then an
-    inclusion-minimal vertex separator (Berry, Bordat and Cogis, IJFCS
-    11(3), 2000), and the two sides of a bond.
+    vertex indices), which one integer per piece encodes.  A candidate
+    (Y1, F) of ``_cuts`` is kept when every vertex of Y1 has a neighbour in
+    every component of G[R] - F, R = V - Y1: the components of the rest for
+    an empty cut, where Y1 is then an inclusion-minimal vertex separator
+    (Berry, Bordat and Cogis, IJFCS 11(3), 2000), and the two sides of a
+    bond.
 
     The span is read off the shape.  F is empty or the bond between the
     sides S and R - S of R, so its edge sums form a bipartite signed graph
@@ -325,8 +333,8 @@ def complement_polyhedron(graph: LabeledGraph) -> SphericalPolyhedron:
     The rule is read off masks.  A bond's F is every edge between its side
     S and R - S (an edge that cannot be cut never joins them), and both
     sides are connected, so G[R] - F has exactly the two components S and
-    R - S.  For an empty cut the components of G[R] are listed once.  Each
-    y then costs one mask test per component.
+    R - S.  For an empty cut the components of G[R] are used.  Each y then
+    costs one mask test per component.
 
     Only zero sets that can keep a piece are walked.  A kept (Y1, F) has at
     least two components of G[R] - F, and each y in Y1 has a neighbour in
@@ -334,7 +342,9 @@ def complement_polyhedron(graph: LabeledGraph) -> SphericalPolyhedron:
     a zero set that fails this test fails it for every superset: the zero
     sets are walked depth first, adding vertices by increasing index, and
     a subtree is cut at its first zero set that fails, as well as past
-    n - 2 vertices.
+    n - 2 vertices.  A zero set hands its children the neighbour masks of
+    its vertices and the components of its rest: zeroing v splits only the
+    component holding v, so only that one is searched again.
 
     Dominance candidates are never kept, so they are not enumerated: for a
     proper closed neighbourhood N[x] and a vertex y outside it, x is
@@ -344,32 +354,42 @@ def complement_polyhedron(graph: LabeledGraph) -> SphericalPolyhedron:
     _check_vertex_count(graph)
     adj, ends, fixed, removable = _split_edges(graph)
     n = len(adj)
-    kept = []  # (canonical key, unit mask, cut-edge mask)
+    kept = []  # (unit mask, cut-edge mask)
 
-    def keep(units, cut):
-        forms = tuple((i,) for i in range(n) if units >> i & 1) + members(cut, ends)
-        kept.append(((len(forms), forms), units, cut))
-
-    def walk(units, rest, first):
-        nbrs = members(units, adj)
-        parts = components(rest, adj)
+    def walk(units, rest, first, nbrs, parts):
         if len(parts) > 1:
             if all(m & c for m in nbrs for c in parts):
-                keep(units, 0)
+                kept.append((units, 0))
         else:
             for cut, side in _bonds(rest, fixed, removable):
                 if all(m & side and m & (rest ^ side) for m in nbrs):
-                    keep(units, cut)
+                    kept.append((units, cut))
         if len(nbrs) < n - 2:
             for v in range(first, n):
-                smaller = rest ^ 1 << v
-                if all((m & smaller).bit_count() > 1 for m in nbrs + (adj[v],)):
-                    walk(units | 1 << v, smaller, v + 1)
+                smaller, grown = rest ^ 1 << v, nbrs + (adj[v],)
+                if all((m & smaller).bit_count() > 1 for m in grown):
+                    others = [c for c in parts if not c >> v & 1]
+                    walk(units | 1 << v, smaller, v + 1, grown,
+                         others + components(smaller ^ sum(others), adj))
 
     if n >= 2:
-        walk(0, (1 << n) - 1, 0)
-    kept.sort(key=lambda k: k[0])
-    pieces = tuple(SubSphere(graph, DISCONNECTION, units, cut) for _, units, cut in kept)
+        walk(0, (1 << n) - 1, 0, (), components((1 << n) - 1, adj))
+    # one integer per piece, ordered as (len(forms), forms): the form count,
+    # then one digit base (n + 1)^2 per form, i(n + 1) for the unit form (i,)
+    # and i(n + 1) + j + 1 for the edge sum (i, j), so (i,) comes before
+    # every (i, j) as in tuple order; the count, below the base, leads
+    base, unit_digits = (n + 1) ** 2, [i * (n + 1) for i in range(n)]
+    sum_digits = [i * (n + 1) + j + 1 for i, j in ends]
+
+    def order(piece):
+        units, cut = piece
+        key = units.bit_count() + cut.bit_count()
+        for digit in members(units, unit_digits) + members(cut, sum_digits):
+            key = key * base + digit
+        return key
+
+    kept.sort(key=order)
+    pieces = tuple(SubSphere(graph, DISCONNECTION, units, cut) for units, cut in kept)
     return SphericalPolyhedron(graph, pieces)
 
 

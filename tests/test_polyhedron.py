@@ -1,6 +1,7 @@
 import json
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -650,3 +651,47 @@ def test_cycle_18_builds_within_budget(monkeypatch):
     pieces = complement_polyhedron(c18).pieces
     assert time.process_time() - start < 1.0
     assert len(pieces) == 576
+
+
+def _canonical_keys(graph):
+    """(number of forms, forms as tuples of vertex indices) of each piece of
+    the graph's polyhedron, read off its zero set and cut edges."""
+    idx = graph.index
+    keys = []
+    for piece in complement_polyhedron(graph).pieces:
+        forms = tuple((idx[v],) for v in piece.zero_set)
+        forms += tuple((idx[u], idx[v]) for u, v in piece.cut_edges)
+        keys.append((len(forms), forms))
+    return keys
+
+
+def test_pieces_increase_in_canonical_order():
+    # the build sorts by one integer per piece; the order it stands for is
+    # checked here on dense graphs, where neighbours share long key prefixes
+    rng = random.Random(2929)
+    graphs = [_complete_graph(9), _complete_graph(10)]
+    graphs += [random_labeled_graph(rng, max_vertices=10, labels=(4,), p=0.6) for _ in range(100)]
+    longest_tie = 0
+    for g in graphs:
+        keys = _canonical_keys(g)
+        assert all(a < b for a, b in zip(keys, keys[1:])), g
+        for (count, a), (other, b) in zip(keys, keys[1:]):
+            if count == other:
+                longest_tie = max(longest_tie, next(k for k in range(count) if a[k] != b[k]))
+    # some neighbours agree on their first ten forms and differ only after
+    assert longest_tie >= 10
+
+
+def test_k10_build_peak_memory():
+    # with one integer sort key per kept piece the build peaks near what its
+    # 28,501 pieces hold (about 5 MB); a tuple of index tuples per piece
+    # would take about 15 MB
+    k10 = _complete_graph(10)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert len(complement_polyhedron(k10).pieces) == 28501
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 8_000_000
