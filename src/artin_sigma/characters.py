@@ -54,8 +54,7 @@ class Character(Value):
                     f"odd edge ({u}, {v}) forces equal values, got "
                     f"{entries[idx[u]]} and {entries[idx[v]]}"
                 )
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "entries", entries)
+        super().__init__(graph, entries)
 
     @cached_property
     def values(self) -> dict:

@@ -41,33 +41,12 @@ class Diagnostics(Value):
     _fields = ("lf_connected", "lf_dominant", "l_connected", "even", "hypothesis_holds",
                "cycle_rank")
 
-    def __init__(self, lf_connected: bool, lf_dominant: bool, l_connected: bool, even: bool,
-                 hypothesis_holds: bool, cycle_rank: int):
-        object.__setattr__(self, "lf_connected", lf_connected)
-        object.__setattr__(self, "lf_dominant", lf_dominant)
-        object.__setattr__(self, "l_connected", l_connected)
-        object.__setattr__(self, "even", even)
-        object.__setattr__(self, "hypothesis_holds", hypothesis_holds)
-        object.__setattr__(self, "cycle_rank", cycle_rank)
-
     def to_json_dict(self) -> dict:
-        return {
-            "lf_connected": self.lf_connected,
-            "lf_dominant": self.lf_dominant,
-            "l_connected": self.l_connected,
-            "even": self.even,
-            "hypothesis_holds": self.hypothesis_holds,
-            "cycle_rank": self.cycle_rank,
-        }
+        return dict(zip(self._fields, self._key))
 
 
 class Verdict(Value):
     _fields = ("status", "provenance", "diagnostics")
-
-    def __init__(self, status: str, provenance: str, diagnostics: Diagnostics):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "provenance", provenance)
-        object.__setattr__(self, "diagnostics", diagnostics)
 
     def to_json_dict(self) -> dict:
         return {
@@ -87,14 +66,8 @@ def decide_sigma1(chi: Character, mode: str = SIMPLE_CYCLE) -> Verdict:
     g = chi.graph
     lf = lf_subgraph(chi)
     living = living_subgraph(chi)
-    diags = Diagnostics(
-        lf_connected=is_connected(lf),
-        lf_dominant=is_dominant(g, lf.vertices),
-        l_connected=is_connected(living),
-        even=all_labels_even(g),
-        hypothesis_holds=check_hypothesis(g, mode),
-        cycle_rank=cycle_rank(g),
-    )
+    diags = Diagnostics(is_connected(lf), is_dominant(g, lf.vertices), is_connected(living),
+                        all_labels_even(g), check_hypothesis(g, mode), cycle_rank(g))
     if not (diags.lf_connected and diags.lf_dominant):
         return Verdict(STATUS_OUT, PROV_MMW_NECESSARY, diags)
     if diags.l_connected:

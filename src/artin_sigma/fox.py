@@ -335,10 +335,6 @@ class AbelianizationMap(Value):
 
     _fields = ("graph", "classes")
 
-    def __init__(self, graph, classes: tuple):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "classes", classes)
-
     @cached_property
     def class_index(self) -> dict:
         out = {}
@@ -379,13 +375,8 @@ def abelianize(element, amap: AbelianizationMap) -> LaurentPoly:
 
 
 class JacobianMatrix(Value, frozen=False):
+    # entries: rows follow relators, columns follow generators
     _fields = ("generators", "relators", "variables", "entries")
-
-    def __init__(self, generators: tuple, relators: tuple, variables: tuple, entries: list):
-        self.generators = generators
-        self.relators = relators
-        self.variables = variables
-        self.entries = entries  # rows follow relators, columns follow generators
 
 
 def jacobian(generators, relators, amap: AbelianizationMap) -> JacobianMatrix:

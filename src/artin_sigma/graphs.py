@@ -40,16 +40,14 @@ class LabeledGraph(Value):
 
     def __init__(self, vertices: tuple, edges: tuple):
         vertices = tuple(vertices)
-        seen = set()
-        for v in vertices:
+        index = {}
+        for i, v in enumerate(vertices):
             if not isinstance(v, str) or not _NAME_RE.match(v):
                 raise InputError(f"bad vertex name {v!r}")
-            if v in seen:
+            if v in index:
                 raise InputError(f"duplicate vertex {v!r}")
-            seen.add(v)
-        index = {v: i for i, v in enumerate(vertices)}
-        norm = []
-        pairs = set()
+            index[v] = i
+        by_ends = {}  # (index of the first end, index of the second): edge
         for edge in edges:
             try:
                 u, v, label = edge
@@ -63,13 +61,11 @@ class LabeledGraph(Value):
                 raise InputError(f"edge label must be an integer >= 2, got {label!r}")
             if index[u] > index[v]:
                 u, v = v, u
-            if (u, v) in pairs:
+            ends = index[u], index[v]
+            if ends in by_ends:
                 raise InputError(f"duplicate edge ({u!r}, {v!r})")
-            pairs.add((u, v))
-            norm.append((u, v, label))
-        norm.sort(key=lambda e: (index[e[0]], index[e[1]]))
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", tuple(norm))
+            by_ends[ends] = (u, v, label)
+        super().__init__(vertices, tuple(map(by_ends.get, sorted(by_ends))))
 
     @cached_property
     def index(self) -> dict:
@@ -261,10 +257,6 @@ class Block(Value):
 
     _fields = ("vertices", "edges")
 
-    def __init__(self, vertices: tuple, edges: tuple):
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
-
 
 def blocks(graph: LabeledGraph) -> list:
     """Biconnected components in canonical order; they partition the edges.
@@ -427,19 +419,16 @@ def _closed_path(adj: dict, start, dist: dict, length: int, idx: dict):
     least index list.  It is in canonical rotation: ``start`` is its smallest
     vertex, and its second vertex is smaller than its last, because its
     reverse is a later path.  A vertex too far from ``start`` to close the
-    cycle in time is not entered.
+    cycle in time is not entered, so the last vertex of a path of ``length``
+    vertices is at distance 1, a neighbour of ``start``: the path is closed.
     """
     path = [start]
     on_path = {start}
     frames = [iter(adj[start])]
     while frames:
         if len(path) == length:
-            if start in adj[path[-1]]:
-                return tuple(path)
-            nbrs = ()
-        else:
-            nbrs = frames[-1]
-        for w in nbrs:
+            return tuple(path)
+        for w in frames[-1]:
             if idx[w] > idx[start] and w not in on_path and dist[w] <= length - len(path):
                 path.append(w)
                 on_path.add(w)

@@ -52,7 +52,7 @@ class PolyMatrix(Value, frozen=False):
             if any(len(r) != width for r in rows):
                 raise InputError("matrix rows must have equal length")
             common_ring(e for r in rows for e in r)
-        self.entries = rows
+        super().__init__(rows)
 
     @property
     def nrows(self):

@@ -49,12 +49,6 @@ class SubSphere(Value):
 
     __slots__ = _fields = ("graph", "kind", "units", "cut")
 
-    def __init__(self, graph: LabeledGraph, kind: str, units: int, cut: int):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "units", units)
-        object.__setattr__(self, "cut", cut)
-
     @property
     def zero_set(self) -> tuple:
         return members(self.units, self.graph.vertices)
@@ -291,10 +285,6 @@ def disconnection_pieces(graph: LabeledGraph) -> list:
 class SphericalPolyhedron(Value):
     _fields = ("graph", "pieces")
 
-    def __init__(self, graph: LabeledGraph, pieces: tuple):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "pieces", pieces)
-
     def contains(self, chi: Character) -> bool:
         return polyhedron_contains(self, chi)
 
@@ -341,10 +331,14 @@ def complement_polyhedron(graph: LabeledGraph) -> SphericalPolyhedron:
     each, so y has at least two neighbours in R.  Growing Y1 shrinks R, so
     a zero set that fails this test fails it for every superset: the zero
     sets are walked depth first, adding vertices by increasing index, and
-    a subtree is cut at its first zero set that fails, as well as past
-    n - 2 vertices.  A zero set hands its children the neighbour masks of
-    its vertices and the components of its rest: zeroing v splits only the
-    component holding v, so only that one is searched again.
+    a subtree is cut at its first zero set that fails.  No zero set of more
+    than n - 2 vertices passes, as its rest has at most one vertex.  A zero
+    set that passes has every vertex with two or more neighbours in its
+    rest, so zeroing v fails a vertex only when v is one of its last two
+    there, and the new vertex v itself is tested.  A zero set hands its
+    children the neighbour masks of its vertices and the components of its
+    rest: zeroing v splits only the component holding v, so only that one
+    is searched again.
 
     Dominance candidates are never kept, so they are not enumerated: for a
     proper closed neighbourhood N[x] and a vertex y outside it, x is
@@ -364,13 +358,18 @@ def complement_polyhedron(graph: LabeledGraph) -> SphericalPolyhedron:
             for cut, side in _bonds(rest, fixed, removable):
                 if all(m & side and m & (rest ^ side) for m in nbrs):
                     kept.append((units, cut))
-        if len(nbrs) < n - 2:
-            for v in range(first, n):
-                smaller, grown = rest ^ 1 << v, nbrs + (adj[v],)
-                if all((m & smaller).bit_count() > 1 for m in grown):
-                    others = [c for c in parts if not c >> v & 1]
-                    walk(units | 1 << v, smaller, v + 1, grown,
-                         others + components(smaller ^ sum(others), adj))
+        # the rest's vertices that some zeroed vertex has as one of its last
+        # two neighbours there: zeroing one of them fails that vertex
+        tight = 0
+        for m in nbrs:
+            if (m & rest).bit_count() == 2:
+                tight |= m & rest
+        for v in range(first, n):
+            if not tight >> v & 1 and (adj[v] & rest).bit_count() > 1:
+                smaller = rest ^ 1 << v
+                others = [c for c in parts if not c >> v & 1]
+                walk(units | 1 << v, smaller, v + 1, nbrs + (adj[v],),
+                     others + components(smaller ^ sum(others), adj))
 
     if n >= 2:
         walk(0, (1 << n) - 1, 0, (), components((1 << n) - 1, adj))

@@ -312,6 +312,16 @@ def test_witness_on_complete_graph_is_fast(mode, expected):
     assert time.perf_counter() - start < 5.0
 
 
+@pytest.mark.parametrize("mode", ["simple-cycle", "strict"])
+def test_witness_on_a_long_cycle_is_the_whole_cycle_and_fast(mode):
+    # the one cycle's last vertex is reached only as a neighbour of its start
+    names = tuple(f"x{i}" for i in range(1000))
+    c1000 = LabeledGraph(names, tuple((names[i], names[i - 1], 4) for i in range(1000)))
+    start = time.perf_counter()
+    assert hypothesis_witness(c1000, mode) == names
+    assert time.perf_counter() - start < 1.0
+
+
 def test_has_edge_rejects_unknown_vertex(f3):
     assert f3.has_edge("b", "a")
     for u, v in (("a", "z"), ("z", "a"), ("y", "z")):

@@ -19,6 +19,7 @@ from artin_sigma import (
     certify_not_finitely_generated,
     character,
     dead_edge_forest,
+    dead_edges,
     forest_presentation,
     koszul_differential,
     matrix_rank,
@@ -272,6 +273,30 @@ def test_dead_edge_forest_f1_orientation():
     assert forest.left == ("v", "s")
     assert forest.right == ("u", "w")
     assert forest.edges == (("v", "u", 4), ("v", "w", 4), ("s", "w", 4))
+
+
+def test_dead_edge_forest_edges_are_the_dead_cross_edges():
+    # under full support a living edge never crosses the split
+    rng = random.Random(2)
+    checked = 0
+    for _ in range(1000):
+        g = random_even_graph(rng)
+        chi = character(g, {v: rng.choice((1, -1, 2, -2)) for v in g.vertices})
+        comps = connected_components(living_subgraph(chi))
+        if len(comps) < 2:
+            continue
+        cut = rng.randint(1, len(comps) - 1)
+        split = ([v for c in comps[:cut] for v in c], [v for c in comps[cut:] for v in c])
+        try:
+            forest = dead_edge_forest(chi, split)
+        except MathError:  # the dead cross edges hold a cycle
+            continue
+        left = set(forest.left)
+        crossing = {frozenset(e[:2]) for e in g.edges if (e[0] in left) != (e[1] in left)}
+        assert {frozenset(e[:2]) for e in forest.edges} == crossing
+        assert crossing <= {frozenset(e[:2]) for e in dead_edges(chi)}, (g, chi)
+        checked += 1
+    assert checked >= 400
 
 
 def test_bipartition_presentation_needs_even_labels(f2):
@@ -584,6 +609,23 @@ def random_forest_with_character(rng):
                     values[nbr] = -values[cur]
                     stack.append(nbr)
     return forest, values
+
+
+def test_specialization_images_agree_on_every_forest_edge():
+    # every forest edge is a tree edge of the search from the basepoints, so
+    # no image needs a check after it is set
+    rng = random.Random(1009)
+    for _ in range(300):
+        forest, chi = random_forest_with_character(rng)
+        forest = forest.with_basepoints(rng.choice(comp) for comp in forest.components())
+        spec = specialization_data(forest, chi)
+        assert set(spec.images) == set(forest.vertices)
+        assert [(v, w) for v, w, _ in spec.roots] == [e[:2] for e in forest.edges]
+        for v, w, k in spec.roots:
+            (jv, ev), (jw, ew) = spec.images[v], spec.images[w]
+            assert (jv + jw - k) % spec.order == 0 and ev + ew == 0, (forest, chi)
+        assert all(spec.images[v][1] == chi[v] for v in forest.vertices)
+        assert all(spec.images[b][0] == 0 for b in forest.basepoints)
 
 
 def test_random_forest_certificates_always_conclude():

@@ -1,5 +1,5 @@
-"""The value classes on ``artin_sigma.value.Value``: equality, hashing,
-immutability and ``repr``."""
+"""The value classes on ``artin_sigma.value.Value``: construction,
+equality, hashing, immutability and ``repr``."""
 
 import copy
 import pickle
@@ -18,11 +18,14 @@ from artin_sigma import (
     SubSphere,
     Verdict,
     abelianization_map,
+    certify_not_finitely_generated,
     forest_presentation,
     graph_presentation,
     jacobian,
     parse_graph,
 )
+from artin_sigma.presentations import specialization_data
+from artin_sigma.value import Value
 
 
 def edge():
@@ -120,3 +123,84 @@ def test_mutable_value_class(name):
         hash(first)
     setattr(second, field, [])
     assert first != second
+
+
+def split_forest():
+    return BipartiteForest(("a",), ("b", "c"), (("a", "b", 4),))
+
+
+# the value classes the two tables above leave out
+OTHERS = {
+    "Diagnostics": diagnostics,
+    "AbelianizationMap": lambda: abelianization_map(edge()),
+    "Specialization": lambda: specialization_data(split_forest(), {"a": 1, "b": -1, "c": 2}),
+    "Certificate": lambda: certify_not_finitely_generated(split_forest(),
+                                                          {"a": 1, "b": -1, "c": 2}),
+}
+BUILDERS = {**{name: build for name, (build, _) in {**FROZEN, **MUTABLE}.items()}, **OTHERS}
+# the classes that check or complete their arguments before Value.__init__ stores them
+OWN_INIT = {"LabeledGraph", "Character", "BipartiteForest", "ModulePresentation", "PolyMatrix"}
+
+
+def value_classes():
+    import artin_sigma
+
+    for name in artin_sigma.__all__:  # loads every home module
+        getattr(artin_sigma, name)
+    found, todo = {}, [Value]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            found[cls.__name__] = cls
+            todo.append(cls)
+    return found
+
+
+def test_every_value_class_is_built_here_and_only_five_have_their_own_init():
+    classes = value_classes()
+    assert set(classes) == set(BUILDERS)
+    assert {name for name, cls in classes.items() if "__init__" in vars(cls)} == OWN_INIT
+    for name in sorted(BUILDERS):
+        assert type(BUILDERS[name]()) is classes[name]
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_a_fresh_instance_holds_exactly_its_fields(name):
+    value = BUILDERS[name]()
+    slots = type(value).__dict__.get("__slots__")
+    if slots is None:
+        held = set(vars(value))
+    else:
+        assert not hasattr(value, "__dict__")
+        held = {slot for slot in slots if hasattr(value, slot)}
+    derived = {"graph", "_components"} if name == "BipartiteForest" else set()
+    assert held == set(value._fields) | derived
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_keyword_and_positional_construction_agree(name):
+    value = BUILDERS[name]()
+    cls, values = type(value), value._key
+    named = dict(zip(cls._fields, values))
+    first, *rest = cls._fields
+    assert cls(*values) == cls(**named) == value
+    assert cls(values[0], **{field: named[field] for field in rest}) == value
+    # keywords in any order
+    assert cls(**dict(reversed(named.items()))) == value
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_a_wrong_field_list_is_a_type_error(name):
+    value = BUILDERS[name]()
+    cls, values = type(value), value._key
+    named = dict(zip(cls._fields, values))
+    first = cls._fields[0]
+    own = name in OWN_INIT  # Python words the errors of a written signature
+    without_first = {field: v for field, v in named.items() if field != first}
+    with pytest.raises(TypeError, match=None if own else f"missing field {first!r}"):
+        cls(**without_first)
+    with pytest.raises(TypeError, match=None if own else "an unknown field 'colour'"):
+        cls(*values, colour=1)
+    with pytest.raises(TypeError, match=None if own else f"a repeated field {first!r}"):
+        cls(*values, **{first: values[0]})
+    with pytest.raises(TypeError, match=None if own else "fields but"):
+        cls(*values, None)
