@@ -12,6 +12,7 @@ input and 1 for a violated mathematical precondition.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -265,26 +266,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", help="graph file ('-' for stdin)")
     p.add_argument("--char", help="character spec name=value,... (overrides c lines)")
     p.add_argument("--mode", choices=MODES, default=DEFAULT_MODE)
-    p.set_defaults(body=_cmd_sigma1, module="decision")
+    p.set_defaults(body=_cmd_sigma1, modules=("decision",))
 
     p = sub.add_parser("polyhedron", parents=[common], help="complement polyhedron pieces")
     p.add_argument("path", help="graph file ('-' for stdin)")
-    p.set_defaults(body=_cmd_polyhedron, module="polyhedron")
+    p.set_defaults(body=_cmd_polyhedron, modules=("polyhedron",))
 
     p = sub.add_parser("hypothesis", parents=[common], help="structural cycle condition")
     p.add_argument("path", help="graph file ('-' for stdin)")
     p.add_argument("--mode", choices=MODES, default=DEFAULT_MODE)
-    p.set_defaults(body=_cmd_hypothesis, module="graphs")
+    p.set_defaults(body=_cmd_hypothesis, modules=("graphs",))
 
     p = sub.add_parser("fox", parents=[common], help="free differential of a word")
     p.add_argument("--word", required=True, help="word like 'a b^-1 a^2' ('1' = identity)")
     p.add_argument("--generator", required=True)
-    p.set_defaults(body=_cmd_fox, module="fox")
+    p.set_defaults(body=_cmd_fox, modules=("fox",))
 
     p = sub.add_parser("jacobian", parents=[common], help="abelianized Fox Jacobian")
     p.add_argument("path", help="graph file ('-' for stdin)")
     p.add_argument("--standard", action="store_true", help="standard relators on even edges too")
-    p.set_defaults(body=_cmd_jacobian, module="fox")
+    p.set_defaults(body=_cmd_jacobian, modules=("fox", "graphs", "laurent"))
 
     p = sub.add_parser(
         "kt-certify", parents=[common], help="non-finite-generation rank certificate"
@@ -292,14 +293,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", help="graph file ('-' for stdin)")
     p.add_argument("--char", help="character spec name=value,... (overrides c lines)")
     p.add_argument("--bipartition", help="two '/'-separated vertex lists, e.g. a,c/b")
-    p.set_defaults(body=_cmd_kt_certify, module="presentations")
+    p.set_defaults(body=_cmd_kt_certify, modules=("presentations",))
 
     p = sub.add_parser("groebner", parents=[common], help="Groebner basis / unit ideal")
     p.add_argument("--vars", required=True, help="comma-separated variable names")
     p.add_argument("--gens", required=True, nargs="+", help="generator polynomials")
     p.add_argument("--order", choices=ORDERS, default=DEFAULT_ORDER)
     p.add_argument("--laurent", action="store_true", help="invert all variables")
-    p.set_defaults(body=_cmd_groebner, module="groebner")
+    p.set_defaults(body=_cmd_groebner, modules=("groebner",))
 
     return parser
 
@@ -308,9 +309,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # Load what the body imports before starting the clock, so that timing_ms
-    # leaves imports out: the home module, and hashlib for a graph file.
+    # leaves imports out: the package modules the body imports, each named in
+    # its subparser's ``modules``, and hashlib for a graph file.
     # __import__, not importlib.import_module, which -X importtime does not list.
-    __import__(f"{__package__}.{args.module}")
+    for module in args.modules:
+        __import__(f"{__package__}.{module}")
     if hasattr(args, "path"):
         __import__("hashlib")
     try:
@@ -334,7 +337,12 @@ def main(argv=None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main(argv=None))
+    code = main(argv=None)
+    # The interpreter runs full collections as it exits; move every object
+    # alive now to the permanent generation, which they skip.  Output is
+    # flushed and atexit handlers run as on any exit.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

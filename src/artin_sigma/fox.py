@@ -18,10 +18,11 @@ import re
 from functools import cached_property
 
 from .errors import InputError
-from .fields import QQ
-from .graphs import LabeledGraph, connected_components
-from .laurent import LaurentPoly
 from .value import Value
+
+# graphs, laurent and fields are imported inside the abelianization code, the
+# only code that runs them, so that words and Fox derivatives load none of
+# them; ``LaurentPoly`` in annotations is laurent.LaurentPoly.
 
 
 def _reduce_letters(letters):
@@ -350,6 +351,8 @@ class AbelianizationMap(Value):
 
 def abelianization_map(graph) -> AbelianizationMap:
     """Classes are the components of the odd-label subgraph."""
+    from .graphs import LabeledGraph, connected_components
+
     odd = LabeledGraph(graph.vertices, tuple(e for e in graph.edges if e[2] % 2))
     return AbelianizationMap(graph, tuple(connected_components(odd)))
 
@@ -357,6 +360,9 @@ def abelianization_map(graph) -> AbelianizationMap:
 def abelianize(element, amap: AbelianizationMap) -> LaurentPoly:
     """Image of a group-ring element in the Laurent ring over QQ in the class
     variables; its coefficients are integers."""
+    from .fields import QQ
+    from .laurent import LaurentPoly
+
     if isinstance(element, FreeWord):
         element = GroupRingElement.from_word(element)
     variables = amap.variables

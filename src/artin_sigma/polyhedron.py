@@ -20,13 +20,14 @@ character's ``zero`` and ``dead`` masks.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
-from .characters import Character, parse_rational
 from .errors import InputError
 from .graphs import LabeledGraph, component, components, members
 from .value import Value
+
+# ``Character`` in annotations is characters.Character, left unimported:
+# polyhedron_from_json is the only code that runs anything from characters.
 
 MAX_POLYHEDRON_VERTICES = 12
 """Most vertices ``complement_polyhedron`` and ``disconnection_pieces``
@@ -406,6 +407,10 @@ def polyhedron_from_json(graph: LabeledGraph, data: dict) -> SphericalPolyhedron
     list of distinct even label > 2 edges.  A missing key, a wrong shape, an
     unknown kind or vertex, an origin breaking those rules, and forms other
     than those the origin gives are InputErrors."""
+    from fractions import Fraction
+
+    from .characters import parse_rational
+
     idx = graph.index
     edge_no = {frozenset(e[:2]): k for k, e in enumerate(graph.edges)}
     pieces = []

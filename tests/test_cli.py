@@ -448,6 +448,41 @@ def test_cli_subprocess_bad_input_exit_code(tmp_path):
     assert json.loads(proc.stderr)["error"] == "input"
 
 
+K8_TEXT = "".join(f"v x{i}\n" for i in range(8)) + "".join(
+    f"e x{i} x{j} 4\n" for i in range(8) for j in range(i + 1, 8)
+)
+
+
+def without_timing(out):
+    """A report's text with its last field, ``timing_ms``, cut out."""
+    head, sep, tail = out.rpartition(', "timing_ms": ')
+    assert not sep or tail.lstrip("0123456789") == "}\n"
+    return head + "}\n" if sep else out
+
+
+@pytest.mark.parametrize(
+    "text, argv, expected",
+    [
+        (K8_TEXT, ["polyhedron"], 0),
+        (F1_TEXT, ["kt-certify", "--char", "v=1,s=1,u=-1,w=-1"], 1),
+        ("v a\nv a\n", ["sigma1"], 2),
+    ],
+    ids=["k8-polyhedron", "forest-cycle", "malformed"],
+)
+def test_console_entry_point_matches_main(tmp_path, capsys, text, argv, expected):
+    # the bootstrap of the console script, which freezes the heap before exit
+    argv = [argv[0], graph_file(tmp_path, text), *argv[1:]]
+    proc = run_python(["-c", "from artin_sigma.cli import main_entry; main_entry()", *argv])
+    code, out, err = run_cli(capsys, argv)
+    assert (proc.returncode, code) == (expected, expected)
+    assert proc.stderr == err
+    assert without_timing(proc.stdout) == without_timing(out)
+    if expected == 0:
+        assert len(out) > 100_000
+    else:
+        assert out == "" and json.loads(err)["error"] == ("math" if expected == 1 else "input")
+
+
 def test_json_output_is_deterministic(tmp_path, capsys):
     path = graph_file(tmp_path, F5_TEXT)
     first = run_json(capsys, ["polyhedron", path])

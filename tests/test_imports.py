@@ -21,14 +21,16 @@ from test_cli import F3_TEXT, graph_file, run_python
 
 # The package modules each subcommand loads, besides ``cli`` and ``errors``:
 # exact sets, so ``sigma1`` and ``hypothesis`` load none of the algebra stack
-# (fields, laurent, groebner, linalg, presentations, polyhedron, fox) and
-# ``groebner`` none of the graph side.  ``value``, the base of the value
-# classes, comes with ``graphs``.
+# (fields, laurent, groebner, linalg, presentations, polyhedron, fox),
+# ``groebner`` none of the graph side, ``fox`` neither (only the Jacobian's
+# abelianization runs them) and ``polyhedron`` not ``characters`` (only
+# ``polyhedron_from_json`` runs it).  ``value``, the base of the value
+# classes, comes with ``graphs`` and ``fox``.
 SUBCOMMAND_MODULES = {
     "sigma1": {"graphs", "characters", "decision", "value"},
     "hypothesis": {"graphs", "value"},
-    "polyhedron": {"graphs", "characters", "polyhedron", "value"},
-    "fox": {"fox", "graphs", "laurent", "fields", "value"},
+    "polyhedron": {"graphs", "polyhedron", "value"},
+    "fox": {"fox", "value"},
     "jacobian": {"fox", "graphs", "laurent", "fields", "value"},
     "kt-certify": {"presentations", "linalg", "laurent", "fields", "characters", "graphs",
                    "value"},
