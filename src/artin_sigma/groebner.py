@@ -22,19 +22,24 @@ leading term from a max-heap of the dividend's packed monomials (lazy
 deletion), so no term is re-keyed on a division step (Monagan and Pearce,
 "Sparse polynomial division using a heap", JSC 46, 2011).  Generators are
 packed once on entry to ``buchberger`` and the reduced basis unpacked once
-on exit; ``s_polynomial`` and ``reduce_poly`` take either packed
-polynomials (as ``buchberger`` calls them) or ``LaurentPoly``s, which must
-share one variable list (``laurent.common_ring``; a second list is an
-``InputError``).
+on exit.  ``s_polynomial`` and ``reduce_poly`` are library entry points on
+``LaurentPoly``s, which must share one variable list
+(``laurent.common_ring``; a second list is an ``InputError``); the pair
+loop calls neither, and ``reduce_poly`` also takes the packed polynomials
+that interreduction hands it.
 
 Packed coefficients are ints over QQ and GF(p), and field elements over
 QQ(zeta_M).  A packed polynomial is its terms over a positive int ``den``,
 which is 1 but over QQ: a QQ generator packs with its denominators cleared,
 and "monic" over QQ means primitive with a positive leading coefficient,
-with that coefficient as ``den``.  There is one division kernel; its first
-step on x^(L - lm f) * f by g is the S-polynomial of f and g, L the lcm of
-their leading monomials.  It cancels a leading coefficient c by a reducer
-whose leading coefficient is a without dividing: it scales the dividend by
+with that coefficient as ``den``.  There is one division kernel,
+``_divide``, which ``s_polynomial``, ``reduce_poly`` and the pair loop all
+call.  It reduces by a table of reducer rows, each a divisor's ``lead``
+(leading monomial and coefficient, tail, top-degree term), tried in table
+order; given a first row, it reduces the leading term by that one first,
+and that first step on x^(L - lm f) * f by g is the S-polynomial of f and
+g, L the lcm of their leading monomials.  It cancels a leading coefficient
+c by a reducer whose leading coefficient is a without dividing: it scales the dividend by
 a / gcd(a, c), subtracts c / gcd(a, c) times the reducer and folds the
 scale into ``den`` (the primitive pseudo-remainder of Geddes, Czapor and
 Labahn, "Algorithms for Computer Algebra", 1992, ch. 7).  So a remainder
@@ -49,9 +54,25 @@ is a prime.
 The pair loop (``_pair_loop``) pops pairs in (packed lcm, i, j) order and
 updates them as Gebauer and Moller do ("On an installation of Buchberger's
 algorithm", JSC 6, 1988): criteria M and F and the product criterion prune
-the new pairs, and criterion B the old ones.  ``buchberger`` minimalizes
-and interreduces its basis; ``is_unit_ideal`` (and so ``unit_ideal_mod_p``)
-only asks whether the loop met a nonzero constant, stops there, and never
+the new pairs, and criterion B the old ones.  It keeps one reducer table,
+the rows of its basis in index order, which gains a row with each new
+element and is rebuilt only when the ring widens, and it divides each pair
+(i, j) in one ``_divide`` call: x^(L - lm_i) * g_i, first by g_j (the
+S-polynomial) and then, on the same heap and term dict, by the table.
+That is the remainder of the S-polynomial divided by the basis, so the
+pairs formed and the bases are those of an S-polynomial step followed by a
+full division.  Each new element's ``lead`` is computed once, and
+``monic`` carries it over.  The basis may hold at most
+``MAX_BASIS_ELEMENTS`` elements.
+
+``buchberger`` minimalizes and interreduces its basis: it reduces the
+minimal elements in increasing order of leading monomial, each only by the
+smaller ones already reduced.  A larger leading monomial divides no term
+of an element, nor any term its division makes, since each lies below the
+element's own leading monomial; so each element comes out as the one of
+the reduced Groebner basis with its leading monomial, and the reduced basis
+is unique.  ``is_unit_ideal`` (and so ``unit_ideal_mod_p``) only asks
+whether the loop met a nonzero constant, stops there, and never
 interreduces.
 
 Systems whose generators all have at most two terms skip Buchberger for that
@@ -203,17 +224,15 @@ class _Packed:
     terms / den."""
 
     def __init__(self, ring, terms, den=1):
-        self.ring = ring
-        self.terms = terms
-        self.den = den
+        self.ring, self.terms, self.den = ring, terms, den
 
     @cached_property
     def lead(self):
-        """(lm, lc, tail, top, exps): the leading monomial and coefficient,
-        the other terms as (monomial, coefficient) pairs, a term of greatest
-        degree (lm itself under grevlex) and lm's exponent vector."""
-        terms = self.terms
-        ring = self.ring
+        """(lm, lc, tail, top, exps), the polynomial's row in a reducer
+        table: the leading monomial and coefficient, the other terms as
+        (monomial, coefficient) pairs, a term of greatest degree (lm itself
+        under grevlex) and lm's exponent vector."""
+        terms, ring = self.terms, self.ring
         lm = max(terms)
         top = max(terms, key=ring.degree) if ring.order == "lex" else lm
         tail = [(m, c) for m, c in terms.items() if m != lm]
@@ -222,17 +241,21 @@ class _Packed:
     def monic(self) -> "_Packed":
         """This nonzero polynomial divided by its leading coefficient; over
         QQ its primitive part with a positive leading coefficient, over that
-        coefficient."""
-        ring, terms = self.ring, self.terms
-        lc = self.lead[1]
+        coefficient.  Its ``lead`` is this one's, rescaled, not recomputed."""
+        ring, p = self.ring, self.ring.prime
+        lm, lc, tail, top, exps = self.lead
         if ring.domain is QQ:
-            g = gcd(*terms.values()) if lc > 0 else -gcd(*terms.values())
-            return _Packed(ring, {m: c // g for m, c in terms.items()}, lc // g)
-        if lc == 1:
+            g = gcd(*self.terms.values()) if lc > 0 else -gcd(*self.terms.values())
+            tail, lc = [(m, c // g) for m, c in tail], lc // g
+        elif lc == 1:
             return self
-        p = ring.prime
-        inv = pow(lc, -1, p) if p else ring.domain.one / lc
-        return _Packed(ring, {m: c * inv % p if p else c * inv for m, c in terms.items()})
+        else:
+            inv = pow(lc, -1, p) if p else ring.domain.one / lc
+            tail = [(m, c * inv % p if p else c * inv) for m, c in tail]
+            lc = lc * inv % p if p else lc * inv
+        monic = _Packed(ring, {lm: lc, **dict(tail)}, lc if ring.domain is QQ else 1)
+        monic.lead = lm, lc, tail, top, exps
+        return monic
 
 
 def _widening(kernel, polys):
@@ -256,26 +279,31 @@ def _packed_inputs(polys, order):
     return [ring.from_poly(p) for p in polys]
 
 
-def _divide(polys, one_step=False):
-    """Remainder of polys[0] modulo polys[1:], all in one ring, the divisors
-    monic but over QQ; over QQ it is reduced fraction-free, its scale put in
-    ``den``.  With ``one_step``, polys[0] after the reduction of its leading
-    term, which one of polys[1:] must divide."""
-    f = polys[0]
+def _divide(f, table, first=None, shift=0):
+    """Remainder of x^shift * f, shift a packed monomial less the offset,
+    modulo the divisors whose ``lead`` rows make up table, tried in table
+    order; all in f's ring, the divisors monic but over QQ, where the
+    remainder is reduced fraction-free, its scale put in ``den``.  A
+    ``first`` row, whose leading monomial must divide x^shift * f's, reduces
+    the leading term before the table is tried: with g's row and shift
+    L - lm f, L the lcm of their leading monomials, that first step is the
+    S-polynomial of f and g."""
     ring = f.ring
     offset, guards, p = ring.offset, ring.guards, ring.prime
-    table = [g.lead for g in polys[1:]]
-    work, den = dict(f.terms), f.den
+    if shift and (f.lead[3] + shift) & guards:
+        raise _Spill
+    work, den = {m + shift: c for m, c in f.terms.items()}, f.den
     heap = [-m for m in work]
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
     rem = {}
+    reducers = table if first is None else (first,)
     while heap:
         lm = -pop(heap)
         lc = work.pop(lm, None)
         if lc is None:  # a stale entry: the term cancelled
             continue
-        for glm, glc, gtail, gtop, _ in table:
+        for glm, glc, gtail, gtop, _ in reducers:
             if not (lm - glm + offset) & guards:
                 # work = s * work + k * x^(lm - glm) * g with s * lc + k * glc
                 # = 0, so the leading terms cancel; s = 1 but over QQ
@@ -304,49 +332,45 @@ def _divide(polys, one_step=False):
                             work[m] = v
                         else:
                             del work[m]
-                if one_step:
-                    return _Packed(ring, work, den)
+                reducers = table
                 break
         else:
             rem[lm] = lc
     return _Packed(ring, rem, den)
 
 
+def _remainder(polys):
+    """polys[0] modulo polys[1:], all in one ring, the divisors monic but
+    over QQ."""
+    return _divide(polys[0], [g.lead for g in polys[1:]])
+
+
 def _s_kernel(polys):
-    """x^(L - lm f) * f / lc f - x^(L - lm g) * g / lc g, L the lcm of the
-    leading monomials, for f and g in one ring, monic but over QQ: the first
-    step of dividing x^(L - lm f) * f by g, so over QQ a positive multiple,
-    with lcm(lc f, lc g) in ``den``."""
+    """The S-polynomial of f and g, in one ring and monic but over QQ, where
+    it is a positive multiple, with lcm(lc f, lc g) in ``den``."""
     f, g = polys
-    flm, _, _, ftop, fexps = f.lead
-    d = f.ring.lcm(fexps, g.lead[4]) - flm
-    if (ftop + d) & f.ring.guards:
-        raise _Spill
-    return _divide([_Packed(f.ring, {m + d: c for m, c in f.terms.items()}, f.den), g], True)
+    return _divide(f, (), g.lead, f.ring.lcm(f.lead[4], g.lead[4]) - f.lead[0])
 
 
 def reduce_poly(f, basis, order=DEFAULT_ORDER):
     """Normal form of f modulo the basis (full multivariate division).
 
     Takes LaurentPolys and returns one, or takes packed polynomials in one
-    ring with a monic basis (as ``buchberger`` calls it), whose order is
+    ring with a monic basis (as ``_interreduced`` calls it), whose order is
     then used, and returns a packed remainder, in a wider ring after a
     spill; over QQ that remainder is a positive multiple of the true one,
     which ``to_poly`` divides out.  The division runs on a private copy of
     f's terms; neither f nor any basis element is modified.
     """
     if isinstance(f, _Packed):
-        return _widening(_divide, [f, *basis])
+        return _widening(_remainder, [f, *basis])
     packed = _packed_inputs([f, *basis], order)
-    r = _widening(_divide, [packed[0]] + [g.monic() for g in packed[1:] if g.terms])
+    r = _widening(_remainder, [packed[0]] + [g.monic() for g in packed[1:] if g.terms])
     return r.ring.to_poly(r)
 
 
 def s_polynomial(f, g, order=DEFAULT_ORDER):
-    """S-polynomial of f and g: LaurentPolys, or monic packed polynomials
-    as ``reduce_poly`` takes them."""
-    if isinstance(f, _Packed):
-        return _widening(_s_kernel, [f, g])
+    """S-polynomial of the LaurentPolys f and g."""
     packed = _packed_inputs([f, g], order)
     if not all(p.terms for p in packed):
         raise InputError("the zero polynomial has no S-polynomial")
@@ -358,7 +382,19 @@ def _is_one(p: _Packed) -> bool:
     return p.lead[0] == p.ring.offset
 
 
-def _pair_loop(basis, order):
+MAX_BASIS_ELEMENTS = 1000
+"""Most elements the pair loop's basis may hold, the generators and the
+elements gone inactive included; the loop raises an InputError rather than
+add one past it.  Measured, as the largest basis one loop held: 19 over the
+golden corpus; 23 over the 35 ``algebra-evidence`` systems of ``perfbench``
+(QQ in both orders, and the GF(p) reruns); 175 over QQ and at most 191
+(GF(3)) over its GF(p) reruns for the label-6 five-cycle, whose reduced
+basis has 57 elements.  The cap is about five times the largest.  It lets
+through the GF(3) run of the label-6 seven-cycle (737 elements, about 45 s
+on a 2-core x86 box), whose QQ run does not finish in minutes."""
+
+
+def _pair_loop(basis):
     """Buchberger's pair loop on monic packed polynomials in one ring.
 
     Returns a Groebner basis of their ideal, monic but neither minimal nor
@@ -376,40 +412,44 @@ def _pair_loop(basis, order):
     differ from L (B).  An element whose leading monomial lm_t divides goes
     inactive: it forms no new pairs, but still reduces, as every element
     does, in index order.
+
+    The reducer table holds the ``lead`` rows of the basis in index order;
+    it gains a row with each element and is rebuilt only when the ring
+    widens.  A pair (i, j) is one ``_divide`` call: x^(L - lm_i) * g_i,
+    reduced first by g_j, which forms the S-polynomial, and on by the table.
     """
     for b in basis:
         if _is_one(b):
             return [b]
     ring = basis[0].ring
-    lms = [b.lead[0] for b in basis]
-    exps = [b.lead[4] for b in basis]  # exponent vectors: unchanged by widening
+    table = [b.lead for b in basis]
     active = []  # in index order
     queue = []
 
-    def widen(wider):
+    def widen():
         # repacking preserves the order, so the queue is still a heap
-        nonlocal ring, basis, lms, queue
+        nonlocal ring, basis, table, queue
         unpack = ring.unpack
-        ring = wider
+        ring = ring.wider()
         basis = [ring.repack(b) for b in basis]
-        lms = [b.lead[0] for b in basis]
+        table = [b.lead for b in basis]
         queue = [(ring.pack(unpack(m)), i, j) for m, i, j in queue]
 
     def update(t):
         nonlocal active, queue
-        et = exps[t]
+        et = table[t][4]  # exponent vectors: unchanged by widening
         while True:
             try:
-                new = sorted([(ring.lcm(exps[i], et), i) for i in active])
+                new = sorted([(ring.lcm(table[i][4], et), i) for i in active])
                 break
             except _Spill:
-                widen(ring.wider())
-        offset, guards, lt = ring.offset, ring.guards, lms[t]
+                widen()
+        offset, guards, lt = ring.offset, ring.guards, table[t][0]
         with_t = {i: lcm for lcm, i in new}
 
         def t_keeps(k, lcm):
             # lm_t and lm_k divide lcm, so lcm(k, t) does and cannot spill
-            return (with_t[k] if k in with_t else ring.lcm(exps[k], et)) == lcm
+            return (with_t[k] if k in with_t else ring.lcm(table[k][4], et)) == lcm
 
         # B
         kept = [q for q in queue
@@ -428,69 +468,78 @@ def _pair_loop(basis, order):
         # F and the product criterion
         for lcm, group in groupby(minimal, key=itemgetter(0)):
             group = [i for _, i in group]
-            if all(lcm - lms[i] + offset != lt for i in group):
+            if all(lcm - table[i][0] + offset != lt for i in group):
                 heapq.heappush(queue, (lcm, group[0], t))
-        active = [i for i in active if (lms[i] - lt + offset) & guards]
+        active = [i for i in active if (table[i][0] - lt + offset) & guards]
         active.append(t)
 
     for t in range(len(basis)):
         update(t)
     while queue:
-        _, i, j = heapq.heappop(queue)
-        s = s_polynomial(basis[i], basis[j], order)
-        if s.ring is not ring:
-            widen(s.ring)
-        r = reduce_poly(s, basis, order)
-        if r.ring is not ring:
-            widen(r.ring)
+        lcm, i, j = heapq.heappop(queue)
+        try:
+            r = _divide(basis[i], table, table[j], lcm - table[i][0])
+        except _Spill:
+            heapq.heappush(queue, (lcm, i, j))
+            widen()
+            continue
         if not r.terms:
             continue
         r = r.monic()
         if _is_one(r):
             return [r]
+        if len(basis) >= MAX_BASIS_ELEMENTS:
+            raise InputError(
+                f"the Groebner basis would grow past MAX_BASIS_ELEMENTS = {MAX_BASIS_ELEMENTS} elements")
         basis.append(r)
-        lms.append(r.lead[0])
-        exps.append(r.lead[4])
+        table.append(r.lead)
         update(len(basis) - 1)
     return [basis[k] for k in active]
 
 
-def _interreduced(basis, order):
+def _interreduced(basis):
     """The reduced Groebner basis from the pair loop's: minimal, each element
-    reduced by the others, sorted by leading monomial."""
+    reduced by the others, sorted by leading monomial.
+
+    The minimal elements are reduced in increasing order of leading
+    monomial, each by the smaller ones already reduced: every term of an
+    element, and every term its division makes, lies below its leading
+    monomial, so no larger leading monomial divides one.  Each comes out as
+    the reduced basis's element with its leading monomial, which is unique.
+    """
     ring = basis[0].ring
     offset, guards = ring.offset, ring.guards
     # no two leading monomials are equal (the later element deactivates the
-    # earlier); drop each element whose leading monomial another one divides
-    lms = [b.lead[0] for b in basis]
-    minimal = [b for b, lm in zip(basis, lms)
-               if not any(m != lm and not (lm - m + offset) & guards for m in lms)]
+    # earlier), and a divisor of a monomial precedes it: keep each element
+    # whose leading monomial no smaller kept one divides
+    minimal = []
+    for b in sorted(basis, key=lambda b: b.lead[0]):
+        if all((b.lead[0] - m.lead[0] + offset) & guards for m in minimal):
+            minimal.append(b)
     # no other leading monomial divides a minimal element's, so its
-    # remainder keeps its leading term and is monic
-    key = _order_key(order)
-    reduced = []
-    for i in range(len(minimal)):
-        p = minimal[i]
-        others = minimal[:i] + minimal[i + 1:]
-        r = reduce_poly(p, others, order) if others else p
-        if r.ring is not p.ring:
-            minimal = [r.ring.repack(q) for q in minimal]
-        reduced.append((key(r.lead[4]), r.ring.to_poly(r)))
-    reduced.sort(key=itemgetter(0))
-    return [p for _, p in reduced]
+    # remainder keeps its leading term; monic() makes a QQ remainder
+    # primitive again before it reduces the larger elements
+    reduced = minimal[:1]
+    for p in minimal[1:]:
+        p = reduce_poly(p if p.ring is ring else ring.repack(p), reduced).monic()
+        if p.ring is not ring:
+            ring = p.ring
+            reduced = [ring.repack(q) for q in reduced]
+        reduced.append(p)
+    return [ring.to_poly(p) for p in reduced]
 
 
-def _groebner_basis(packed, order):
+def _groebner_basis(packed):
     """The pair loop's basis for the nonzero packed polynomials, monic; []
     for none."""
     basis = [p.monic() for p in packed if p.terms]
-    return _pair_loop(basis, order) if basis else []
+    return _pair_loop(basis) if basis else []
 
 
 def buchberger(gens, order=DEFAULT_ORDER) -> list[LaurentPoly]:
     """Reduced Groebner basis (monic, sorted by leading monomial)."""
-    basis = _groebner_basis(_packed_inputs(gens, order), order)
-    return _interreduced(basis, order) if basis else []
+    basis = _groebner_basis(_packed_inputs(gens, order))
+    return _interreduced(basis) if basis else []
 
 
 def _is_unit(basis) -> bool:
@@ -502,7 +551,7 @@ def is_unit_ideal(gens, order=DEFAULT_ORDER) -> bool:
 
     The pair loop stops at the first constant, and nothing is interreduced.
     """
-    return _is_unit(_groebner_basis(_packed_inputs(gens, order), order))
+    return _is_unit(_groebner_basis(_packed_inputs(gens, order)))
 
 
 def saturation_variable(variables) -> str:
@@ -666,4 +715,4 @@ def unit_ideal_mod_p(gens, prime: int, laurent: bool = True) -> bool:
         return False
     ring = _PackedRing.fitting(variables, DEFAULT_ORDER, field, systems)
     packed = [_Packed(ring, {ring.pack(e): c for e, c in t.items()}) for t in systems]
-    return _is_unit(_groebner_basis(packed, DEFAULT_ORDER))
+    return _is_unit(_groebner_basis(packed))

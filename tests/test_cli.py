@@ -362,6 +362,22 @@ def test_groebner_refuses_an_oversized_power(capsys):
     }
 
 
+def test_groebner_refuses_a_basis_past_its_cap(capsys, monkeypatch):
+    # the cap lowered, not an oversized system run: the saturated four-cycle's
+    # pair loop holds 28 elements
+    import artin_sigma.groebner as groebner
+
+    monkeypatch.setattr(groebner, "MAX_BASIS_ELEMENTS", 20)
+    gens = [f"1+x{i}*x{(i + 1) % 4}+(x{i}*x{(i + 1) % 4})^2" for i in range(4)]
+    argv = ["groebner", "--laurent", "--vars", "x0,x1,x2,x3", "--gens", *gens]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "input",
+        "message": "the Groebner basis would grow past MAX_BASIS_ELEMENTS = 20 elements",
+    }
+
+
 @pytest.mark.parametrize(
     "gen, message",
     [

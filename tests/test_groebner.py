@@ -1,6 +1,7 @@
-import inspect
 import itertools
 import random
+import sys
+import traceback
 from fractions import Fraction
 
 import pytest
@@ -266,19 +267,27 @@ def test_buchberger_vs_sympy_groebner():
                 assert ours == _sympy_reduced_basis(sympy, gens, symbols, order, p), (case, order, p, gens)
 
 
+def _count_pairs_divided(monkeypatch):
+    """The list of pairs the pair loop divides: one ``_divide`` call each,
+    the one kind of call that reduces by a first row (the S-polynomial)."""
+    pairs = []
+    original = groebner._divide
+
+    def counted(f, table, first=None, shift=0):
+        if first is not None:
+            pairs.append((f, first))
+        return original(f, table, first, shift)
+
+    monkeypatch.setattr(groebner, "_divide", counted)
+    return pairs
+
+
 @pytest.mark.parametrize("order, expected", [("grevlex", (6, 68)), ("lex", (7, 38))])
 def test_pair_order_fixes_the_s_polynomials_formed(monkeypatch, order, expected):
     # pairs pop in (order key of lcm, i, j) order and the Gebauer-Moller
     # update drops some; another order or update forms other S-polynomials,
     # so these counts pin the selection, not only the answer
-    calls = []
-    original = groebner.s_polynomial
-
-    def counted(f, g, key=groebner.DEFAULT_ORDER):
-        calls.append((f, g))
-        return original(f, g, key)
-
-    monkeypatch.setattr(groebner, "s_polynomial", counted)
+    calls = _count_pairs_divided(monkeypatch)
     crit2 = [P(t, UVSW) for t in ("1 + u*v", "1 + s*u + (s*u)^2", "1 + v*w", "1 + s*w")]
     X = ("x0", "x1", "x2", "x3")
     cycle4 = [P(f"1 + {X[i]}*{X[i - 3]} + ({X[i]}*{X[i - 3]})^2", X) for i in range(4)]
@@ -290,12 +299,14 @@ def test_pair_order_fixes_the_s_polynomials_formed(monkeypatch, order, expected)
     assert tuple(counts) == expected
 
 
-@pytest.mark.parametrize("order, expected", [("grevlex", (6, 80)), ("lex", (7, 44))])
+@pytest.mark.parametrize("order, expected", [("grevlex", (0, 11)), ("lex", (0, 5))])
 def test_pair_order_fixes_the_reductions_made(monkeypatch, order, expected):
-    # reduce_poly calls through the module global, one per S-polynomial formed
-    # plus one per element interreduced (crit2 is the unit ideal: the loop
-    # stops at its constant and interreduces nothing); together with the test
-    # above they pin the routing and the division, not only the answer
+    # reduce_poly calls through the module global only in interreduction,
+    # one per minimal element but the least, which no smaller element reduces
+    # (the pair loop divides each pair in one _divide call, counted above;
+    # crit2 is the unit ideal: the loop stops at its constant and
+    # interreduces nothing); together with the test above they pin the
+    # routing and the division, not only the answer
     calls = []
     original = groebner.reduce_poly
 
@@ -317,6 +328,19 @@ def test_pair_order_fixes_the_reductions_made(monkeypatch, order, expected):
 
 CRIT2 = ("1 + u*v", "1 + s*u + (s*u)^2", "1 + v*w", "1 + s*w")
 CYCLE4 = tuple(f"1 + x{i}*x{(i + 1) % 4} + (x{i}*x{(i + 1) % 4})^2" for i in range(4))
+
+
+def test_pair_loop_basis_past_its_cap_is_an_input_error(monkeypatch):
+    # the saturated four-cycle's pair loop holds 28 elements over QQ and over
+    # GF(3); a cap of 28 lets it through and 27 refuses it, naming the cap
+    gens = [P(g, ("x0", "x1", "x2", "x3")) for g in CYCLE4]
+    monkeypatch.setattr(groebner, "MAX_BASIS_ELEMENTS", 28)
+    assert laurent_unit_ideal(gens)[0] is False
+    assert unit_ideal_mod_p(gens, 3) is False
+    monkeypatch.setattr(groebner, "MAX_BASIS_ELEMENTS", 27)
+    for run in (lambda: laurent_unit_ideal(gens), lambda: unit_ideal_mod_p(gens, 3)):
+        with pytest.raises(InputError, match="past MAX_BASIS_ELEMENTS = 27 elements"):
+            run()
 
 
 def test_unit_flag_vs_sympy_groebner():
@@ -352,14 +376,7 @@ def test_unit_flag_vs_sympy_groebner():
 @pytest.mark.parametrize("domain, prime", [(QQ, 7), (PrimeField(5), 5)], ids=["QQ", "GF5"])
 def test_a_constant_generator_forms_no_s_polynomial(monkeypatch, domain, prime):
     # the pair loop returns a constant input generator before forming a pair
-    formed = []
-    original = groebner.s_polynomial
-
-    def counted(f, g, key=groebner.DEFAULT_ORDER):
-        formed.append((f, g))
-        return original(f, g, key)
-
-    monkeypatch.setattr(groebner, "s_polynomial", counted)
+    formed = _count_pairs_divided(monkeypatch)
     gens = [parse_poly(t, UV, domain) for t in ("u^2 + v", "u*v - 1", "3", "2*v^2 + u")]
     assert is_unit_ideal(gens)
     assert unit_ideal_mod_p(gens, prime, laurent=False)
@@ -510,22 +527,35 @@ def test_packed_monomials_agree_with_their_definition(order):
 
 
 @pytest.mark.parametrize("order, gens, path", [
-    # a remainder in the pair loop spills (y^256)
-    ("lex", ("z - x^16", "x - y^16", "z*y - 1"), "reduce_poly"),
-    # an S-polynomial spills
-    ("lex", ("x^16 - y", "y^16 - z", "x*z - 1"), "s_polynomial"),
+    # a pair's division spills (y^256) after its first step
+    ("lex", ("z - x^16", "x - y^16", "z*y - 1"), ("_pair_loop", "_divide", False)),
+    # a pair's first step, the S-polynomial, spills
+    ("lex", ("x^16 - y", "y^16 - z", "x*z - 1"), ("_pair_loop", "_divide", True)),
     # the lcm of a new pair spills
-    ("grevlex", ("x^200*y - z", "x*y^200 - 1"), "_pair_loop"),
-    # interreduction spills: coprime leading monomials, so no S-polynomial
-    ("lex", ("z - x^16", "x - y^16"), "reduce_poly"),
+    ("grevlex", ("x^200*y - z", "x*y^200 - 1"), ("update", "pack", False)),
+    # interreduction spills, in reduce_poly: coprime leading monomials, so no
+    # pair is formed
+    ("lex", ("z - x^16", "x - y^16"), ("reduce_poly", "_divide", False)),
+], ids=[
+    # the reduction, the S-polynomial, the pair update and reduce_poly
+    "lex-gens0-reduce_poly", "lex-gens1-s_polynomial", "grevlex-gens2-_pair_loop",
+    "lex-gens3-reduce_poly",
 ])
 def test_degree_past_the_initial_width_repacks_and_matches_sympy(monkeypatch, order, gens, path):
+    # path: the function that catches the first spill (for _widening, the
+    # retry loop of the library kernels, its caller), the one that raises it,
+    # and whether the term being reduced is the pair's lcm (the first step)
     sympy = pytest.importorskip("sympy")
     widened = []
     original = groebner._PackedRing.wider
 
     def wider(ring):
-        widened.append(inspect.stack()[2].function)
+        frames = [frame for frame, _ in traceback.walk_tb(sys.exc_info()[2])]
+        caught, raised = frames[0], frames[-1]
+        first = "lm" in raised.f_locals and raised.f_locals["lm"] == caught.f_locals.get("lcm")
+        if caught.f_code.co_name == "_widening":
+            caught = caught.f_back
+        widened.append((caught.f_code.co_name, raised.f_code.co_name, first))
         return original(ring)
 
     monkeypatch.setattr(groebner._PackedRing, "wider", wider)
