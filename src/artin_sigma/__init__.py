@@ -49,8 +49,7 @@ _EXPORTS = {
     "linalg": ("PolyMatrix", "matrix_rank"),
     "presentations": (
         "BipartiteForest", "ModulePresentation", "Certificate", "forest_presentation",
-        "bipartition_presentation", "dead_edge_forest", "koszul_differential", "specialize",
-        "certify_not_finitely_generated",
+        "dead_edge_forest", "specialize", "certify_not_finitely_generated",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

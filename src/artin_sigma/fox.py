@@ -1,4 +1,5 @@
-"""Free-group words, integral group-ring arithmetic and Fox derivatives.
+"""Free-group words, their Fox derivatives as integer combinations of words,
+and abelianized Fox Jacobians.
 
 Words are freely reduced tuples of (generator, +-1) letters.  The Fox
 derivative d/dx is the unique additive map with d(x)/dx = 1, d(y)/dx = 0 for
@@ -140,7 +141,8 @@ def commutator(a: FreeWord, b: FreeWord) -> FreeWord:
 
 
 class GroupRingElement:
-    """A finite integer combination of free-group words."""
+    """A finite integer combination of free-group words: ``terms`` maps each
+    word to its nonzero coefficient."""
 
     __slots__ = ("terms",)
 
@@ -153,79 +155,10 @@ class GroupRingElement:
                 clean[word] = coeff
         self.terms = clean
 
-    @classmethod
-    def zero(cls) -> "GroupRingElement":
-        return cls({})
-
-    @classmethod
-    def from_word(cls, word: FreeWord, coeff: int = 1) -> "GroupRingElement":
-        return cls({word: coeff})
-
-    @classmethod
-    def one(cls) -> "GroupRingElement":
-        return cls({FreeWord.identity(): 1})
-
-    def _co(self, other):
-        if isinstance(other, GroupRingElement):
-            return other
-        if isinstance(other, FreeWord):
-            return GroupRingElement.from_word(other)
-        if isinstance(other, int) and not isinstance(other, bool):
-            return GroupRingElement({FreeWord.identity(): other})
-        return None
-
-    def __add__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for w, c in o.terms.items():
-            out[w] = out.get(w, 0) + c
-        return GroupRingElement(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for w, c in o.terms.items():
-            out[w] = out.get(w, 0) - c
-        return GroupRingElement(out)
-
-    def __rsub__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self):
-        return GroupRingElement({w: -c for w, c in self.terms.items()})
-
-    def __mul__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        out: dict = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in o.terms.items():
-                w = w1 * w2
-                out[w] = out.get(w, 0) + c1 * c2
-        return GroupRingElement(out)
-
-    def __rmul__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        return o * self
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other):
-        o = self._co(other)
-        return NotImplemented if o is None else self.terms == o.terms
+        if not isinstance(other, GroupRingElement):
+            return NotImplemented
+        return self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -364,7 +297,7 @@ def abelianize(element, amap: AbelianizationMap) -> LaurentPoly:
     from .laurent import LaurentPoly
 
     if isinstance(element, FreeWord):
-        element = GroupRingElement.from_word(element)
+        element = GroupRingElement({element: 1})
     variables = amap.variables
     n = len(variables)
     terms: dict = {}

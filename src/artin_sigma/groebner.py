@@ -63,7 +63,8 @@ That is the remainder of the S-polynomial divided by the basis, so the
 pairs formed and the bases are those of an S-polynomial step followed by a
 full division.  Each new element's ``lead`` is computed once, and
 ``monic`` carries it over.  The basis may hold at most
-``MAX_BASIS_ELEMENTS`` elements.
+``MAX_BASIS_ELEMENTS`` elements and, over QQ, no new element with a
+coefficient of more than ``MAX_COEFFICIENT_DIGITS`` digits.
 
 ``buchberger`` minimalizes and interreduces its basis: it reduces the
 minimal elements in increasing order of leading monomial, each only by the
@@ -91,7 +92,7 @@ from itertools import groupby
 from math import gcd, lcm, prod
 from operator import itemgetter, mul
 
-from .errors import InputError
+from .errors import MAX_COEFFICIENT_DIGITS, InputError
 from .fields import QQ, FpElement, PrimeField
 from .laurent import LaurentPoly, common_ring
 
@@ -391,7 +392,21 @@ golden corpus; 23 over the 35 ``algebra-evidence`` systems of ``perfbench``
 (GF(3)) over its GF(p) reruns for the label-6 five-cycle, whose reduced
 basis has 57 elements.  The cap is about five times the largest.  It lets
 through the GF(3) run of the label-6 seven-cycle (737 elements, about 45 s
-on a 2-core x86 box), whose QQ run does not finish in minutes."""
+on a 2-core x86 box).
+
+The cap bounds the number of elements, not their size.  Over QQ the loop
+also refuses, with an InputError, a new element (primitive, after
+``monic``) with a coefficient of more than ``MAX_COEFFICIENT_DIGITS`` =
+4300 digits, the limit printing a coefficient already has; the input
+generators are not checked.  Measured, as the largest coefficient of a new
+element: 1 bit over the golden corpus, 10 bits over the ``algebra-evidence``
+systems in both orders, and 2,237 bits (about 673 digits) for the label-6
+five-cycle.  The label-6 seven-cycle, whose QQ run otherwise does not end
+in minutes, passes 14,284 bits (4,300 digits) after about 5 s and is
+refused.  GF(p) coefficients lie below p and are not checked."""
+
+_COEFFICIENT_CEILING = 10**MAX_COEFFICIENT_DIGITS
+"""The least integer with more than ``MAX_COEFFICIENT_DIGITS`` digits."""
 
 
 def _pair_loop(basis):
@@ -491,6 +506,9 @@ def _pair_loop(basis):
         if len(basis) >= MAX_BASIS_ELEMENTS:
             raise InputError(
                 f"the Groebner basis would grow past MAX_BASIS_ELEMENTS = {MAX_BASIS_ELEMENTS} elements")
+        if ring.domain is QQ and max(map(abs, r.terms.values())) >= _COEFFICIENT_CEILING:
+            raise InputError("a Groebner basis element would have a coefficient of more than "
+                             f"MAX_COEFFICIENT_DIGITS = {MAX_COEFFICIENT_DIGITS} digits")
         basis.append(r)
         table.append(r.lead)
         update(len(basis) - 1)

@@ -23,7 +23,7 @@ from operator import mul
 from .characters import Character, living_subgraph
 from .errors import InputError, MathError
 from .fields import MAX_CYCLOTOMIC_ORDER, QQ, CyclotomicField
-from .graphs import LabeledGraph, all_labels_even, connected_components, members
+from .graphs import LabeledGraph, connected_components, members
 from .laurent import LaurentPoly
 from .linalg import PolyMatrix
 from .value import Value
@@ -34,14 +34,13 @@ MAX_RELATION_ENTRIES = 250_000
 """Most entries, rows times generators, that the defining presentation of a
 forest may have.  The rows themselves are sparse (one entry per edge row,
 two per difference row), but the limit counts rows times generators, the
-size of the dense matrix ``specialize`` returns.  ``_edge_rows`` counts
-them from |L|, |R| and |E| and refuses a larger forest with an InputError
-before any row is built.  The largest accepted split label-4 cycle is C24:
-1,586 rows over 144 generators, 228,384 entries of which 3,170 are stored,
-certified by ``kt-certify`` in about 0.13 s of process time and 22 MB peak
-RSS on a 2-core Xeon with Python 3.11, and in about 0.24 s and 30 MB with
-label 1994 (M = 997).  C26 is refused.  ``bipartition_presentation`` has at
-most twice as many rows."""
+size of the dense matrix ``specialize`` returns.  ``forest_presentation``
+counts them from |L|, |R| and |E| and refuses a larger forest with an
+InputError before any row is built.  The largest accepted split label-4
+cycle is C24: 1,586 rows over 144 generators, 228,384 entries of which
+3,170 are stored, certified by ``kt-certify`` in about 0.13 s of process
+time and 22 MB peak RSS on a 2-core Xeon with Python 3.11, and in about
+0.24 s and 30 MB with label 1994 (M = 997).  C26 is refused."""
 
 
 class BipartiteForest(Value):
@@ -116,30 +115,6 @@ class ModulePresentation(Value, frozen=False):
 
     _fields = ("variables", "generators", "rows", "row_labels")
 
-    def __init__(self, variables: tuple, generators: tuple, rows: list, row_labels: tuple = ()):
-        super().__init__(variables, generators, rows, row_labels)
-
-    def canonical_form(self) -> frozenset:
-        """Order-independent fingerprint: each row's nonzero entries keyed by
-        generator name, in sorted generator order, over the sorted variables;
-        zero rows dropped, each row sign-normalized by its first entry."""
-        var_order = tuple(sorted(self.variables))
-        out = set()
-        for row in self.rows:
-            entries = sorted((self.generators[j], e.reorder_variables(var_order))
-                             for j, e in row.items() if not e.is_zero())
-            if not entries:
-                continue
-            first = entries[0][1]
-            sign = -1 if first.terms[max(first.terms)] < 0 else 1
-            out.add(tuple((g, tuple(sorted((x, sign * c) for x, c in e.terms.items())))
-                          for g, e in entries))
-        return frozenset(out)
-
-
-def _var(name, variables):
-    return LaurentPoly.variable(name, variables)
-
 
 def _cyclotomic_sum_row(v, w, label, variables):
     """1 + vw + ... + (vw)^(m-1) for label = 2m, built as one term dict."""
@@ -148,10 +123,11 @@ def _cyclotomic_sum_row(v, w, label, variables):
                                    for k in range(label // 2)}, QQ)
 
 
-def _edge_rows(forest: BipartiteForest):
-    """The generators (v, w) for v left and w right, their positions, and
-    one cyclotomic-sum row per tree edge with its labels.
-    A half-label above MAX_CYCLOTOMIC_ORDER and a presentation of more than
+def forest_presentation(forest: BipartiteForest) -> ModulePresentation:
+    """The defining presentation: over the generators (v, w), v left and w
+    right, one cyclotomic-sum row per tree edge, then the two difference
+    families over all generator pairs.  A half-label above
+    MAX_CYCLOTOMIC_ORDER and a presentation of more than
     MAX_RELATION_ENTRIES entries are InputErrors, raised before any row is
     built."""
     for v, w, label in forest.edges:
@@ -162,9 +138,9 @@ def _edge_rows(forest: BipartiteForest):
     gens = len(forest.left) * len(forest.right)
     # one row per tree edge, then one per pair of left or of right vertices
     # and vertex of the other side
-    rows = len(forest.edges) + gens * (len(forest.vertices) - 2) // 2
-    if rows * gens > MAX_RELATION_ENTRIES:
-        raise InputError(f"the forest presentation has {rows} rows over {gens} generators, "
+    nrows = len(forest.edges) + gens * (len(forest.vertices) - 2) // 2
+    if nrows * gens > MAX_RELATION_ENTRIES:
+        raise InputError(f"the forest presentation has {nrows} rows over {gens} generators, "
                          f"above MAX_RELATION_ENTRIES = {MAX_RELATION_ENTRIES} entries")
     variables = forest.vertices
     generators = tuple((v, w) for v in forest.left for w in forest.right)
@@ -172,17 +148,9 @@ def _edge_rows(forest: BipartiteForest):
     rows = [{gen_pos[(v, w)]: _cyclotomic_sum_row(v, w, label, variables)}
             for v, w, label in forest.edges]
     labels = [f"edge:{v}~{w}" for v, w, _ in forest.edges]
-    return generators, gen_pos, rows, labels
-
-
-def forest_presentation(forest: BipartiteForest) -> ModulePresentation:
-    """The defining presentation: cyclotomic-sum rows for tree edges plus the
-    two difference families over all generator pairs."""
-    variables = forest.vertices
-    generators, gen_pos, rows, labels = _edge_rows(forest)
     one = LaurentPoly.constant(1, variables)
     # each t - 1 and its negative is built once and shared by the rows
-    less_one = {t: _var(t, variables) - one for t in variables}
+    less_one = {t: LaurentPoly.variable(t, variables) - one for t in variables}
     minus = {t: -p for t, p in less_one.items()}
     for i, v in enumerate(forest.left):
         for t in forest.left[i + 1:]:
@@ -199,73 +167,7 @@ def forest_presentation(forest: BipartiteForest) -> ModulePresentation:
 
 
 # ---------------------------------------------------------------------------
-# Koszul differentials
-
-
-def _perm_sign(seq) -> int:
-    sign = 1
-    items = list(seq)
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            if items[i] > items[j]:
-                sign = -sign
-    return sign
-
-
-def koszul_differential(k: int, element, variables) -> dict:
-    """Differential of a degree-k exterior basis element (k in {1, 2, 3}).
-
-    Returns a mapping from degree-(k-1) basis tuples (sorted in variable
-    order; the empty tuple in degree 0) to Laurent-polynomial coefficients:
-
-        d1(e_v)            = (v - 1)
-        d2(e_a ^ e_b)      = (b - 1) e_a - (a - 1) e_b
-        d3(e_a ^ e_b ^ e_c) = (a - 1) e_b^e_c - (b - 1) e_a^e_c + (c - 1) e_a^e_b
-
-    for a < b < c; unsorted input is first straightened with the wedge sign.
-    """
-    element = tuple(element)
-    if k != len(element):
-        raise InputError("degree does not match the element length")
-    if k not in (1, 2, 3):
-        raise InputError("only degrees 1..3 are supported")
-    pos = {v: i for i, v in enumerate(variables)}
-    for v in element:
-        if v not in pos:
-            raise InputError(f"unknown variable {v!r} in wedge")
-    if len(set(element)) != len(element):
-        return {}
-    order = [pos[v] for v in element]
-    sign = _perm_sign(order)
-    sorted_elt = tuple(sorted(element, key=pos.__getitem__))
-    one = LaurentPoly.constant(1, variables)
-
-    def term(name):
-        p = _var(name, variables) - one
-        return p if sign > 0 else -p
-
-    if k == 1:
-        (v,) = sorted_elt
-        return {(): term(v)}
-    if k == 2:
-        a, b = sorted_elt
-        return {(a,): term(b), (b,): -term(a)}
-    a, b, c = sorted_elt
-    return {(b, c): term(a), (a, c): -term(b), (a, b): term(c)}
-
-
-def apply_differential(k: int, element_dict: dict, variables) -> dict:
-    """Extend the differential linearly to a combination of basis wedges."""
-    out: dict = {}
-    zero = LaurentPoly.zero(variables)
-    for basis, coeff in element_dict.items():
-        for lower, poly in koszul_differential(k, basis, variables).items():
-            out[lower] = out.get(lower, zero) + coeff * poly
-    return {b: p for b, p in out.items() if not p.is_zero()}
-
-
-# ---------------------------------------------------------------------------
-# the two-sided construction on a graph with a character
+# the dead-edge forest of a graph with a character
 
 
 def dead_edge_forest(chi: Character, bipartition=None) -> BipartiteForest:
@@ -317,39 +219,6 @@ def dead_edge_forest(chi: Character, bipartition=None) -> BipartiteForest:
     # the forest puts each cross edge's left end first
     return BipartiteForest(left, right, tuple(e for e in graph.edges
                                               if (e[0] in side_a) != (e[1] in side_a)))
-
-
-def bipartition_presentation(chi: Character, bipartition=None) -> ModulePresentation:
-    """Presentation of the wedge module determined by the dead edges across a
-    2-split of the living subgraph of an even-labeled graph.
-
-    Generators are the cross pairs e_v ^ e_w (v left, w right); rows are the
-    cyclotomic sums of the cross edges together with the projections of all
-    degree-3 Koszul differentials d3(e_v ^ e_w ^ e_t), where the projection
-    kills same-side wedges.  The variables list the left side first, so d3
-    already writes each cross wedge left-first, as a generator.
-    """
-    graph = chi.graph
-    if not all_labels_even(graph):
-        raise MathError("construction requires every edge label to be even")
-    forest = dead_edge_forest(chi, bipartition)
-    variables = forest.vertices
-    generators, gen_pos, rows, labels = _edge_rows(forest)
-    for v, w in generators:
-        for t in variables:
-            if t == v or t == w:
-                continue
-            # the three wedges of d3(e_v ^ e_w ^ e_t) are distinct pairs, so
-            # the cross ones are distinct generators: each entry is set once,
-            # and each is a nonzero +-(x - 1)
-            row = {gen_pos[pair]: poly
-                   for pair, poly in koszul_differential(3, (v, w, t), variables).items()
-                   if pair in gen_pos}
-            if row:
-                rows.append(row)
-                labels.append(f"wedge:{v},{w},{t}")
-
-    return ModulePresentation(variables, generators, rows, tuple(labels))
 
 
 # ---------------------------------------------------------------------------

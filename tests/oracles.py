@@ -1,10 +1,17 @@
 """Brute-force reference implementations, kept deliberately independent of the
-package internals: plain dicts, sets, and Fractions only.  Slow is fine."""
+package internals: plain dicts, sets, and Fractions only.  Slow is fine.
+
+Nothing here imports ``artin_sigma``.  Free-group words are tuples of
+(generator, +-1) letters, and group-ring elements dicts {word: int} of their
+nonzero terms.  Laurent polynomials are dicts {exponent tuple: coefficient}
+over a variable tuple the caller keeps, and module presentations lists of
+rows {generator: Laurent polynomial}."""
 
 import re
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from operator import add
 
 
 def bfs_connected(vertices, edge_pairs) -> bool:
@@ -279,20 +286,21 @@ def parse_x_zeta(text):
     return out
 
 
-def _x_zeta_mul(a, b):
+def laurent_mul(a, b):
+    """The product of two Laurent polynomials: exponent tuples add."""
     out = {}
-    for (x1, z1), c1 in a.items():
-        for (x2, z2), c2 in b.items():
-            key = (x1 + x2, z1 + z2)
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(map(add, e1, e2))
             out[key] = out.get(key, 0) + c1 * c2
-    return out
+    return {e: c for e, c in out.items() if c}
 
 
-def _x_zeta_add(a, b):
+def laurent_add(a, b):
     out = dict(a)
     for key, c in b.items():
         out[key] = out.get(key, 0) + c
-    return out
+    return {e: c for e, c in out.items() if c}
 
 
 def forest_rows(left, right, edges, values, basepoints):
@@ -341,10 +349,10 @@ def forest_rows(left, right, edges, values, basepoints):
 
     rows = {}
     for v, w, label in edges:
-        step = _x_zeta_mul({image[v]: 1}, {image[w]: 1})
+        step = laurent_mul({image[v]: 1}, {image[w]: 1})
         total, power = {}, {(0, 0): Fraction(1)}
         for _ in range(label // 2):
-            total, power = _x_zeta_add(total, power), _x_zeta_mul(power, step)
+            total, power = laurent_add(total, power), laurent_mul(power, step)
         rows[f"edge:{v}~{w}"] = {(v, w): total}
     for i, v in enumerate(left):
         for t in left[i + 1:]:
@@ -371,7 +379,7 @@ def forest_witness_holds(left, right, edges, values, basepoints, witness) -> boo
     for row in rows.values():
         total = {}
         for gen, entry in row.items():
-            total = _x_zeta_add(total, _x_zeta_mul(entry, u[gen]))
+            total = laurent_add(total, laurent_mul(entry, u[gen]))
         if not is_zero(total):
             return False
     return True
@@ -473,3 +481,136 @@ def kept_by_local_rule(n, ends, candidates):
             kept.append(((len(forms), forms), units, cut))
     kept.sort()
     return [(units, cut) for _, units, cut in kept]
+
+
+# ---------------------------------------------------------------------------
+# the integral group ring of a free group
+
+ONE = {(): 1}
+
+
+def reduced_product(u, v):
+    """The freely reduced product of two reduced words."""
+    out = list(u)
+    for name, exp in v:
+        if out and out[-1] == (name, -exp):
+            out.pop()
+        else:
+            out.append((name, exp))
+    return tuple(out)
+
+
+def ring_add(a, b, sign=1):
+    """a + sign * b."""
+    out = dict(a)
+    for word, c in b.items():
+        out[word] = out.get(word, 0) + sign * c
+    return {w: c for w, c in out.items() if c}
+
+
+def ring_sub(a, b):
+    return ring_add(a, b, -1)
+
+
+def ring_mul(*factors):
+    """The product of group-ring elements, in order."""
+    out = ONE
+    for factor in factors:
+        prod = {}
+        for w1, c1 in out.items():
+            for w2, c2 in factor.items():
+                w = reduced_product(w1, w2)
+                prod[w] = prod.get(w, 0) + c1 * c2
+        out = {w: c for w, c in prod.items() if c}
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Koszul differentials and the wedge presentation of a forest
+
+
+def perm_sign(seq) -> int:
+    """The sign of the permutation that sorts ``seq``, by counting inversions."""
+    items = list(seq)
+    inversions = sum(a > b for i, a in enumerate(items) for b in items[i + 1:])
+    return -1 if inversions % 2 else 1
+
+
+def less_one(name, variables, sign=1):
+    """sign * (name - 1) as a Laurent polynomial over ``variables``."""
+    return {tuple(int(v == name) for v in variables): sign, (0,) * len(variables): -sign}
+
+
+def koszul_differential(k, element, variables):
+    """The differential of a degree-k exterior basis element, a mapping from
+    degree-(k - 1) wedges (sorted in variable order; the empty tuple in
+    degree 0) to Laurent polynomials.  For a_1 < ... < a_k,
+
+        d(e_a1 ^ ... ^ e_ak) = sum_i (-1)^(k - i) (a_i - 1) e_a1 ^ .. a_i omitted .. ^ e_ak,
+
+    so d1(e_v) = v - 1, d2(e_a ^ e_b) = (b - 1) e_a - (a - 1) e_b and
+    d3(e_a ^ e_b ^ e_c) = (a - 1) e_b^e_c - (b - 1) e_a^e_c + (c - 1) e_a^e_b.
+    An unsorted element is first straightened with the wedge sign; one with a
+    repeated variable is zero."""
+    element = tuple(element)
+    assert len(element) == k
+    if len(set(element)) != k:
+        return {}
+    pos = {v: i for i, v in enumerate(variables)}
+    sign = perm_sign(pos[v] for v in element)
+    ordered = sorted(element, key=pos.__getitem__)
+    return {tuple(ordered[:i] + ordered[i + 1:]): less_one(a, variables, sign * (-1) ** (k - 1 - i))
+            for i, a in enumerate(ordered)}
+
+
+def apply_differential(k, chain, variables):
+    """The differential extended linearly to a chain {basis wedge: Laurent
+    polynomial}, with the zero coefficients dropped."""
+    out = {}
+    for basis, coeff in chain.items():
+        for lower, poly in koszul_differential(k, basis, variables).items():
+            out[lower] = laurent_add(out.get(lower, {}), laurent_mul(coeff, poly))
+    return {b: p for b, p in out.items() if p}
+
+
+def wedge_presentation(left, right, edges):
+    """The wedge module of a bipartite forest over the variables left + right.
+
+    Generators are the cross pairs e_v ^ e_w (v left, w right); the rows are
+    the cyclotomic sum 1 + vw + ... + (vw)^(m-1) of each edge labeled 2m,
+    and the cross part of each degree-3 differential d3(e_v ^ e_w ^ e_t):
+    the projection kills same-side wedges.  The variables list the left side
+    first, so d3 writes each cross wedge left first, as a generator."""
+    variables = tuple(left) + tuple(right)
+    cross = {(v, w) for v in left for w in right}
+    rows = [{(v, w): {tuple(k if x in (v, w) else 0 for x in variables): 1
+                      for k in range(label // 2)}}
+            for v, w, label in edges]
+    for v in left:
+        for w in right:
+            for t in variables:
+                if t not in (v, w):
+                    row = {pair: poly for pair, poly
+                           in koszul_differential(3, (v, w, t), variables).items() if pair in cross}
+                    if row:
+                        rows.append(row)
+    return rows
+
+
+def canonical_form(variables, rows):
+    """An order-independent fingerprint of a presentation: each row's nonzero
+    entries in generator order, their exponents over the sorted variables,
+    the row's sign taken so that its first entry's largest term is positive;
+    zero and repeated rows dropped."""
+    order = sorted(range(len(variables)), key=variables.__getitem__)
+    out = set()
+    for row in rows:
+        entries = sorted((gen, {tuple(e[i] for i in order): c for e, c in poly.items() if c})
+                         for gen, poly in row.items() if any(poly.values()))
+        if not entries:
+            continue
+        first = entries[0][1]
+        sign = -1 if first[max(first)] < 0 else 1
+        out.add(tuple((gen, tuple(sorted((e, sign * c) for e, c in poly.items())))
+                      for gen, poly in entries))
+    return frozenset(out)

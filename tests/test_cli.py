@@ -378,6 +378,30 @@ def test_groebner_refuses_a_basis_past_its_cap(capsys, monkeypatch):
     }
 
 
+def test_groebner_refuses_a_coefficient_past_the_digit_limit(capsys, monkeypatch):
+    # the limit lowered, not a runaway system run: the pair loop of these two
+    # generators makes a new element with a 3-digit coefficient over QQ
+    import artin_sigma.groebner as groebner
+
+    argv = ["groebner", "--vars", "x,y", "--gens", "x^2*y - 3*x + 2", "x*y^2 + 5*y - 7"]
+    monkeypatch.setattr(groebner, "MAX_COEFFICIENT_DIGITS", 3)
+    monkeypatch.setattr(groebner, "_COEFFICIENT_CEILING", 10**3)
+    assert run_cli(capsys, argv)[0] == 0
+    monkeypatch.setattr(groebner, "MAX_COEFFICIENT_DIGITS", 2)
+    monkeypatch.setattr(groebner, "_COEFFICIENT_CEILING", 10**2)
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "input",
+        "message": "a Groebner basis element would have a coefficient of more than "
+                   "MAX_COEFFICIENT_DIGITS = 2 digits",
+    }
+    # neither the generators nor GF(p) residues, which lie below p, are checked
+    assert run_cli(capsys, ["groebner", "--vars", "x", "--gens", "12345*x - 1"])[0] == 0
+    gens = [parse_poly(g, ("x", "y")) for g in argv[4:]]
+    assert groebner.unit_ideal_mod_p(gens, 10007, laurent=False) is False
+
+
 @pytest.mark.parametrize(
     "gen, message",
     [

@@ -8,8 +8,10 @@ their homes in ``graphs`` and ``groebner``.
 """
 
 import argparse
+import ast
 import importlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -95,7 +97,8 @@ def test_bare_import_loads_no_submodule():
 
 
 # ``artin_sigma.__all__`` as it was when every name was imported eagerly, less
-# ``LinearForm`` and ``PieceOrigin``: a polyhedron piece is now its masks.
+# ``LinearForm`` and ``PieceOrigin`` (a polyhedron piece is now its masks) and
+# ``bipartition_presentation`` and ``koszul_differential`` (now test oracles).
 PUBLIC_NAMES = [
     "InputError", "MathError", "LabeledGraph", "Block", "parse_artin", "parse_graph",
     "full_subgraph", "is_connected", "is_dominant", "connected_components", "cycle_rank",
@@ -112,9 +115,26 @@ PUBLIC_NAMES = [
     "buchberger", "reduce_poly", "is_unit_ideal", "laurent_unit_ideal",
     "laurent_unit_report", "unit_ideal_mod_p", "PolyMatrix", "matrix_rank",
     "BipartiteForest", "ModulePresentation", "Certificate", "forest_presentation",
-    "bipartition_presentation", "dead_edge_forest", "koszul_differential", "specialize",
-    "certify_not_finitely_generated", "__version__",
+    "dead_edge_forest", "specialize", "certify_not_finitely_generated", "__version__",
 ]
+
+
+def test_oracles_import_nothing_from_the_package():
+    # the oracles check the package, so they must not share its code: read
+    # their import statements, and import them in a fresh interpreter
+    path = Path(__file__).with_name("oracles.py")
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported and not any(name.split(".")[0] in ("artin_sigma", "") for name in imported)
+    code = (f"import sys; sys.path.insert(0, {str(path.parent)!r}); import oracles; "
+            "print([m for m in sys.modules if m.split('.')[0] in ('artin_sigma', 'conftest')])")
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_public_names_unchanged_in_order():

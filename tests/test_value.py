@@ -139,7 +139,7 @@ OTHERS = {
 }
 BUILDERS = {**{name: build for name, (build, _) in {**FROZEN, **MUTABLE}.items()}, **OTHERS}
 # the classes that check or complete their arguments before Value.__init__ stores them
-OWN_INIT = {"LabeledGraph", "Character", "BipartiteForest", "ModulePresentation", "PolyMatrix"}
+OWN_INIT = {"LabeledGraph", "Character", "BipartiteForest", "PolyMatrix"}
 
 
 def value_classes():
@@ -155,7 +155,7 @@ def value_classes():
     return found
 
 
-def test_every_value_class_is_built_here_and_only_five_have_their_own_init():
+def test_every_value_class_is_built_here_and_only_four_have_their_own_init():
     classes = value_classes()
     assert set(classes) == set(BUILDERS)
     assert {name for name, cls in classes.items() if "__init__" in vars(cls)} == OWN_INIT
