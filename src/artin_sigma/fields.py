@@ -38,7 +38,7 @@ def _divisors(n: int) -> list[int]:
 MAX_CYCLOTOMIC_ORDER = 1000
 """Largest order M of ``cyclotomic_polynomial`` and ``CyclotomicField``; a
 larger one is an InputError.  At M <= 1000 the field's table of zeta powers
-holds M * phi(M) < 10^6 integers and builds in well under a second."""
+holds (M - phi(M)) * phi(M) <= 2.5 * 10^5 integers, one row for a prime M."""
 
 
 def _check_order(order: int) -> None:
@@ -338,14 +338,14 @@ class CycloNum:
         if not self:
             raise ZeroDivisionError("inverse of zero")
         field = self.field
-        m, powers = field.order, field._powers
+        m = field.order
         conj = [1] + [0] * (field.degree - 1)
         for k in range(2, m):
             if gcd(k, m) == 1:
                 sigma = [0] * field.degree
                 for i, c in enumerate(self.num):
                     if c:
-                        sigma = [s + c * r for s, r in zip(sigma, powers[i * k % m])]
+                        field.add_power(sigma, c, i * k % m)
                 conj = field._reduce_product(conj, sigma)
         norm, *rest = field._reduce_product(self.num, conj)
         if norm == 0 or any(rest):
@@ -424,18 +424,19 @@ class CyclotomicField:
         self.order = order
         self.phi = cyclotomic_polynomial(order)
         self.degree = len(self.phi) - 1
-        # the coords of zeta^j for 0 <= j < M, each row t times the one
-        # before: a shift, plus t^degree's coords times the overflowing top
-        top_row = [-c for c in self.phi[:-1]]  # t^degree (phi is monic)
-        row = (1,) + (0,) * (self.degree - 1)
-        powers = [row]
-        for _ in range(order - 1):
+        # the coords of zeta^j for phi(M) <= j < M, each row t times the one
+        # before: a shift, plus t^degree's coords times the overflowing top;
+        # zeta^j below phi(M) is the unit vector e_j, which is never stored
+        top_row = tuple(-c for c in self.phi[:-1])  # t^degree (phi is monic)
+        high = [top_row] if order > self.degree else []
+        for _ in range(order - self.degree - 1):
+            row = high[-1]
             top = row[-1]
             row = (0,) + row[:-1]
             if top:
                 row = tuple([c + top * r for c, r in zip(row, top_row)])
-            powers.append(row)
-        self._powers = powers
+            high.append(row)
+        self._high = high
         self.zero = _cyclonum(self, (0,) * self.degree, 1)
         self.one = self.coerce(1)
 
@@ -448,7 +449,19 @@ class CyclotomicField:
         return self.zeta_power(1)
 
     def zeta_power(self, k: int) -> CycloNum:
-        return _cyclonum(self, self._powers[k % self.order], 1)
+        coords = [0] * self.degree
+        self.add_power(coords, 1, k % self.order)
+        return _cyclonum(self, coords, 1)
+
+    def add_power(self, coords: list, c: int, j: int) -> None:
+        """Add c times the coords of zeta^j, 0 <= j < M, to ``coords`` in
+        place: one entry for j below phi(M), else a row of the table."""
+        n = self.degree
+        if j < n:
+            coords[j] += c
+        else:
+            for i, r in enumerate(self._high[j - n]):
+                coords[i] += c * r
 
     def element(self, coords) -> CycloNum:
         return CycloNum(self, coords)
@@ -477,12 +490,11 @@ class CyclotomicField:
                 for j, bj in b:
                     prod[i + j] += ai * bj
         out = prod[:n]
-        powers, m = self._powers, self.order
+        m = self.order
         for j in range(n, 2 * n - 1):
             c = prod[j]
             if c:
-                for i, r in enumerate(powers[j % m]):
-                    out[i] += c * r
+                self.add_power(out, c, j % m)
         return out
 
     def __eq__(self, other):

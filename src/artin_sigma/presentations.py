@@ -252,15 +252,14 @@ class Specialization(Value):
     coefficient}: a monomial prod v^a_v goes to the key (sum a_v e_v,
     sum a_v j_v mod M), so specializing and multiplying add integers.  A
     zero test reduces the map to power-basis coordinates per x exponent,
-    off the one table ``powers``."""
+    through the field's ``add_power``."""
 
     _fields = ("order", "roots", "images", "domain")
 
     @property
-    def powers(self):
-        """The power-basis coordinates of zeta^r for 0 <= r < M: the field's
-        table of zeta powers, or the one row (1,) over Q."""
-        return self.domain._powers if self.order > 1 else [(1,)]
+    def degree(self) -> int:
+        """The length of the power basis: phi(M), or 1 over Q."""
+        return self.domain.degree if self.order > 1 else 1
 
 
 def specialization_data(forest: BipartiteForest, chi) -> Specialization:
@@ -311,10 +310,10 @@ def specialize(pres: ModulePresentation, forest: BipartiteForest, chi) -> PolyMa
     one Laurent variable x over Q or a cyclotomic field: each entry's residue
     map reduced to power-basis coordinates."""
     spec = specialization_data(forest, chi)
-    domain, powers = spec.domain, spec.powers
+    domain = spec.domain
 
     def entry(residues):
-        coords = _coordinates(residues, powers)
+        coords = _coordinates(residues, spec)
         return LaurentPoly(("x",), {(e,): c[0] if domain is QQ else domain.element(c)
                                     for e, c in coords.items()}, domain)
 
@@ -349,11 +348,11 @@ def _add_product(out: dict, a: dict, b: dict, order: int) -> dict:
     return out
 
 
-def _coordinates(residues: dict, powers) -> dict:
+def _coordinates(residues: dict, spec: Specialization) -> dict:
     """{x exponent: power-basis coordinates} of a residue map, with the zero
-    ones dropped, so the map is zero exactly when this is empty.  zeta^r for
-    r below phi(M) is the unit vector e_r; a larger r reads its table row."""
-    n = len(powers[0])
+    ones dropped, so the map is zero exactly when this is empty.  Over Q
+    every residue is 0, which is the one coordinate."""
+    n = spec.degree
     out = {}
     for (e, r), c in residues.items():
         coords = out.get(e)
@@ -362,7 +361,7 @@ def _coordinates(residues: dict, powers) -> dict:
         if r < n:
             coords[r] += c
         elif c:
-            out[e] = [x + c * p for x, p in zip(coords, powers[r])]
+            spec.domain.add_power(coords, c, r)
     return {e: coords for e, coords in out.items() if any(coords)}
 
 
@@ -379,17 +378,16 @@ def _witness(spec: Specialization, generators: tuple) -> list:
     return [_add_product({}, less_one[v], less_one[w], spec.order) for v, w in generators]
 
 
-def _kills(rows: list, witness: list, powers) -> bool:
+def _kills(rows: list, witness: list, spec: Specialization) -> bool:
     """True when the witness is nonzero and every row kills it: each
     row-witness product is formed on residue maps, then reduced."""
-    if not any(_coordinates(u, powers) for u in witness):
+    if not any(_coordinates(u, spec) for u in witness):
         return False
-    order = len(powers)  # one table row per residue mod M
     for row in rows:
         total = {}
         for j, entry in row.items():
-            _add_product(total, entry, witness[j], order)
-        if _coordinates(total, powers):
+            _add_product(total, entry, witness[j], spec.order)
+        if _coordinates(total, spec):
             return False
     return True
 
@@ -406,7 +404,8 @@ def _minor(forest: BipartiteForest) -> tuple:
     return labels, columns
 
 
-def _triangular(rows: list, pres: ModulePresentation, forest: BipartiteForest, powers) -> bool:
+def _triangular(rows: list, pres: ModulePresentation, forest: BipartiteForest,
+                spec: Specialization) -> bool:
     """True when the minor is lower-triangular with a nonzero diagonal."""
     row_at = {label: i for i, label in enumerate(pres.row_labels)}
     col_at = {gen: j for j, gen in enumerate(pres.generators)}
@@ -414,8 +413,8 @@ def _triangular(rows: list, pres: ModulePresentation, forest: BipartiteForest, p
     position = {col_at[gen]: i for i, gen in enumerate(columns)}
     for i, label in enumerate(labels):
         row = rows[row_at[label]]
-        if not _coordinates(row.get(col_at[columns[i]], {}), powers) or any(
-                _coordinates(entry, powers) for j, entry in row.items() if position.get(j, -1) > i):
+        if not _coordinates(row.get(col_at[columns[i]], {}), spec) or any(
+                _coordinates(entry, spec) for j, entry in row.items() if position.get(j, -1) > i):
             return False
     return True
 
@@ -467,22 +466,21 @@ def certify_not_finitely_generated(forest: BipartiteForest, chi) -> Certificate:
     the witness and each row-witness product are formed by adding x
     exponents and zeta residues mod M, and every zero test (each product,
     each minor entry, the witness) reduces its map to power-basis
-    coordinates per x exponent, off the field's one table of zeta powers.
+    coordinates per x exponent, off the field's table of zeta powers.
     The witness strings are printed from the same coordinates.
     """
     pres = forest_presentation(forest)
     spec = specialization_data(forest, chi)
-    powers = spec.powers
     rows = _specialized_matrix(pres, spec)
     witness = _witness(spec, pres.generators)
-    if not _kills(rows, witness, powers):
+    if not _kills(rows, witness, spec):
         raise RuntimeError("certificate check failed: the witness is not a nonzero kernel vector")
-    if not _triangular(rows, pres, forest, powers):
+    if not _triangular(rows, pres, forest, spec):
         raise RuntimeError(
             "certificate check failed: the minor is not triangular with a nonzero diagonal")
     g = len(pres.generators)
     base_exps = tuple((b, spec.images[b][1]) for b in forest.basepoints)
-    report = tuple((gen, _entry_string(_coordinates(u, powers)))
+    report = tuple((gen, _entry_string(_coordinates(u, spec)))
                    for gen, u in zip(pres.generators, witness))
     return Certificate(spec.order, spec.roots, base_exps, g, g - 1, NOT_FINITELY_GENERATED,
                        WITNESS_MINOR, report)

@@ -5,8 +5,10 @@ Nothing here imports ``artin_sigma``.  Free-group words are tuples of
 (generator, +-1) letters, and group-ring elements dicts {word: int} of their
 nonzero terms.  Laurent polynomials are dicts {exponent tuple: coefficient}
 over a variable tuple the caller keeps, and module presentations lists of
-rows {generator: Laurent polynomial}."""
+rows {generator: Laurent polynomial}.  The command line arguments are read
+by argparse, the reference for the CLI's own table parser."""
 
+import argparse
 import re
 from fractions import Fraction
 from itertools import combinations
@@ -614,3 +616,51 @@ def canonical_form(variables, rows):
         out.add(tuple((gen, tuple(sorted((e, sign * c) for e, c in poly.items())))
                       for gen, poly in entries))
     return frozenset(out)
+
+
+# ---------------------------------------------------------------------------
+# the command line, as argparse reads it
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``artin-sigma`` arguments as argparse parses them: the reference
+    for ``artin_sigma.cli.parse_args``, with the choices written out.  Its
+    namespace holds ``command`` and the subcommand's dests."""
+    parser = argparse.ArgumentParser(prog="artin-sigma")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("json", "text"), default="json")
+    sub = parser.add_subparsers(dest="command", required=True)
+    modes = ("simple-cycle", "strict")
+
+    p = sub.add_parser("sigma1", parents=[common])
+    p.add_argument("path")
+    p.add_argument("--char")
+    p.add_argument("--mode", choices=modes, default="simple-cycle")
+
+    p = sub.add_parser("polyhedron", parents=[common])
+    p.add_argument("path")
+
+    p = sub.add_parser("hypothesis", parents=[common])
+    p.add_argument("path")
+    p.add_argument("--mode", choices=modes, default="simple-cycle")
+
+    p = sub.add_parser("fox", parents=[common])
+    p.add_argument("--word", required=True)
+    p.add_argument("--generator", required=True)
+
+    p = sub.add_parser("jacobian", parents=[common])
+    p.add_argument("path")
+    p.add_argument("--standard", action="store_true")
+
+    p = sub.add_parser("kt-certify", parents=[common])
+    p.add_argument("path")
+    p.add_argument("--char")
+    p.add_argument("--bipartition")
+
+    p = sub.add_parser("groebner", parents=[common])
+    p.add_argument("--vars", required=True)
+    p.add_argument("--gens", required=True, nargs="+")
+    p.add_argument("--order", choices=("grevlex", "lex"), default="grevlex")
+    p.add_argument("--laurent", action="store_true")
+
+    return parser

@@ -1,6 +1,8 @@
+import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -8,7 +10,7 @@ import time
 import pytest
 
 import artin_sigma
-from artin_sigma import parse_poly
+from artin_sigma import cli, parse_poly
 from artin_sigma.cli import main
 
 F1_TEXT = """v v
@@ -179,9 +181,9 @@ def test_polyhedron_json_builds_no_text_line(tmp_path, capsys, monkeypatch):
 def test_polyhedron_inputs_and_removed_flag(tmp_path, capsys):
     path = graph_file(tmp_path, F5_TEXT)
     assert list(run_json(capsys, ["polyhedron", path])["inputs"]) == ["graph_sha256"]
-    with pytest.raises(SystemExit) as exc:
-        main(["polyhedron", path, "--threads", "2"])
-    assert exc.value.code == 2
+    code, out, err = run_cli(capsys, ["polyhedron", path, "--threads", "2"])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "input", "message": "polyhedron has no option --threads"}
 
 
 def test_hypothesis_command(tmp_path, capsys):
@@ -486,6 +488,37 @@ def test_cli_subprocess_bad_input_exit_code(tmp_path):
     proc = run_module(["sigma1", str(path)])
     assert proc.returncode == 2
     assert json.loads(proc.stderr)["error"] == "input"
+
+
+def test_console_help_and_usage_error():
+    # through the console script's bootstrap, as a shell sees them
+    bootstrap = ["-c", "from artin_sigma.cli import main_entry; main_entry()"]
+    proc = run_python([*bootstrap, "-h"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: artin-sigma COMMAND")
+    proc = run_python([*bootstrap, "sigma1", "-", "--mode", "bogus"], input=F3_TEXT)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert json.loads(proc.stderr)["error"] == "input"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_graph_digest_is_hashlib_sha256(tmp_path, seed):
+    rng = random.Random(seed)
+    for size in (0, 1, 55, 56, 63, 64, 65, rng.randrange(100, 100_000)):
+        data = rng.randbytes(size)
+        expected = hashlib.sha256(data).hexdigest()
+        assert cli._sha256()(data).hexdigest() == expected
+        # a graph file must be UTF-8 text
+        text = data.hex().encode()
+        path = tmp_path / f"g{size}.artin"
+        path.write_bytes(text)
+        assert cli._read_source(str(path))[1] == hashlib.sha256(text).hexdigest()
+
+
+def test_graph_digest_falls_back_to_hashlib(monkeypatch):
+    # a None entry in sys.modules makes the import raise ImportError
+    monkeypatch.setitem(sys.modules, "_sha2" if sys.version_info >= (3, 12) else "_sha256", None)
+    assert cli._sha256() is hashlib.sha256
 
 
 K8_TEXT = "".join(f"v x{i}\n" for i in range(8)) + "".join(

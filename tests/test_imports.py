@@ -2,22 +2,22 @@
 
 ``import artin_sigma`` resolves its public names lazily (PEP 562) and the CLI
 imports each subcommand's modules when that subcommand runs.  These tests pin
-the module sets in fresh interpreters, with ``dataclasses`` and ``inspect``
-never among them, the public surface, and the parser's choice lists against
-their homes in ``graphs`` and ``groebner``.
+the module sets in fresh interpreters, with ``dataclasses``, ``inspect``,
+``argparse`` and ``hashlib`` never among them, the public surface, and the
+argument table's choice lists against their homes in ``graphs`` and
+``groebner``.
 """
 
-import argparse
 import ast
 import importlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 import artin_sigma
-from artin_sigma import graphs, groebner
-from artin_sigma.cli import build_parser
+from artin_sigma import cli, graphs, groebner
 
 from test_cli import F3_TEXT, graph_file, run_python
 
@@ -40,8 +40,14 @@ SUBCOMMAND_MODULES = {
 }
 
 # Standard-library modules that no subcommand loads: ``dataclasses`` pulls in
-# ``inspect``, which pulls in ``ast``, ``dis`` and ``tokenize``.
-HEAVY_MODULES = {"dataclasses", "inspect"}
+# ``inspect``, which pulls in ``ast``, ``dis`` and ``tokenize``; ``argparse``
+# pulls in ``gettext`` and, through its lookups, ``locale``; ``hashlib`` loads
+# OpenSSL's ``_hashlib``.
+HEAVY_MODULES = {"dataclasses", "inspect", "argparse", "gettext", "locale", "hashlib",
+                 "_hashlib"}
+
+# The interpreter's own SHA-256 module, which hashes a graph file.
+SHA_MODULE = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
 
 # Run a subcommand with stdout discarded; print every module loaded when
 # ``main`` starts its clock and once the subcommand has run.
@@ -84,7 +90,7 @@ def test_subcommand_loads_only_its_own_modules(tmp_path, command):
     assert package == SUBCOMMAND_MODULES[command] | {"cli", "errors"}
     assert HEAVY_MODULES.isdisjoint(report["after"])
     # only subcommands that read a graph file hash it
-    assert ("hashlib" in report["after"]) == (command not in ("fox", "groebner"))
+    assert (SHA_MODULE in report["after"]) == (command not in ("fox", "groebner"))
     # the body imports nothing new once the clock runs, so timing_ms leaves imports out
     assert report["before_clock"] == report["after"]
 
@@ -176,19 +182,17 @@ def test_unknown_attribute_raises_attribute_error_naming_the_module():
 
 
 def option(command, dest):
-    parser = build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return next(a for a in sub.choices[command]._actions if a.dest == dest)
+    return next(opt for opt in cli.COMMANDS[command]["options"].values() if opt["dest"] == dest)
 
 
 @pytest.mark.parametrize("command", ["sigma1", "hypothesis"])
 def test_mode_choices_come_from_graphs(command):
-    action = option(command, "mode")
-    assert tuple(action.choices) == graphs.HYPOTHESIS_MODES
-    assert action.default == graphs.SIMPLE_CYCLE
+    opt = option(command, "mode")
+    assert tuple(opt["choices"]) == graphs.HYPOTHESIS_MODES
+    assert opt["default"] == graphs.SIMPLE_CYCLE
 
 
 def test_order_choices_come_from_groebner():
-    action = option("groebner", "order")
-    assert list(action.choices) == sorted(groebner.ORDER_KEYS)
-    assert action.default == groebner.DEFAULT_ORDER
+    opt = option("groebner", "order")
+    assert list(opt["choices"]) == sorted(groebner.ORDER_KEYS)
+    assert opt["default"] == groebner.DEFAULT_ORDER

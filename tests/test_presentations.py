@@ -670,17 +670,16 @@ def test_witness_check_rejects_a_non_kernel_vector():
     spec = specialization_data(forest, chi)
     rows = presentations._specialized_matrix(pres, spec)
     witness = presentations._witness(spec, pres.generators)
-    powers = spec.powers
     zero = {}
     plus_one = dict(witness[0])
     plus_one[(0, 0)] = plus_one.get((0, 0), 0) + 1
-    assert presentations._kills(rows, witness, powers)
-    assert not presentations._kills(rows, [zero] * len(witness), powers)
-    assert not presentations._kills(rows, [plus_one] + witness[1:], powers)
+    assert presentations._kills(rows, witness, spec)
+    assert not presentations._kills(rows, [zero] * len(witness), spec)
+    assert not presentations._kills(rows, [plus_one] + witness[1:], spec)
     # the zero test reduces in the field: residue maps that vanish there
     # are a zero witness
-    assert spec.order == 6 and presentations._coordinates(SIXTH_ROOT_ZERO, powers) == {}
-    assert not presentations._kills(rows, [SIXTH_ROOT_ZERO] * len(witness), powers)
+    assert spec.order == 6 and presentations._coordinates(SIXTH_ROOT_ZERO, spec) == {}
+    assert not presentations._kills(rows, [SIXTH_ROOT_ZERO] * len(witness), spec)
 
 
 def test_minor_check_rejects_a_broken_minor():
@@ -690,7 +689,7 @@ def test_minor_check_rejects_a_broken_minor():
     rows = presentations._specialized_matrix(pres, spec)
     assert presentations._minor(forest) == (
         ["right:v|w,s", "left:v,t|w", "left:v,t|s"], [("v", "s"), ("t", "w"), ("t", "s")])
-    assert presentations._triangular(rows, pres, forest, spec.powers)
+    assert presentations._triangular(rows, pres, forest, spec)
     row = pres.row_labels.index("right:v|w,s")
     col = {gen: j for j, gen in enumerate(pres.generators)}
     zero, one = {}, {(0, 0): 1}
@@ -698,7 +697,7 @@ def test_minor_check_rejects_a_broken_minor():
                      (col[("v", "s")], SIXTH_ROOT_ZERO)):
         broken = [dict(r) for r in rows]
         broken[row][j] = entry
-        assert not presentations._triangular(broken, pres, forest, spec.powers)
+        assert not presentations._triangular(broken, pres, forest, spec)
 
 
 def test_witness_passes_independent_check():
