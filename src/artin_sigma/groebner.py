@@ -4,7 +4,11 @@ Polynomials enter with non-negative exponents only.  The Laurent-ring ideal
 membership question "is 1 in the ideal?" is decided by clearing each
 generator to a polynomial with a monomial unit and saturating by the product
 of all variables through an auxiliary variable t_aux and the extra generator
-1 - t_aux * x_1 * ... * x_n.
+1 - t_aux * x_1 * ... * x_n.  Both unit tests, ``laurent_unit_report`` over
+the generators' field and ``unit_ideal_mod_p`` over GF(p), build that system
+in one function, ``_saturated``: it clears the generators' term dicts,
+appends t_aux and packs them, and no saturated ``LaurentPoly`` is built;
+``laurent_unit_report`` hands the packed system to ``buchberger``.
 
 Buchberger runs on packed monomials (``_PackedRing``): each monomial is one
 Python int of n + 1 fields of ``width`` bits, each topped by a guard bit
@@ -17,12 +21,30 @@ With the offset Z (C in every complemented field; 0 for lex), a product is
 a + b - Z and a quotient a - b + Z, and b divides a iff that quotient has no
 guard bit set.  A product whose degree exceeds C sets a guard bit (every
 exponent is at most the degree); that is a spill, and the polynomials are
-repacked with twice the width and the step run again.  Division takes each
-leading term from a max-heap of the dividend's packed monomials (lazy
-deletion), so no term is re-keyed on a division step (Monagan and Pearce,
-"Sparse polynomial division using a heap", JSC 46, 2011).  Generators are
-packed once on entry to ``buchberger`` and the reduced basis unpacked once
-on exit.  ``s_polynomial`` and ``reduce_poly`` are library entry points on
+repacked with twice the width and the step run again.
+
+The lcm of two packed monomials is packed too, for both orders
+(``_PackedRing.lcm``).  XOR with Z makes every exponent field plain; then
+(a | G) - b, G the guard bits, keeps a field's guard bit exactly where a's
+field is at least b's, and subtracting those bits shifted down by ``width``
+turns each into the mask of its field.  a's fields under the mask and b's
+elsewhere are the per-field maxima (under grevlex the minima of the
+complemented fields), and a ^ b ^ max holds the minima, the gcd's exponents.  The degree field is
+deg a + deg b - deg gcd: deg gcd is at most min(deg a, deg b) <= C, so one
+multiplication by an int with a 1 at the foot of each exponent field sums
+them into one field with no carry.  A degree past C raises a spill, as
+``pack`` does.  So the pair update never unpacks a monomial: only
+``to_poly`` and ``repack`` do.
+
+Division takes each leading term from a max-heap of the dividend's packed
+monomials (lazy deletion), so no term is re-keyed on a division step
+(Monagan and Pearce, "Sparse polynomial division using a heap", JSC 46,
+2011).  Reading each leading term as max(work), with no heap, measured as no
+gain on the ``algebra-evidence`` systems and 1-2% slower on the label-6
+five-cycle, whose dividends are long; it also makes a division quadratic in
+the dividend's length, so the heap stays.  Term dicts are packed once on
+entry (``_packed_system``) and the reduced basis unpacked once on exit.
+``s_polynomial`` and ``reduce_poly`` are library entry points on
 ``LaurentPoly``s, which must share one variable list
 (``laurent.common_ring``; a second list is an ``InputError``); the pair
 loop calls neither, and ``reduce_poly`` also takes the packed polynomials
@@ -61,8 +83,8 @@ element and is rebuilt only when the ring widens, and it divides each pair
 S-polynomial) and then, on the same heap and term dict, by the table.
 That is the remainder of the S-polynomial divided by the basis, so the
 pairs formed and the bases are those of an S-polynomial step followed by a
-full division.  Each new element's ``lead`` is computed once, and
-``monic`` carries it over.  The basis may hold at most
+full division.  A packed polynomial's ``lead`` row is built with it, once,
+and ``monic`` passes it on rescaled.  The basis may hold at most
 ``MAX_BASIS_ELEMENTS`` elements and, over QQ, no new element with a
 coefficient of more than ``MAX_COEFFICIENT_DIGITS`` digits.
 
@@ -85,12 +107,10 @@ c with sum c_i d_i = 0 has prod lam_i^(c_i) != 1 (Eisenbud and Sturmfels,
 
 from __future__ import annotations
 
-import heapq
-from functools import cached_property
 from fractions import Fraction
-from itertools import groupby
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
-from operator import itemgetter, mul
+from operator import mul
 
 from .errors import MAX_COEFFICIENT_DIGITS, InputError
 from .fields import QQ, FpElement, PrimeField
@@ -145,7 +165,7 @@ class _PackedRing:
     """
 
     __slots__ = ("variables", "order", "domain", "prime", "width", "cap", "offset", "guards",
-                 "_shifts", "_weights", "_flip", "_deg_shift")
+                 "_shifts", "_weights", "_deg_shift", "_fields", "_ones", "_sum_shift")
 
     def __init__(self, variables, order, domain, width):
         n = len(variables)
@@ -158,14 +178,16 @@ class _PackedRing:
         if order == "grevlex":
             top = n * stride
             self._shifts = [k * stride for k in range(n)]
-            self.offset = sum(cap << s for s in self._shifts)
             self._weights = [(1 << top) - (1 << s) for s in self._shifts]
-            self._flip, self._deg_shift = cap, top
+            self._deg_shift = top
         else:
             self._shifts = [(n - k) * stride for k in range(n)]
-            self.offset = 0
             self._weights = [(1 << s) + 1 for s in self._shifts]
-            self._flip, self._deg_shift = 0, None
+            self._deg_shift = 0
+        self._fields = sum(cap << s for s in self._shifts)
+        self.offset = self._fields if order == "grevlex" else 0
+        self._ones = sum(1 << (k * stride) for k in range(n))
+        self._sum_shift = max(self._shifts, default=0)
 
     @classmethod
     def fitting(cls, variables, order, domain, systems):
@@ -186,25 +208,24 @@ class _PackedRing:
         return self.offset + sum(map(mul, exps, self._weights))
 
     def unpack(self, m) -> tuple:
-        cap, flip = self.cap, self._flip
-        return tuple(((m >> s) & cap) ^ flip for s in self._shifts)
+        cap, m = self.cap, m ^ self.offset
+        return tuple((m >> s) & cap for s in self._shifts)
 
     def lcm(self, a, b) -> int:
-        """The packed lcm of two exponent vectors."""
-        return self.pack(tuple(map(max, a, b)))
+        """The lcm of the packed monomials a and b (see the module docstring)."""
+        z, guards, fields, cap, shift = self.offset, self.guards, self._fields, self.cap, self._deg_shift
+        a, b = a ^ z, b ^ z  # every exponent field plain, none complemented
+        ge = ((a | guards) - b) & guards  # the guard bits of the fields where a >= b
+        ge -= ge >> self.width  # those fields
+        high = a & ge | b & ~ge
+        gcd_degree = ((a ^ b ^ high) & fields) * self._ones >> self._sum_shift & cap
+        degree = (a >> shift & cap) + (b >> shift & cap) - gcd_degree
+        if degree > cap:
+            raise _Spill
+        return (high & fields ^ z) + (degree << shift)
 
     def degree(self, m) -> int:
-        return m & self.cap if self._deg_shift is None else m >> self._deg_shift
-
-    def from_poly(self, f: LaurentPoly) -> "_Packed":
-        pack, terms = self.pack, f.terms
-        if self.prime:
-            return _Packed(self, {pack(e): c.val for e, c in terms.items()})
-        if self.domain is QQ:
-            den = lcm(*(c.denominator for c in terms.values()))
-            return _Packed(self, {pack(e): c.numerator * (den // c.denominator)
-                                  for e, c in terms.items()}, den)
-        return _Packed(self, {pack(e): c for e, c in terms.items()})
+        return m >> self._deg_shift & self.cap
 
     def to_poly(self, p: "_Packed") -> LaurentPoly:
         unpack, prime, den = self.unpack, self.prime, p.den
@@ -222,29 +243,29 @@ class _PackedRing:
 class _Packed:
     """A polynomial as a dict from packed monomials to coefficients, over a
     positive int ``den`` that is 1 but over QQ: the polynomial is
-    terms / den."""
+    terms / den.
 
-    def __init__(self, ring, terms, den=1):
+    A nonzero one has its row in a reducer table, ``lead`` = (lm, lc, tail,
+    top): the leading monomial and coefficient, the other terms as
+    (monomial, coefficient) pairs and a term of greatest degree (lm itself
+    under grevlex); it is built on construction unless passed in."""
+
+    __slots__ = ("ring", "terms", "den", "lead")
+
+    def __init__(self, ring, terms, den=1, lead=None):
         self.ring, self.terms, self.den = ring, terms, den
-
-    @cached_property
-    def lead(self):
-        """(lm, lc, tail, top, exps), the polynomial's row in a reducer
-        table: the leading monomial and coefficient, the other terms as
-        (monomial, coefficient) pairs, a term of greatest degree (lm itself
-        under grevlex) and lm's exponent vector."""
-        terms, ring = self.terms, self.ring
-        lm = max(terms)
-        top = max(terms, key=ring.degree) if ring.order == "lex" else lm
-        tail = [(m, c) for m, c in terms.items() if m != lm]
-        return lm, terms[lm], tail, top, ring.unpack(lm)
+        if lead is None and terms:
+            lm = max(terms)
+            top = max(terms, key=ring.degree) if ring.order == "lex" else lm
+            lead = lm, terms[lm], [(m, c) for m, c in terms.items() if m != lm], top
+        self.lead = lead
 
     def monic(self) -> "_Packed":
         """This nonzero polynomial divided by its leading coefficient; over
         QQ its primitive part with a positive leading coefficient, over that
         coefficient.  Its ``lead`` is this one's, rescaled, not recomputed."""
         ring, p = self.ring, self.ring.prime
-        lm, lc, tail, top, exps = self.lead
+        lm, lc, tail, top = self.lead
         if ring.domain is QQ:
             g = gcd(*self.terms.values()) if lc > 0 else -gcd(*self.terms.values())
             tail, lc = [(m, c // g) for m, c in tail], lc // g
@@ -254,9 +275,7 @@ class _Packed:
             inv = pow(lc, -1, p) if p else ring.domain.one / lc
             tail = [(m, c * inv % p if p else c * inv) for m, c in tail]
             lc = lc * inv % p if p else lc * inv
-        monic = _Packed(ring, {lm: lc, **dict(tail)}, lc if ring.domain is QQ else 1)
-        monic.lead = lm, lc, tail, top, exps
-        return monic
+        return _Packed(ring, {lm: lc, **dict(tail)}, lc if ring.domain is QQ else 1, (lm, lc, tail, top))
 
 
 def _widening(kernel, polys):
@@ -269,6 +288,19 @@ def _widening(kernel, polys):
             polys = [ring.repack(p) for p in polys]
 
 
+def _packed_system(variables, order, domain, systems):
+    """Term dicts over one variable list and one domain packed into one
+    fitting ring; over GF(p) their coefficients are ints in [0, p), and over
+    QQ each packs with its denominators cleared."""
+    ring = _PackedRing.fitting(variables, order, domain, systems)
+    pack = ring.pack
+    if domain is not QQ:
+        return [_Packed(ring, {pack(e): c for e, c in t.items()}) for t in systems]
+    dens = [lcm(*(c.denominator for c in t.values())) for t in systems]
+    return [_Packed(ring, {pack(e): c.numerator * (den // c.denominator) for e, c in t.items()}, den)
+            for t, den in zip(systems, dens)]
+
+
 def _packed_inputs(polys, order):
     """LaurentPolys over one variable list (see ``common_ring``), packed into
     one fitting ring."""
@@ -276,8 +308,10 @@ def _packed_inputs(polys, order):
     variables, domain, polys = common_ring(polys)
     if not polys:
         return []
-    ring = _PackedRing.fitting(variables, order, domain, [p.terms for p in polys])
-    return [ring.from_poly(p) for p in polys]
+    systems = [p.terms for p in polys]
+    if isinstance(domain, PrimeField):
+        systems = [{e: c.val for e, c in t.items()} for t in systems]
+    return _packed_system(variables, order, domain, systems)
 
 
 def _divide(f, table, first=None, shift=0):
@@ -289,22 +323,20 @@ def _divide(f, table, first=None, shift=0):
     the leading term before the table is tried: with g's row and shift
     L - lm f, L the lcm of their leading monomials, that first step is the
     S-polynomial of f and g."""
-    ring = f.ring
-    offset, guards, p = ring.offset, ring.guards, ring.prime
+    offset, guards, p = f.ring.offset, f.ring.guards, f.ring.prime
     if shift and (f.lead[3] + shift) & guards:
         raise _Spill
     work, den = {m + shift: c for m, c in f.terms.items()}, f.den
     heap = [-m for m in work]
-    heapq.heapify(heap)
-    push, pop = heapq.heappush, heapq.heappop
+    heapify(heap)
     rem = {}
     reducers = table if first is None else (first,)
     while heap:
-        lm = -pop(heap)
+        lm = -heappop(heap)
         lc = work.pop(lm, None)
         if lc is None:  # a stale entry: the term cancelled
             continue
-        for glm, glc, gtail, gtop, _ in reducers:
+        for glm, glc, gtail, gtop in reducers:
             if not (lm - glm + offset) & guards:
                 # work = s * work + k * x^(lm - glm) * g with s * lc + k * glc
                 # = 0, so the leading terms cancel; s = 1 but over QQ
@@ -324,7 +356,7 @@ def _divide(f, table, first=None, shift=0):
                     v = work.get(m)
                     if v is None:
                         work[m] = k * c % p if p else k * c
-                        push(heap, -m)
+                        heappush(heap, -m)
                     else:
                         v += k * c
                         if p:
@@ -337,7 +369,7 @@ def _divide(f, table, first=None, shift=0):
                 break
         else:
             rem[lm] = lc
-    return _Packed(ring, rem, den)
+    return _Packed(f.ring, rem, den)
 
 
 def _remainder(polys):
@@ -350,7 +382,7 @@ def _s_kernel(polys):
     """The S-polynomial of f and g, in one ring and monic but over QQ, where
     it is a positive multiple, with lcm(lc f, lc g) in ``den``."""
     f, g = polys
-    return _divide(f, (), g.lead, f.ring.lcm(f.lead[4], g.lead[4]) - f.lead[0])
+    return _divide(f, (), g.lead, f.ring.lcm(f.lead[0], g.lead[0]) - f.lead[0])
 
 
 def reduce_poly(f, basis, order=DEFAULT_ORDER):
@@ -391,8 +423,8 @@ golden corpus; 23 over the 35 ``algebra-evidence`` systems of ``perfbench``
 (QQ in both orders, and the GF(p) reruns); 175 over QQ and at most 191
 (GF(3)) over its GF(p) reruns for the label-6 five-cycle, whose reduced
 basis has 57 elements.  The cap is about five times the largest.  It lets
-through the GF(3) run of the label-6 seven-cycle (737 elements, about 45 s
-on a 2-core x86 box).
+through the GF(3) run of the label-6 seven-cycle (737 elements, about 39 s
+of CPU on a shared 2-core x86 box with Python 3.11).
 
 The cap bounds the number of elements, not their size.  Over QQ the loop
 also refuses, with an InputError, a new element (primitive, after
@@ -444,58 +476,54 @@ def _pair_loop(basis):
     def widen():
         # repacking preserves the order, so the queue is still a heap
         nonlocal ring, basis, table, queue
-        unpack = ring.unpack
         ring = ring.wider()
         basis = [ring.repack(b) for b in basis]
         table = [b.lead for b in basis]
-        queue = [(ring.pack(unpack(m)), i, j) for m, i, j in queue]
+        queue = [(ring.lcm(table[i][0], table[j][0]), i, j) for _, i, j in queue]
 
     def update(t):
         nonlocal active, queue
-        et = table[t][4]  # exponent vectors: unchanged by widening
         while True:
+            lt = table[t][0]
             try:
-                new = sorted([(ring.lcm(table[i][4], et), i) for i in active])
+                new = sorted([(ring.lcm(table[i][0], lt), i) for i in active])
                 break
             except _Spill:
                 widen()
-        offset, guards, lt = ring.offset, ring.guards, table[t][0]
+        offset, guards, lcm_of = ring.offset, ring.guards, ring.lcm
         with_t = {i: lcm for lcm, i in new}
 
         def t_keeps(k, lcm):
             # lm_t and lm_k divide lcm, so lcm(k, t) does and cannot spill
-            return (with_t[k] if k in with_t else ring.lcm(table[k][4], et)) == lcm
+            return (with_t[k] if k in with_t else lcm_of(table[k][0], lt)) == lcm
 
         # B
         kept = [q for q in queue
                 if (q[0] - lt + offset) & guards or t_keeps(q[1], q[0]) or t_keeps(q[2], q[0])]
         if len(kept) < len(queue):
-            heapq.heapify(kept)
+            heapify(kept)
             queue = kept
-        # M: new is sorted by lcm, and a proper divisor of a monomial precedes it
-        minimal = []
+        # M: new is sorted by lcm, and a proper divisor of a monomial precedes
+        # it; then F and the product criterion: keep[lcm] is the least i with
+        # that lcm, or None when one of them has coprime leading monomials
+        keep = {}
         for lcm, i in new:
-            for m, _ in minimal:
-                if m != lcm and not (lcm - m + offset) & guards:
-                    break
-            else:
-                minimal.append((lcm, i))
-        # F and the product criterion
-        for lcm, group in groupby(minimal, key=itemgetter(0)):
-            group = [i for _, i in group]
-            if all(lcm - table[i][0] + offset != lt for i in group):
-                heapq.heappush(queue, (lcm, group[0], t))
+            if lcm in keep or all((lcm - m + offset) & guards for m in keep):
+                keep[lcm] = None if lcm - table[i][0] + offset == lt else keep.get(lcm, i)
+        for lcm, i in keep.items():
+            if i is not None:
+                heappush(queue, (lcm, i, t))
         active = [i for i in active if (table[i][0] - lt + offset) & guards]
         active.append(t)
 
     for t in range(len(basis)):
         update(t)
     while queue:
-        lcm, i, j = heapq.heappop(queue)
+        lcm, i, j = heappop(queue)
         try:
             r = _divide(basis[i], table, table[j], lcm - table[i][0])
         except _Spill:
-            heapq.heappush(queue, (lcm, i, j))
+            heappush(queue, (lcm, i, j))
             widen()
             continue
         if not r.terms:
@@ -555,8 +583,14 @@ def _groebner_basis(packed):
 
 
 def buchberger(gens, order=DEFAULT_ORDER) -> list[LaurentPoly]:
-    """Reduced Groebner basis (monic, sorted by leading monomial)."""
-    basis = _groebner_basis(_packed_inputs(gens, order))
+    """Reduced Groebner basis (monic, sorted by leading monomial).
+
+    Takes LaurentPolys, or packed polynomials in one ring, whose order is
+    then used (as ``laurent_unit_report`` hands it the saturated system).
+    """
+    if not (gens and isinstance(gens[0], _Packed)):
+        gens = _packed_inputs(gens, order)
+    basis = _groebner_basis(gens)
     return _interreduced(basis) if basis else []
 
 
@@ -609,21 +643,22 @@ def _integer_left_kernel(rows):
     return [r[n:] for r in work[rank:]]
 
 
-def _lattice_unit(polys, prime=None):
+def _lattice_unit(systems, prime=None):
     """Laurent unit-ideal test for generators of at most two terms.
 
-    ``polys`` are nonzero LaurentPolys over one domain and variable list,
-    or with ``prime`` term dicts of nonzero ints mod prime over one variable
-    list.  Returns None when some generator has three or more terms;
-    otherwise (flag, witness).  A unit ideal's witness is {"monomial": i}
-    when polys[i] has one term (a unit of the Laurent ring), else
-    {"relation": c}: with a the lexicographically larger exponent of the
-    binomial polys[i] = c1*x^a + c2*x^b, d_i = a - b and lam_i = -c2/c1, the
-    vector c has sum c_i d_i = 0 and prod lam_i^(c_i) != 1, so the nonzero
-    constant 1 - prod lam_i^(c_i) lies in the ideal.  A proper ideal has
-    witness None.
+    ``systems`` are the generators' term dicts, nonzero and over one
+    variable list, with coefficients in one field, or with ``prime`` nonzero
+    ints mod prime.  Returns None when some generator has three or more
+    terms; otherwise (flag, witness).  A unit ideal's witness is
+    {"monomial": i} when generator i has one term (a unit of the Laurent
+    ring), else {"relation": c}: with a the lexicographically larger
+    exponent of the binomial generator i, c1*x^a + c2*x^b, d_i = a - b and
+    lam_i = -c2/c1, the vector c has sum c_i d_i = 0 and prod lam_i^(c_i) !=
+    1, so the nonzero constant 1 - prod lam_i^(c_i) lies in the ideal.  A
+    proper ideal has witness None.  Clearing negative exponents moves both
+    exponents of a binomial alike, so the answer is that of the cleared
+    system.
     """
-    systems = polys if prime else [p.terms for p in polys]
     if any(len(t) > 2 for t in systems):
         return None
     for i, t in enumerate(systems):
@@ -642,11 +677,21 @@ def _lattice_unit(polys, prime=None):
     return False, None
 
 
-def _cleared(terms):
-    """A term dict times the monomial that clears its negative exponents,
-    with a zero exponent of the saturation variable appended."""
-    low = [min(0, *column) for column in zip(*terms)]
-    return {tuple(x - m for x, m in zip(e, low)) + (0,): c for e, c in terms.items()}
+def _saturated(variables, order, domain, systems):
+    """The saturated system of Laurent generators, packed over variables +
+    (t_aux,): each of the term dicts ``systems`` (nonzero, coefficients as
+    ``_packed_system`` takes them) times the monomial that clears its
+    negative exponents, with a zero exponent of t_aux appended, and then
+    1 - t_aux * x_1 * ... * x_n."""
+    _order_key(order)
+    cleared = []
+    for terms in systems:
+        low = [min(0, *column) for column in zip(*terms)]
+        cleared.append({tuple(x - m for x, m in zip(e, low)) + (0,): c for e, c in terms.items()})
+    n = len(variables) + 1
+    p = domain.p if isinstance(domain, PrimeField) else None
+    cleared.append({(0,) * n: 1 if p else domain.one, (1,) * n: p - 1 if p else domain.coerce(-1)})
+    return _packed_system(variables + (saturation_variable(variables),), order, domain, cleared)
 
 
 def laurent_unit_report(gens, order=DEFAULT_ORDER):
@@ -666,11 +711,10 @@ def laurent_unit_report(gens, order=DEFAULT_ORDER):
     if not positions:
         return False, [], None, "lattice", None
     aux = saturation_variable(variables)
-    ext = variables + (aux,)
-    extended = [LaurentPoly(ext, _cleared(polys[i].terms), domain) for i in positions]
-    decided = _lattice_unit(extended)
+    systems = [polys[i].terms for i in positions]
+    decided = _lattice_unit(systems)
     if decided is not None and decided[0]:
-        one = LaurentPoly.constant(domain.one, ext, domain)
+        one = LaurentPoly.constant(domain.one, variables + (aux,), domain)
         ((kind, value),) = decided[1].items()
         if kind == "monomial":
             value = positions[value]
@@ -678,13 +722,10 @@ def laurent_unit_report(gens, order=DEFAULT_ORDER):
             at = dict(zip(positions, value))
             value = [at.get(i, 0) for i in range(len(polys))]
         return True, [one], aux, "lattice", {kind: value}
-    n = len(ext)
-    sat = LaurentPoly(ext, {(0,) * n: domain.one, (1,) * n: domain.coerce(-1)}, domain)
-    basis = buchberger(extended + [sat], order)
+    basis = buchberger(_saturated(variables, order, domain, systems))
     if decided is not None:
         return False, basis, aux, "lattice", None
-    flag = len(basis) == 1 and basis[0].is_constant()
-    return flag, basis, aux, "buchberger", None
+    return len(basis) == 1 and basis[0].is_constant(), basis, aux, "buchberger", None
 
 
 def laurent_unit_ideal(gens, order=DEFAULT_ORDER):
@@ -697,8 +738,11 @@ def laurent_unit_ideal(gens, order=DEFAULT_ORDER):
 
 
 def _residue(c, field: PrimeField) -> int:
-    """The coefficient c read in GF(p) as an int in [0, p); a rational whose
-    denominator p divides goes to ``coerce``, which raises."""
+    """The coefficient c read in GF(p) as an int in [0, p): an int is c % p;
+    a rational whose denominator p divides, or another field's element, goes
+    to ``coerce``, which raises."""
+    if type(c) is int:
+        return c % field.p
     if isinstance(c, Fraction) and c.denominator % field.p:
         return c.numerator * pow(c.denominator, -1, field.p) % field.p
     return field.coerce(c).val
@@ -711,26 +755,20 @@ def unit_ideal_mod_p(gens, prime: int, laurent: bool = True) -> bool:
     coefficient is a monomial.  With ``laurent`` the ideal is taken in the
     Laurent ring: when every remaining generator has at most two terms the
     exponent lattice decides (``_lattice_unit``), and otherwise Buchberger
-    runs once on the saturated system.  Without it the ideal is taken in
-    the polynomial ring.  The residues are read off the generators' terms in
-    one pass and packed as they are: no GF(prime) polynomial is built.  A
-    coefficient whose denominator is divisible by prime raises
-    ZeroDivisionError; the generators pass ``common_ring`` first, so a
-    non-polynomial is a TypeError.
+    runs once on the saturated system (``_saturated``, as over QQ).  Without
+    it the ideal is taken in the polynomial ring.  The residues are read off
+    the generators' terms in one pass and packed as they are: no GF(prime)
+    polynomial is built.  A coefficient whose denominator is divisible by
+    prime raises ZeroDivisionError; the generators pass ``common_ring``
+    first, so a non-polynomial is a TypeError.
     """
     variables, _, polys = common_ring(gens)
     field = PrimeField(prime)
-    residues = ({e: r for e, c in g.terms.items() if (r := _residue(c, field))} for g in polys)
-    systems = [_cleared(t) if laurent else t for t in residues if t]
-    if laurent:
-        decided = _lattice_unit(systems, prime)
-        if decided is not None:
-            return decided[0]
-        variables += (saturation_variable(variables),)
-        n = len(variables)
-        systems.append({(0,) * n: 1, (1,) * n: prime - 1})
-    if not systems:
-        return False
-    ring = _PackedRing.fitting(variables, DEFAULT_ORDER, field, systems)
-    packed = [_Packed(ring, {ring.pack(e): c for e, c in t.items()}) for t in systems]
-    return _is_unit(_groebner_basis(packed))
+    systems = [t for g in polys if (t := {e: r for e, c in g.terms.items() if (r := _residue(c, field))})]
+    if not laurent:
+        return bool(systems) and _is_unit(_groebner_basis(
+            _packed_system(variables, DEFAULT_ORDER, field, systems)))
+    decided = _lattice_unit(systems, prime)
+    if decided is not None:
+        return decided[0]
+    return _is_unit(_groebner_basis(_saturated(variables, DEFAULT_ORDER, field, systems)))

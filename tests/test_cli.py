@@ -353,6 +353,13 @@ def test_groebner_unit_fixture(capsys):
     assert res["mod_p"] == {"2": True, "3": True, "5": True, "7": True, "11": True}
 
 
+def test_groebner_reports_a_denominator_a_prime_divides_as_null(capsys):
+    # 1/2 has no residue mod 2: that rerun reads null, and the call succeeds
+    result = run_json(capsys, ["groebner", "--vars", "x", "--gens", "1/2*x+1", "--laurent"])["result"]
+    assert result["mod_p"] == {"2": None, "3": False, "5": False, "7": False, "11": False}
+    assert (result["unit_ideal"], result["unit_method"]) == (False, "lattice")
+
+
 def test_groebner_refuses_an_oversized_power(capsys):
     start = time.process_time()
     code, out, err = run_cli(capsys, ["groebner", "--vars", "u", "--gens", "(1+u)^20000"])

@@ -447,6 +447,62 @@ def test_cyclotomic_coefficients_take_the_monic_route():
     assert reduce_poly(LaurentPoly(X, {(2, 0): 1}, field), basis) == LaurentPoly.constant(-zeta, X, field)
 
 
+def test_laurent_unit_report_over_a_cyclotomic_field():
+    # over QQ(zeta_3) the lattice decides binomial systems, and Buchberger
+    # runs on the saturated system packed from the generators' term dicts
+    field = CyclotomicField(3)
+    zeta = field.zeta_power(1)
+    X = ("x", "y")
+    x_zeta = LaurentPoly(X, {(1, 0): 1, (0, 0): -zeta}, field)
+    y_zeta_x = LaurentPoly(X, {(0, 1): 1, (1, 0): zeta}, field)
+    # binomials, decided on the exponent lattice: x = zeta and x^2 = 1 give
+    # zeta^2 = 1, false in QQ(zeta_3), so the relation (-2, 1) is a witness
+    binomials = [x_zeta, LaurentPoly(X, {(2, 0): 1, (0, 0): -1}, field), y_zeta_x]
+    flag, basis, aux, method, witness = groebner.laurent_unit_report(binomials)
+    assert (flag, method, witness) == (True, "lattice", {"relation": [-2, 1, 0]})
+    assert [b.to_string() for b in basis] == ["1"]
+    # a proper binomial system: the lattice decides, Buchberger gives the basis
+    flag, basis, aux, method, witness = groebner.laurent_unit_report([x_zeta, y_zeta_x])
+    assert (flag, method, witness) == (False, "lattice", None)
+    assert [b.to_string() for b in basis] == ["t_aux + 1", "y + (-1 - zeta)", "x - zeta"]
+    # a trinomial, decided by Buchberger: 1 + xy + (xy)^2 splits over QQ(zeta_3)
+    trinomial = [LaurentPoly(X, {(0, 0): 1, (1, 1): 1, (2, 2): 1}, field),
+                 LaurentPoly(X, {(1, 0): 1, (0, 1): zeta}, field)]
+    expected = {
+        "grevlex": ["x + zeta*y", "t_aux^2 + t_aux + 1", "y^2 + (1 + zeta)*t_aux + (1 + zeta)"],
+        "lex": ["t_aux^2 + t_aux + 1", "y^2 + (1 + zeta)*t_aux + (1 + zeta)", "x + zeta*y"],
+    }
+    for order, strings in expected.items():
+        flag, basis, aux, method, witness = groebner.laurent_unit_report(trinomial, order)
+        assert (flag, aux, method, witness) == (False, "t_aux", "buchberger", None)
+        assert [b.to_string() for b in basis] == strings
+
+
+def test_residues_are_ints_read_without_field_elements(monkeypatch):
+    # an int reads as c % p and a rational through its denominator's inverse,
+    # with no FpElement built; a denominator that p divides has no residue
+    def forbidden(*args):
+        raise AssertionError("FpElement built")
+
+    field = PrimeField(5)
+    monkeypatch.setattr(FpElement, "__init__", forbidden)
+    assert [groebner._residue(c, field) for c in (7, -1, 0, Fraction(3, 2), Fraction(-4))] == [2, 4, 0, 4, 1]
+    gens = [P("3*u*v - 1"), P("1/2*u + 3/4")]
+    assert unit_ideal_mod_p(gens, 5) is unit_ideal_mod_p(gens, 5, laurent=False) is False
+    monkeypatch.undo()
+    with pytest.raises(ZeroDivisionError):
+        groebner._residue(Fraction(1, 5), field)
+
+
+@pytest.mark.parametrize("laurent", [True, False])
+def test_unit_ideal_mod_p_refuses_a_denominator_it_divides(laurent):
+    # 1/2 has no residue mod 2; mod 3 it is 2, and 2x + 1 is no unit
+    gens = [P("1/2*x + 1", ("x",))]
+    with pytest.raises(ZeroDivisionError):
+        unit_ideal_mod_p(gens, 2, laurent=laurent)
+    assert unit_ideal_mod_p(gens, 3, laurent=laurent) is False
+
+
 def _sympy_expr(sympy, terms, symbols):
     return sum(sympy.Rational(c.numerator, c.denominator) * sympy.prod([x ** k for x, k in zip(symbols, e)])
                for e, c in terms.items())
@@ -493,7 +549,9 @@ def _exponent_vectors(rng, n, cap, count):
 @pytest.mark.parametrize("order", ["grevlex", "lex"])
 def test_packed_monomials_agree_with_their_definition(order):
     # ORDER_KEYS defines each order; the packing must compare, multiply,
-    # divide and take lcms as the exponent tuples do, up to the capacity
+    # divide and take lcms as the exponent tuples do, up to the capacity:
+    # the lcm of two packed monomials is the packed lcm of their exponent
+    # vectors, or a spill exactly when that lcm's degree passes the capacity
     rng = random.Random(1212)
     key = ORDER_KEYS[order]
     for n, width in ((1, 2), (2, 3), (3, 2), (5, 3), (4, 8)):
@@ -520,10 +578,12 @@ def test_packed_monomials_agree_with_their_definition(order):
                 assert quotient == ring.pack(tuple(x - y for x, y in zip(a, b)))
             lcm = tuple(map(max, a, b))
             if sum(lcm) <= cap:
-                assert ring.lcm(a, b) == ring.pack(lcm)
+                assert ring.lcm(ma, mb) == ring.pack(lcm) == ring.lcm(mb, ma)
             else:
                 with pytest.raises(groebner._Spill):
-                    ring.lcm(a, b)
+                    ring.pack(lcm)
+                with pytest.raises(groebner._Spill):
+                    ring.lcm(ma, mb)
 
 
 @pytest.mark.parametrize("order, gens, path", [
@@ -532,7 +592,7 @@ def test_packed_monomials_agree_with_their_definition(order):
     # a pair's first step, the S-polynomial, spills
     ("lex", ("x^16 - y", "y^16 - z", "x*z - 1"), ("_pair_loop", "_divide", True)),
     # the lcm of a new pair spills
-    ("grevlex", ("x^200*y - z", "x*y^200 - 1"), ("update", "pack", False)),
+    ("grevlex", ("x^200*y - z", "x*y^200 - 1"), ("update", "lcm", False)),
     # interreduction spills, in reduce_poly: coprime leading monomials, so no
     # pair is formed
     ("lex", ("z - x^16", "x - y^16"), ("reduce_poly", "_divide", False)),
@@ -621,7 +681,7 @@ def _random_binomials(rng, coefficients):
 
 def _assert_lattice_matches(gens, expect):
     polys = [g for g in gens if not g.is_zero()]
-    flag, witness = groebner._lattice_unit(polys)
+    flag, witness = groebner._lattice_unit([p.terms for p in polys])
     assert flag == expect, [g.to_string() for g in gens]
     if flag:
         assert _witness_holds(polys, witness), ([g.to_string() for g in gens], witness)
@@ -663,7 +723,7 @@ def test_lattice_unit_matches_saturated_buchberger_mod_p(prime):
 
 def test_lattice_unit_leaves_trinomials_to_buchberger():
     gens = [P("u + v + 1"), P("u*v - 1")]
-    assert groebner._lattice_unit(gens) is None
+    assert groebner._lattice_unit([g.terms for g in gens]) is None
     flag, basis, aux, method, witness = groebner.laurent_unit_report(gens)
     assert (flag, method, witness) == (laurent_unit_ideal(gens)[0], "buchberger", None)
 
@@ -674,7 +734,7 @@ def test_lattice_unit_needs_the_whole_kernel_lattice():
     # the sublattice spanned by (2, -2) would give 1 and call it proper.  Mod 2
     # both generators are x^2 + 1 = (x + 1)^2, a proper ideal.
     gens = [P("x^2 - 1", ("x",)), P("x^2 + 1", ("x",))]
-    assert groebner._lattice_unit(gens) == (True, {"relation": [-1, 1]})
+    assert groebner._lattice_unit([g.terms for g in gens]) == (True, {"relation": [-1, 1]})
     assert laurent_unit_ideal(gens)[0]
     assert not unit_ideal_mod_p(gens, 2, laurent=True)
     assert unit_ideal_mod_p(gens, 3, laurent=True)
