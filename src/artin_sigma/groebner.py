@@ -7,8 +7,10 @@ of all variables through an auxiliary variable t_aux and the extra generator
 1 - t_aux * x_1 * ... * x_n.  Both unit tests, ``laurent_unit_report`` over
 the generators' field and ``unit_ideal_mod_p`` over GF(p), build that system
 in one function, ``_saturated``: it clears the generators' term dicts,
-appends t_aux and packs them, and no saturated ``LaurentPoly`` is built;
-``laurent_unit_report`` hands the packed system to ``buchberger``.
+appends t_aux and packs them, and no saturated ``LaurentPoly`` is built.
+Over GF(p) the term dicts hold ints in [0, p): ``_term_dicts`` reads a
+``LaurentPoly``'s ``FpElement``s once, and ``unit_ideal_mod_p`` reads each
+residue as an int.
 
 Buchberger runs on packed monomials (``_PackedRing``): each monomial is one
 Python int of n + 1 fields of ``width`` bits, each topped by a guard bit
@@ -292,6 +294,7 @@ def _packed_system(variables, order, domain, systems):
     """Term dicts over one variable list and one domain packed into one
     fitting ring; over GF(p) their coefficients are ints in [0, p), and over
     QQ each packs with its denominators cleared."""
+    _order_key(order)
     ring = _PackedRing.fitting(variables, order, domain, systems)
     pack = ring.pack
     if domain is not QQ:
@@ -301,17 +304,22 @@ def _packed_system(variables, order, domain, systems):
             for t, den in zip(systems, dens)]
 
 
-def _packed_inputs(polys, order):
-    """LaurentPolys over one variable list (see ``common_ring``), packed into
-    one fitting ring."""
-    _order_key(order)
+def _term_dicts(polys):
+    """The variable list and domain of LaurentPolys (see ``common_ring``) and
+    their term dicts, with coefficients as ``_packed_system`` takes them:
+    over GF(p) each is read as its int in [0, p)."""
     variables, domain, polys = common_ring(polys)
-    if not polys:
-        return []
     systems = [p.terms for p in polys]
     if isinstance(domain, PrimeField):
         systems = [{e: c.val for e, c in t.items()} for t in systems]
-    return _packed_system(variables, order, domain, systems)
+    return variables, domain, systems
+
+
+def _packed_inputs(polys, order):
+    """LaurentPolys over one variable list (none for no polynomials), packed
+    into one fitting ring."""
+    variables, domain, systems = _term_dicts(polys)
+    return _packed_system(variables or (), order, domain, systems)
 
 
 def _divide(f, table, first=None, shift=0):
@@ -582,16 +590,15 @@ def _groebner_basis(packed):
     return _pair_loop(basis) if basis else []
 
 
-def buchberger(gens, order=DEFAULT_ORDER) -> list[LaurentPoly]:
-    """Reduced Groebner basis (monic, sorted by leading monomial).
-
-    Takes LaurentPolys, or packed polynomials in one ring, whose order is
-    then used (as ``laurent_unit_report`` hands it the saturated system).
-    """
-    if not (gens and isinstance(gens[0], _Packed)):
-        gens = _packed_inputs(gens, order)
-    basis = _groebner_basis(gens)
+def _reduced_basis(packed):
+    """The reduced Groebner basis of packed polynomials in one ring."""
+    basis = _groebner_basis(packed)
     return _interreduced(basis) if basis else []
+
+
+def buchberger(gens, order=DEFAULT_ORDER) -> list[LaurentPoly]:
+    """Reduced Groebner basis (monic, sorted by leading monomial)."""
+    return _reduced_basis(_packed_inputs(gens, order))
 
 
 def _is_unit(basis) -> bool:
@@ -683,7 +690,6 @@ def _saturated(variables, order, domain, systems):
     ``_packed_system`` takes them) times the monomial that clears its
     negative exponents, with a zero exponent of t_aux appended, and then
     1 - t_aux * x_1 * ... * x_n."""
-    _order_key(order)
     cleared = []
     for terms in systems:
         low = [min(0, *column) for column in zip(*terms)]
@@ -706,13 +712,13 @@ def laurent_unit_report(gens, order=DEFAULT_ORDER):
     indices and relation entries over ``gens``, zero generators included;
     it is None for a proper ideal or when Buchberger decided.
     """
-    variables, domain, polys = common_ring(gens)
-    positions = [i for i, p in enumerate(polys) if p.terms]
+    variables, domain, terms = _term_dicts(gens)
+    positions = [i for i, t in enumerate(terms) if t]
     if not positions:
         return False, [], None, "lattice", None
     aux = saturation_variable(variables)
-    systems = [polys[i].terms for i in positions]
-    decided = _lattice_unit(systems)
+    systems = [terms[i] for i in positions]
+    decided = _lattice_unit(systems, domain.p if isinstance(domain, PrimeField) else None)
     if decided is not None and decided[0]:
         one = LaurentPoly.constant(domain.one, variables + (aux,), domain)
         ((kind, value),) = decided[1].items()
@@ -720,9 +726,9 @@ def laurent_unit_report(gens, order=DEFAULT_ORDER):
             value = positions[value]
         else:  # entry 0 at each zero generator
             at = dict(zip(positions, value))
-            value = [at.get(i, 0) for i in range(len(polys))]
+            value = [at.get(i, 0) for i in range(len(terms))]
         return True, [one], aux, "lattice", {kind: value}
-    basis = buchberger(_saturated(variables, order, domain, systems))
+    basis = _reduced_basis(_saturated(variables, order, domain, systems))
     if decided is not None:
         return False, basis, aux, "lattice", None
     return len(basis) == 1 and basis[0].is_constant(), basis, aux, "buchberger", None

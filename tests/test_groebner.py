@@ -478,6 +478,40 @@ def test_laurent_unit_report_over_a_cyclotomic_field():
         assert [b.to_string() for b in basis] == strings
 
 
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_laurent_unit_report_over_a_prime_field(order):
+    # over GF(5) the generators' FpElement coefficients are read as ints for
+    # the lattice and for the packed saturated system alike
+    field = PrimeField(5)
+    X = ("x", "y")
+
+    def L(terms):
+        return LaurentPoly(X, {e: field.coerce(c) for e, c in terms.items()}, field)
+
+    x_2, y_3x = L({(1, 0): 1, (0, 0): 3}), L({(0, 1): 1, (1, 0): 2})
+    # x = 2 and x^2 = 1 give 4 = 1, false mod 5; the zero generator's entry is 0
+    flag, basis, aux, method, witness = groebner.laurent_unit_report([x_2, L({}), L({(2, 0): 1, (0, 0): 4}), y_3x])
+    assert (flag, method, witness) == (True, "lattice", {"relation": [-2, 0, 1, 0]})
+    assert [b.to_string() for b in basis] == ["1"]
+    # a proper binomial system: the lattice decides, Buchberger gives the basis
+    flag, basis, aux, method, witness = groebner.laurent_unit_report([x_2, y_3x, L({})], order)
+    assert (flag, aux, method, witness) == (False, "t_aux", "lattice", None)
+    assert [b.to_string() for b in basis] == ["t_aux + 2", "y + 4", "x + 3"]
+    # trinomials, decided by Buchberger, one with negative exponents to clear
+    trinomial = [L({(0, 0): 1, (1, 1): 1, (2, 2): 1}), L({(1, 0): 1, (0, 1): 2})]
+    cleared = [L({(0, 0): 1, (-1, 1): 3, (1, -2): 1}), L({(1, 0): 1, (0, 0): 4})]
+    expected = {
+        "grevlex": (["x + 2*y", "t_aux^2 + t_aux + 1", "y^2 + 2*t_aux + 2"],
+                    ["x + 4", "3*y + t_aux^2 + 1", "y*t_aux + 4", "y^2 + 2*y + 2*t_aux"]),
+        "lex": (["t_aux^2 + t_aux + 1", "y^2 + 2*t_aux + 2", "x + 2*y"],
+                ["t_aux^3 + t_aux + 3", "y + 2*t_aux^2 + 2", "x + 4"]),
+    }
+    for gens, strings in zip((trinomial, cleared), expected[order]):
+        flag, basis, aux, method, witness = groebner.laurent_unit_report(gens, order)
+        assert (flag, aux, method, witness) == (False, "t_aux", "buchberger", None)
+        assert [b.to_string() for b in basis] == strings
+
+
 def test_residues_are_ints_read_without_field_elements(monkeypatch):
     # an int reads as c % p and a rational through its denominator's inverse,
     # with no FpElement built; a denominator that p divides has no residue
