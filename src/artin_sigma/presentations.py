@@ -10,7 +10,8 @@ Sending each tree-edge product vw to a primitive root of unity and each
 vertex to a monomial x^chi(vertex) turns the relation matrix into a matrix
 over a Laurent polynomial ring in one variable; a rank deficit there
 certifies that the module restricted to the kernel of chi is not finitely
-generated.
+generated.  A certificate reads that deficit off the specialization and a
+kernel witness alone, without building the presentation.
 """
 
 from __future__ import annotations
@@ -31,16 +32,29 @@ from .value import Value
 NOT_FINITELY_GENERATED = "not_finitely_generated"
 
 MAX_RELATION_ENTRIES = 250_000
-"""Most entries, rows times generators, that the defining presentation of a
-forest may have.  The rows themselves are sparse (one entry per edge row,
-two per difference row), but the limit counts rows times generators, the
-size of the dense matrix ``specialize`` returns.  ``forest_presentation``
-counts them from |L|, |R| and |E| and refuses a larger forest with an
-InputError before any row is built.  The largest accepted split label-4
-cycle is C24: 1,586 rows over 144 generators, 228,384 entries of which
-3,170 are stored, certified by ``kt-certify`` in about 0.13 s of process
-time and 22 MB peak RSS on a 2-core Xeon with Python 3.11, and in about
-0.24 s and 30 MB with label 1994 (M = 997).  C26 is refused."""
+"""Most entries, rows times generators, that ``forest_presentation`` builds;
+it limits that builder only, since no certificate builds a presentation.
+The rows themselves are sparse (one entry per edge row, two per difference
+row), but the limit counts rows times generators, the size of the dense
+matrix ``specialize`` returns.  ``forest_presentation`` counts them from
+|L|, |R| and |E| and refuses a larger forest with an InputError before any
+row is built.  The largest accepted split label-4 cycle is C24: 1,586 rows
+over 144 generators, 228,384 entries of which 3,170 are stored.  C26 is
+refused."""
+
+MAX_CERTIFICATE_SIZE = 160_000
+"""Most generators times field degree (phi(M), or 1 over Q) that a
+certificate may have.  It counts what a certificate computes: one witness
+entry per generator, whose coordinates per x exponent are as many as the
+degree.  ``certify_not_finitely_generated`` refuses a larger forest with an
+InputError before any witness entry is built.  The largest accepted split
+label-4 cycle is C800 (160,000 generators, M = 2, degree 1), certified by
+``kt-certify`` in about 3.3 s of process time and 113 MB peak RSS on a
+2-core Xeon with Python 3.11; C802 is refused.  At M = 997 (degree 996) at
+most 160 generators pass: C24 with label 1994 takes about 0.12 s and
+16 MB, and C26 with that label is refused.  160 witness entries as dense
+in zeta as M = 997 allows (four x exponents of 996 coordinates each) take
+about 2.8 s in process, so the limit bounds both ends alike."""
 
 
 class BipartiteForest(Value):
@@ -123,6 +137,17 @@ def _cyclotomic_sum_row(v, w, label, variables):
                                    for k in range(label // 2)}, QQ)
 
 
+def _half_labels(forest: BipartiteForest) -> list:
+    """m = label/2 for each edge; one above MAX_CYCLOTOMIC_ORDER is an
+    InputError naming its edge."""
+    for v, w, label in forest.edges:
+        if label // 2 > MAX_CYCLOTOMIC_ORDER:
+            raise InputError(
+                f"edge ({v}, {w}) label {label} needs cyclotomic order {label // 2}, "
+                f"above MAX_CYCLOTOMIC_ORDER = {MAX_CYCLOTOMIC_ORDER}")
+    return [label // 2 for _, _, label in forest.edges]
+
+
 def forest_presentation(forest: BipartiteForest) -> ModulePresentation:
     """The defining presentation: over the generators (v, w), v left and w
     right, one cyclotomic-sum row per tree edge, then the two difference
@@ -130,11 +155,7 @@ def forest_presentation(forest: BipartiteForest) -> ModulePresentation:
     MAX_CYCLOTOMIC_ORDER and a presentation of more than
     MAX_RELATION_ENTRIES entries are InputErrors, raised before any row is
     built."""
-    for v, w, label in forest.edges:
-        if label // 2 > MAX_CYCLOTOMIC_ORDER:
-            raise InputError(
-                f"edge ({v}, {w}) label {label} needs cyclotomic order {label // 2}, "
-                f"above MAX_CYCLOTOMIC_ORDER = {MAX_CYCLOTOMIC_ORDER}")
+    _half_labels(forest)
     gens = len(forest.left) * len(forest.right)
     # one row per tree edge, then one per pair of left or of right vertices
     # and vertex of the other side
@@ -264,8 +285,9 @@ class Specialization(Value):
 
 def specialization_data(forest: BipartiteForest, chi) -> Specialization:
     """The specialization at ``chi``, which must be integer-valued, nonzero
-    on the forest's vertices and opposite at the two ends of each edge.  The
-    vertex images are found breadth first from each basepoint b, which maps
+    on the forest's vertices and opposite at the two ends of each edge; a
+    half-label above MAX_CYCLOTOMIC_ORDER is an InputError, raised first.
+    The vertex images are found breadth first from each basepoint b, which maps
     to x^chi(b); a vertex first reached from v = zeta^j x^e along an edge
     with root exponent k maps to zeta^(k - j) x^(-e).
 
@@ -276,13 +298,13 @@ def specialization_data(forest: BipartiteForest, chi) -> Specialization:
     a search tree edge: on each, j_v + j_w = k mod M and e_v + e_w = 0, and
     as chi is opposite along each edge, e_v = chi(v) from the basepoint
     out."""
+    ms = _half_labels(forest)
     values = _integral_values(chi, forest.vertices)
     for v, w, _ in forest.edges:
         if values[v] + values[w] != 0:
             raise MathError(
                 f"tree edge ({v}, {w}) needs opposite values, got {values[v]} and {values[w]}"
             )
-    ms = [label // 2 for _, _, label in forest.edges]
     order = lcm(*ms) if ms else 1
     domain = CyclotomicField(order) if order > 1 else QQ
     roots = tuple((v, w, order // (label // 2)) for v, w, label in forest.edges)
@@ -339,15 +361,6 @@ def _specialized_matrix(pres: ModulePresentation, spec: Specialization) -> list:
     return rows
 
 
-def _add_product(out: dict, a: dict, b: dict, order: int) -> dict:
-    """out + a * b on residue maps: x exponents add, residues add mod M."""
-    for (ea, ra), ca in a.items():
-        for (eb, rb), cb in b.items():
-            key = (ea + eb, (ra + rb) % order)
-            out[key] = out.get(key, 0) + ca * cb
-    return out
-
-
 def _coordinates(residues: dict, spec: Specialization) -> dict:
     """{x exponent: power-basis coordinates} of a residue map, with the zero
     ones dropped, so the map is zero exactly when this is empty.  Over Q
@@ -372,51 +385,17 @@ WITNESS_MINOR = "witness+minor"
 
 
 def _witness(spec: Specialization, generators: tuple) -> list:
-    """u_{v,w} = (phi(v) - 1)(phi(w) - 1) for each generator (v, w), as
-    residue maps of at most four terms."""
-    less_one = {v: {(e, j): 1, (0, 0): -1} for v, (j, e) in spec.images.items()}
-    return [_add_product({}, less_one[v], less_one[w], spec.order) for v, w in generators]
-
-
-def _kills(rows: list, witness: list, spec: Specialization) -> bool:
-    """True when the witness is nonzero and every row kills it: each
-    row-witness product is formed on residue maps, then reduced."""
-    if not any(_coordinates(u, spec) for u in witness):
-        return False
-    for row in rows:
-        total = {}
-        for j, entry in row.items():
-            _add_product(total, entry, witness[j], spec.order)
-        if _coordinates(total, spec):
-            return False
-    return True
-
-
-def _minor(forest: BipartiteForest) -> tuple:
-    """Row labels and generators of the g - 1 minor, in order.  With
-    v0 = left[0] and w0 = right[0]: the rows right:v0|w0,s on the columns
-    (v0, s) for s != w0, then the rows left:v0,t|w on the columns (t, w) for
-    t != v0 and every w."""
-    (v0, *ts), (w0, *ss) = forest.left, forest.right
-    labels = [f"right:{v0}|{w0},{s}" for s in ss]
-    labels += [f"left:{v0},{t}|{w}" for t in ts for w in forest.right]
-    columns = [(v0, s) for s in ss] + [(t, w) for t in ts for w in forest.right]
-    return labels, columns
-
-
-def _triangular(rows: list, pres: ModulePresentation, forest: BipartiteForest,
-                spec: Specialization) -> bool:
-    """True when the minor is lower-triangular with a nonzero diagonal."""
-    row_at = {label: i for i, label in enumerate(pres.row_labels)}
-    col_at = {gen: j for j, gen in enumerate(pres.generators)}
-    labels, columns = _minor(forest)
-    position = {col_at[gen]: i for i, gen in enumerate(columns)}
-    for i, label in enumerate(labels):
-        row = rows[row_at[label]]
-        if not _coordinates(row.get(col_at[columns[i]], {}), spec) or any(
-                _coordinates(entry, spec) for j, entry in row.items() if position.get(j, -1) > i):
-            return False
-    return True
+    """u_{v,w} = (phi(v) - 1)(phi(w) - 1) = phi(v)phi(w) - phi(v) - phi(w) + 1
+    for each generator (v, w), as a residue map of at most four terms."""
+    out = []
+    for v, w in generators:
+        (jv, ev), (jw, ew) = spec.images[v], spec.images[w]
+        u = {}
+        for key, c in (((ev + ew, (jv + jw) % spec.order), 1), ((ev, jv), -1), ((ew, jw), -1),
+                       ((0, 0), 1)):
+            u[key] = u.get(key, 0) + c
+        out.append(u)
+    return out
 
 
 def _entry_string(coords: dict) -> str:
@@ -427,10 +406,12 @@ def _entry_string(coords: dict) -> str:
 
 
 class Certificate(Value):
-    """Outcome of the non-finite-generation test for a forest and character.
+    """Outcome of the non-finite-generation test for a forest and character:
+    a rank deficit of the specialized relation matrix, which shows that the
+    module restricted to the kernel of chi is not finitely generated.
 
-    ``rank_method`` says how the rank was proved; ``witness`` holds the
-    ((v, w), entry string) pairs of the verified kernel vector."""
+    ``rank_method`` says how the rank is proved; ``witness`` holds the
+    ((v, w), entry string) pairs of the kernel vector."""
 
     _fields = ("order", "roots", "basepoint_exponents", "generators", "rank", "conclusion",
                "rank_method", "witness")
@@ -449,38 +430,41 @@ class Certificate(Value):
 
 
 def certify_not_finitely_generated(forest: BipartiteForest, chi) -> Certificate:
-    """Rank certificate: with g generators, the specialized relation rank is
-    g - 1 < g, which certifies non-finite generation of the kernel-restricted
-    module.
+    """Rank certificate: with g generators, the specialized relation matrix
+    has rank g - 1 < g, which certifies that the module restricted to the
+    kernel of chi is not finitely generated.
 
-    Two exact checks prove the rank.  The witness u_{v,w} =
-    (phi(v) - 1)(phi(w) - 1) is nonzero and every specialized row kills it
-    (edge rows vanish, difference rows cancel), so r <= g - 1.  The minor of
-    ``_minor`` is lower-triangular with diagonal entries -(phi(w0) - 1) and
-    -(phi(v0) - 1), nonzero since phi(v) = zeta^j * x^chi(v) with
-    chi(v) != 0, so r >= g - 1.  Neither check can fail on a forest and
-    character that ``specialization_data`` accepts; a failure raises
-    RuntimeError naming the check.
+    Two exact checks prove the rank, on every forest and character that
+    ``specialization_data`` accepts; neither can fail there, so neither is
+    run here, and no relation row is built.  The tests run both, on the
+    expanded polynomials of ``tests/specialization_oracle.py``.
 
-    Both checks run on residue maps (see ``Specialization``): the entries,
-    the witness and each row-witness product are formed by adding x
-    exponents and zeta residues mod M, and every zero test (each product,
-    each minor entry, the witness) reduces its map to power-basis
-    coordinates per x exponent, off the field's table of zeta powers.
-    The witness strings are printed from the same coordinates.
+    - The witness u_{v,w} = (phi(v) - 1)(phi(w) - 1) is nonzero and every
+      specialized row kills it, so r <= g - 1.  An edge row
+      1 + phi(v)phi(w) + ... + (phi(v)phi(w))^(m-1) vanishes, since
+      phi(v)phi(w) is a primitive m-th root of unity.  A difference row
+      (phi(t) - 1) f_{v,w} - (phi(v) - 1) f_{t,w} gives
+      (phi(t) - 1)(phi(v) - 1)(phi(w) - 1) twice with opposite signs.
+    - With v0 = left[0] and w0 = right[0], the rows right:v0|w0,s on the
+      columns (v0, s) for s != w0, then the rows left:v0,t|w on the columns
+      (t, w) for t != v0 and every w, form a lower-triangular minor with
+      diagonal entries -(phi(w0) - 1) and -(phi(v0) - 1).  These are
+      nonzero, since phi(v) = zeta^j * x^chi(v) with chi(v) != 0, so
+      r >= g - 1.
+
+    The witness is formed on residue maps (see ``Specialization``) and
+    printed from their power-basis coordinates.  A forest whose g times
+    the field degree is above MAX_CERTIFICATE_SIZE is an InputError, raised
+    before any witness entry is built.
     """
-    pres = forest_presentation(forest)
     spec = specialization_data(forest, chi)
-    rows = _specialized_matrix(pres, spec)
-    witness = _witness(spec, pres.generators)
-    if not _kills(rows, witness, spec):
-        raise RuntimeError("certificate check failed: the witness is not a nonzero kernel vector")
-    if not _triangular(rows, pres, forest, spec):
-        raise RuntimeError(
-            "certificate check failed: the minor is not triangular with a nonzero diagonal")
-    g = len(pres.generators)
+    g = len(forest.left) * len(forest.right)
+    if g * spec.degree > MAX_CERTIFICATE_SIZE:
+        raise InputError(f"the certificate has {g} generators over a field of degree {spec.degree}, "
+                         f"above MAX_CERTIFICATE_SIZE = {MAX_CERTIFICATE_SIZE}")
+    generators = tuple((v, w) for v in forest.left for w in forest.right)
     base_exps = tuple((b, spec.images[b][1]) for b in forest.basepoints)
     report = tuple((gen, _entry_string(_coordinates(u, spec)))
-                   for gen, u in zip(pres.generators, witness))
+                   for gen, u in zip(generators, _witness(spec, generators)))
     return Certificate(spec.order, spec.roots, base_exps, g, g - 1, NOT_FINITELY_GENERATED,
                        WITNESS_MINOR, report)

@@ -1,12 +1,14 @@
 """The specialization by powers of zeta, kept as the oracle for
-``presentations.specialize`` and the certificate kernel.
+``presentations.specialize`` and the certificate.
 
 Each vertex image is the one-term polynomial zeta^j * x^e over the field,
 and ``substitute`` expands a presentation entry by raising those images to
 their powers in the field and multiplying them out.  The certificate is then
 checked on the resulting Laurent polynomials: the witness kills every row
-and the minor is triangular with a nonzero diagonal.  The package reads the
-same specialization off integer exponents and residues mod M; a differential
+and the minor is triangular with a nonzero diagonal.  These two checks are
+the proof of the certificate's rank; the package proves in its docstring
+that they cannot fail and runs neither.  The package reads the same
+specialization off integer exponents and residues mod M; a differential
 test compares the two.  Slow is fine.
 """
 
@@ -18,7 +20,6 @@ from artin_sigma.presentations import (
     NOT_FINITELY_GENERATED,
     WITNESS_MINOR,
     Certificate,
-    _minor,
     forest_presentation,
     specialization_data,
 )
@@ -87,6 +88,7 @@ def witness(images: dict, generators: tuple, domain) -> list:
 
 
 def kills(matrix: PolyMatrix, vector: list, zero: LaurentPoly) -> bool:
+    """True when the vector is nonzero and every row of the matrix kills it."""
     if not any(vector):
         return False
     for row in matrix.entries:
@@ -95,10 +97,23 @@ def kills(matrix: PolyMatrix, vector: list, zero: LaurentPoly) -> bool:
     return True
 
 
+def minor(forest) -> tuple:
+    """Row labels and generators of the g - 1 minor, in order.  With
+    v0 = left[0] and w0 = right[0]: the rows right:v0|w0,s on the columns
+    (v0, s) for s != w0, then the rows left:v0,t|w on the columns (t, w) for
+    t != v0 and every w."""
+    (v0, *ts), (w0, *ss) = forest.left, forest.right
+    labels = [f"right:{v0}|{w0},{s}" for s in ss]
+    labels += [f"left:{v0},{t}|{w}" for t in ts for w in forest.right]
+    columns = [(v0, s) for s in ss] + [(t, w) for t in ts for w in forest.right]
+    return labels, columns
+
+
 def triangular(matrix: PolyMatrix, pres, forest) -> bool:
+    """True when the minor is lower-triangular with a nonzero diagonal."""
     row_at = {label: i for i, label in enumerate(pres.row_labels)}
     col_at = {gen: j for j, gen in enumerate(pres.generators)}
-    labels, columns = _minor(forest)
+    labels, columns = minor(forest)
     cols = [col_at[gen] for gen in columns]
     for i, label in enumerate(labels):
         row = matrix.entries[row_at[label]]

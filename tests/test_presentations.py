@@ -14,6 +14,7 @@ from artin_sigma import (
     InputError,
     LaurentPoly,
     MathError,
+    PolyMatrix,
     QQ,
     certify_not_finitely_generated,
     character,
@@ -40,6 +41,7 @@ from oracles import (
     triangular_minor_holds,
     wedge_presentation,
 )
+import specialization_oracle as oracle
 
 
 def single_edge_forest(m=2):
@@ -478,24 +480,55 @@ def split_cycle_forest(n):
     return BipartiteForest(names[:h], names[h:], ((names[h - 1], names[h], 4), (names[0], names[-1], 4)))
 
 
+def split_values(forest):
+    return {v: 1 for v in forest.left} | {w: -1 for w in forest.right}
+
+
+def refuse(what):
+    def built(*args):
+        raise AssertionError(f"{what} was built")
+    return built
+
+
 def test_oversized_presentations_are_refused_before_building(monkeypatch):
     # C26 has 2030 rows over 169 generators, C80 62402 over 1600; C24's
     # 1586 rows over 144 generators (228,384 entries) pass the check
-    def no_rows(*args):
-        raise AssertionError("a row was built")
-
-    monkeypatch.setattr(presentations, "_cyclotomic_sum_row", no_rows)
+    monkeypatch.setattr(presentations, "_cyclotomic_sum_row", refuse("a row"))
     assert presentations.MAX_RELATION_ENTRIES == 250_000
     for n, rows, gens in ((26, 2030, 169), (80, 62402, 1600)):
-        forest = split_cycle_forest(n)
-        values = {v: 1 for v in forest.left} | {w: -1 for w in forest.right}
         message = f"{rows} rows over {gens} generators, above MAX_RELATION_ENTRIES = 250000"
         with pytest.raises(InputError, match=message):
-            forest_presentation(forest)
-        with pytest.raises(InputError, match=message):
-            certify_not_finitely_generated(forest, values)
+            forest_presentation(split_cycle_forest(n))
     with pytest.raises(AssertionError, match="a row was built"):
         forest_presentation(split_cycle_forest(24))
+
+
+def with_label(forest, label):
+    return BipartiteForest(forest.left, forest.right,
+                           tuple((v, w, label) for v, w, _ in forest.edges))
+
+
+def test_oversized_certificates_are_refused_before_building(monkeypatch):
+    # generators times field degree: C802 has 401^2 = 160,801 generators of
+    # degree 1, C26 at label 1994 169 * 996 = 168,324; C80 (1,600) and C24
+    # at label 1994 (143,424) pass, and the split C80 builds no presentation
+    assert presentations.MAX_CERTIFICATE_SIZE == 160_000
+    with monkeypatch.context() as patch:
+        patch.setattr(presentations, "_witness", refuse("a witness entry"))
+        for forest, gens, degree in ((split_cycle_forest(802), 160801, 1),
+                                     (with_label(split_cycle_forest(26), 1994), 169, 996)):
+            message = (f"{gens} generators over a field of degree {degree}, "
+                       "above MAX_CERTIFICATE_SIZE = 160000")
+            with pytest.raises(InputError, match=message):
+                certify_not_finitely_generated(forest, split_values(forest))
+        c24 = with_label(split_cycle_forest(24), 1994)
+        with pytest.raises(AssertionError, match="a witness entry was built"):
+            certify_not_finitely_generated(c24, split_values(c24))
+    monkeypatch.setattr(presentations, "forest_presentation", refuse("a presentation"))
+    monkeypatch.setattr(presentations, "_cyclotomic_sum_row", refuse("a row"))
+    c80 = split_cycle_forest(80)
+    cert = certify_not_finitely_generated(c80, split_values(c80))
+    assert (cert.rank, cert.generators) == (1599, 1600)
 
 
 def test_split_c24_rows_hold_only_their_nonzero_entries():
@@ -512,12 +545,11 @@ def test_split_c24_rows_hold_only_their_nonzero_entries():
 def test_large_labels_certify_within_budget():
     # label 1994 (M = 997): the digests are of the certificates the
     # zeta-power expansion gave, which took 3.6 s and 9 s of process time
-    c8 = split_cycle_forest(8)
-    c8 = BipartiteForest(c8.left, c8.right, tuple((v, w, 1994) for v, w, _ in c8.edges))
+    c8 = with_label(split_cycle_forest(8), 1994)
     cases = (
         (single_edge_forest(997), {"v": 1, "w": -1}, 0.5,
          "c9e2bbd84e8c41abcc4a3e8dde97f490aa94f22dc082e182253665053f7134d3"),
-        (c8, {v: 1 for v in c8.left} | {w: -1 for w in c8.right}, 2.0,
+        (c8, split_values(c8), 2.0,
          "1e056af2c496cc35545ce1dea32824b3352837f3967f4617ba23c1392b8c3fa4"),
     )
     for forest, values, budget, digest in cases:
@@ -645,59 +677,54 @@ def mixed_forest():
     return forest, {"v": 1, "t": 1, "w": -1, "s": 2}
 
 
-def test_failed_certificate_check_raises_and_names_it(monkeypatch):
-    # neither check can fail on a valid forest; if one does, the certificate
-    # says which, with no fallback
-    forest, chi = mixed_forest()
-    with monkeypatch.context() as patch:
-        patch.setattr(presentations, "_kills", lambda *args: False)
-        with pytest.raises(RuntimeError, match="the witness is not a nonzero kernel vector"):
-            certify_not_finitely_generated(forest, chi)
-    with monkeypatch.context() as patch:
-        patch.setattr(presentations, "_triangular", lambda *args: False)
-        with pytest.raises(RuntimeError, match="the minor is not triangular"):
-            certify_not_finitely_generated(forest, chi)
-    assert certify_not_finitely_generated(forest, chi).rank == 3
+def oracle_matrix(forest, chi):
+    """The presentation, the specialization, the vertex images and the
+    specialized matrix, as ``specialization_oracle`` expands them."""
+    pres = forest_presentation(forest)
+    spec = specialization_data(forest, chi)
+    images = oracle.x_images(spec)
+    return pres, spec, images, oracle.specialized_matrix(pres, images)
 
 
-# zeta^2 - zeta + 1 as a residue map: three nonzero terms, zero at M = 6
-SIXTH_ROOT_ZERO = {(0, 2): 1, (0, 1): -1, (0, 0): 1}
+def sixth_root_zero(field):
+    """y^2 - y + 1 at y = zeta, expanded by the oracle: three nonzero terms
+    whose sum vanishes in Q(zeta_6) and in no other field here."""
+    poly = LaurentPoly(("y",), {(2,): 1, (1,): -1, (0,): 1}, QQ)
+    zeta = LaurentPoly.monomial(field.zeta_power(1), (0,), ("x",), field)
+    return oracle.substitute(poly, {"y": zeta})
 
 
 def test_witness_check_rejects_a_non_kernel_vector():
     forest, chi = mixed_forest()
-    pres = forest_presentation(forest)
-    spec = specialization_data(forest, chi)
-    rows = presentations._specialized_matrix(pres, spec)
-    witness = presentations._witness(spec, pres.generators)
-    zero = {}
-    plus_one = dict(witness[0])
-    plus_one[(0, 0)] = plus_one.get((0, 0), 0) + 1
-    assert presentations._kills(rows, witness, spec)
-    assert not presentations._kills(rows, [zero] * len(witness), spec)
-    assert not presentations._kills(rows, [plus_one] + witness[1:], spec)
-    # the zero test reduces in the field: residue maps that vanish there
-    # are a zero witness
-    assert spec.order == 6 and presentations._coordinates(SIXTH_ROOT_ZERO, spec) == {}
-    assert not presentations._kills(rows, [SIXTH_ROOT_ZERO] * len(witness), spec)
+    pres, spec, images, matrix = oracle_matrix(forest, chi)
+    zero = LaurentPoly.zero(("x",), spec.domain)
+    witness = oracle.witness(images, pres.generators, spec.domain)
+    plus_one = witness[0] + LaurentPoly.constant(spec.domain.one, ("x",), spec.domain)
+    assert oracle.kills(matrix, witness, zero)
+    assert not oracle.kills(matrix, [zero] * len(witness), zero)
+    assert not oracle.kills(matrix, [plus_one] + witness[1:], zero)
+    # the zero test reduces in the field: a polynomial that vanishes there
+    # is a zero witness
+    assert spec.order == 6 and sixth_root_zero(spec.domain).is_zero()
+    assert not sixth_root_zero(CyclotomicField(12)).is_zero()
+    assert not oracle.kills(matrix, [sixth_root_zero(spec.domain)] * len(witness), zero)
 
 
 def test_minor_check_rejects_a_broken_minor():
     forest, chi = mixed_forest()
-    pres = forest_presentation(forest)
-    spec = specialization_data(forest, chi)
-    rows = presentations._specialized_matrix(pres, spec)
-    assert presentations._minor(forest) == (
+    pres, spec, _, matrix = oracle_matrix(forest, chi)
+    assert oracle.minor(forest) == (
         ["right:v|w,s", "left:v,t|w", "left:v,t|s"], [("v", "s"), ("t", "w"), ("t", "s")])
-    assert presentations._triangular(rows, pres, forest, spec)
+    assert oracle.triangular(matrix, pres, forest)
     row = pres.row_labels.index("right:v|w,s")
     col = {gen: j for j, gen in enumerate(pres.generators)}
-    zero, one = {}, {(0, 0): 1}
+    zero = LaurentPoly.zero(("x",), spec.domain)
+    one = LaurentPoly.constant(spec.domain.one, ("x",), spec.domain)
     for j, entry in ((col[("v", "s")], zero), (col[("t", "s")], one), (col[("t", "w")], one),
-                     (col[("v", "s")], SIXTH_ROOT_ZERO)):
-        broken = [dict(r) for r in rows]
+                     (col[("v", "s")], sixth_root_zero(spec.domain))):
+        broken = [r[:] for r in matrix.entries]
         broken[row][j] = entry
-        assert not presentations._triangular(broken, pres, forest, spec)
+        assert not oracle.triangular(PolyMatrix(broken), pres, forest)
 
 
 def test_witness_passes_independent_check():
@@ -728,7 +755,7 @@ def test_minor_passes_independent_check():
     mutated = 0
     for _ in range(2000):
         forest, chi = random_forest_with_character(rng)
-        labels, columns = presentations._minor(forest)
+        labels, columns = oracle.minor(forest)
         g = len(forest.left) * len(forest.right)
         assert len(labels) == len(columns) == g - 1
         minor, is_zero = forest_minor(*forest_args(forest, chi), labels, columns)
