@@ -26,7 +26,7 @@ from .errors import MAX_COEFFICIENT_DIGITS, InputError
 from .graphs import LabeledGraph, full_subgraph, members
 from .value import Value
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?\Z")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?\Z")
 
 
 def parse_rational(text: str) -> Fraction:

@@ -86,9 +86,6 @@ class FreeWord:
     def __hash__(self):
         return hash(self.letters)
 
-    def generators(self) -> set:
-        return {n for n, _ in self.letters}
-
     def __str__(self):
         if not self.letters:
             return "1"
@@ -119,7 +116,7 @@ def parse_word(text: str) -> FreeWord:
         return FreeWord.identity()
     powers = []
     for tok in text.split():
-        m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?", tok)
+        m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?[0-9]+))?", tok)
         if not m:
             raise InputError(f"bad word token {tok!r}")
         try:

@@ -131,18 +131,9 @@ ORDER_KEYS = {"lex": _lex_key, "grevlex": _grevlex_key}
 DEFAULT_ORDER = "grevlex"
 
 
-def _order_key(order):
-    try:
-        return ORDER_KEYS[order]
-    except KeyError:
-        raise InputError(f"unknown monomial order {order!r}") from None
-
-
-def leading_term(f: LaurentPoly, order=DEFAULT_ORDER):
-    if not f.terms:
-        raise InputError("the zero polynomial has no leading term")
-    lm = max(f.terms, key=_order_key(order))
-    return lm, f.terms[lm]
+def _check_order(order):
+    if order not in ORDER_KEYS:
+        raise InputError(f"unknown monomial order {order!r}")
 
 
 # -- packed monomials ---------------------------------------------------------
@@ -294,7 +285,7 @@ def _packed_system(variables, order, domain, systems):
     """Term dicts over one variable list and one domain packed into one
     fitting ring; over GF(p) their coefficients are ints in [0, p), and over
     QQ each packs with its denominators cleared."""
-    _order_key(order)
+    _check_order(order)
     ring = _PackedRing.fitting(variables, order, domain, systems)
     pack = ring.pack
     if domain is not QQ:

@@ -4,6 +4,12 @@ Terms are stored sparsely as a dict mapping exponent tuples (aligned with the
 variable list, negative entries allowed) to nonzero coefficients from one of
 the domains in :mod:`artin_sigma.fields`.
 
+``LaurentPoly`` serves parsing (``parse_poly``) and printing (``to_string``);
+``common_ring``; the abelianization of Fox derivatives behind ``jacobian``;
+the term dicts that enter the Groebner kernels and the bases unpacked from
+them; the specialization and the witness strings of ``presentations``; and
+``linalg``.  It keeps the ring operations and constructors that these use.
+
 >>> p = parse_poly("1+u*v", ("u", "v"))
 >>> q = parse_poly("(u*v)^2 - 1", ("u", "v"))
 >>> print((p * q).to_string())
@@ -62,11 +68,11 @@ class LaurentPoly:
         return cls(variables, {(0,) * len(tuple(variables)): value}, domain)
 
     @classmethod
-    def variable(cls, name, variables, domain=QQ, power=1):
+    def variable(cls, name, variables, domain=QQ):
         variables = tuple(variables)
         if name not in variables:
             raise ValueError(f"unknown variable {name!r}")
-        exps = tuple(power if v == name else 0 for v in variables)
+        exps = tuple(1 if v == name else 0 for v in variables)
         return cls(variables, {exps: domain.one}, domain)
 
     @classmethod
@@ -74,9 +80,6 @@ class LaurentPoly:
         if domain is None:
             domain = _infer_domain(coeff)
         return cls(variables, {tuple(exps): coeff}, domain)
-
-    def _new(self, terms, domain=None):
-        return LaurentPoly(self.variables, terms, domain or self.domain)
 
     # -- structure -----------------------------------------------------
 
@@ -88,13 +91,6 @@ class LaurentPoly:
 
     def is_constant(self) -> bool:
         return not self.terms or set(self.terms) == {(0,) * len(self.variables)}
-
-    def constant_value(self):
-        if not self.terms:
-            return self.domain.zero
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        return self.terms[(0,) * len(self.variables)]
 
     def min_exponents(self):
         """Per-variable minimum exponent over all terms (zero poly -> all 0)."""
@@ -145,7 +141,7 @@ class LaurentPoly:
         return b - a
 
     def __neg__(self):
-        return self._new({e: -c for e, c in self.terms.items()})
+        return LaurentPoly(self.variables, {e: -c for e, c in self.terms.items()}, self.domain)
 
     def __mul__(self, other):
         a, b = self._pair(other)
@@ -198,67 +194,13 @@ class LaurentPoly:
             return self
         return LaurentPoly(self.variables, dict(self.terms), domain)
 
-    def reorder_variables(self, new_variables) -> "LaurentPoly":
-        new_variables = tuple(new_variables)
-        if sorted(new_variables) != sorted(self.variables):
-            raise ValueError("new variable list must be a permutation")
-        perm = [self.variables.index(v) for v in new_variables]
-        terms = {tuple(e[i] for i in perm): c for e, c in self.terms.items()}
-        return LaurentPoly(new_variables, terms, self.domain)
-
-    def extend_variables(self, new_variables) -> "LaurentPoly":
-        new_variables = tuple(new_variables)
-        pos = {}
-        for v in self.variables:
-            if v not in new_variables:
-                raise ValueError(f"variable {v!r} missing from extension")
-            pos[v] = new_variables.index(v)
-        n = len(new_variables)
-        terms = {}
-        for e, c in self.terms.items():
-            out = [0] * n
-            for v, ev in zip(self.variables, e):
-                out[pos[v]] = ev
-            terms[tuple(out)] = c
-        return LaurentPoly(new_variables, terms, self.domain)
-
-    def normalized(self) -> "LaurentPoly":
-        """Multiply by the monomial clearing all negative exponents."""
-        mins = self.min_exponents()
-        shift = tuple(-m if m < 0 else 0 for m in mins)
-        if not any(shift):
-            return self
-        terms = {tuple(x + s for x, s in zip(e, shift)): c for e, c in self.terms.items()}
-        return self._new(terms)
-
-    # -- evaluation ----------------------------------------------------
-
-    def evaluate(self, values: dict):
-        """Evaluate at domain elements; negative exponents invert the value."""
-        dom = self.domain
-        for v in self.variables:
-            if v not in values:
-                raise ValueError(f"no value for variable {v!r}")
-            dom = unify_domains(dom, _infer_domain(values[v]))
-        total = dom.zero
-        for exps, coeff in self.terms.items():
-            acc = dom.coerce(coeff)
-            for v, e in zip(self.variables, exps):
-                if e:
-                    acc = acc * dom.coerce(values[v]) ** e
-            total = total + acc
-        return total
-
     # -- printing ------------------------------------------------------
-
-    def _sorted_exps(self):
-        return sorted(self.terms, reverse=True)
 
     def to_string(self) -> str:
         if not self.terms:
             return "0"
         chunks = []
-        for exps in self._sorted_exps():
+        for exps in sorted(self.terms, reverse=True):
             coeff = self.terms[exps]
             mono = "*".join(
                 v if e == 1 else f"{v}^{e}"
@@ -332,9 +274,10 @@ def common_ring(polys):
 # p^e by the bound taken before expanding: e times log10 of the larger of p's
 # common denominator and the sum of its numerators over it.  A longer number
 # or a larger power is an InputError, as is printing a coefficient (which
-# Buchberger may grow) past the limit.
+# Buchberger may grow) past the limit.  Numbers are read in ASCII digits only,
+# and a zero denominator is an InputError.
 
-_TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_][A-Za-z0-9_]*|\^|\*|\+|\-|\(|\))")
+_TOKEN = re.compile(r"\s*([0-9]+/[0-9]+|[0-9]+|[A-Za-z_][A-Za-z0-9_]*|\^|\*|\+|\-|\(|\))")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -448,8 +391,11 @@ class _PolyParser:
             return p
         if tok == "-":
             return -self.atom()
-        if re.fullmatch(r"\d+/\d+|\d+", tok):
-            value = Fraction(tok)
+        if re.fullmatch(r"[0-9]+/[0-9]+|[0-9]+", tok):
+            try:
+                value = Fraction(tok)
+            except ZeroDivisionError:
+                raise InputError("a number in the polynomial has a zero denominator") from None
             return LaurentPoly.constant(self.domain.coerce(value), self.variables, self.domain)
         if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
             if tok not in self.variables:

@@ -21,7 +21,9 @@ def test_parse_rational():
     assert parse_rational("3") == 3
     assert parse_rational("-1/2") == Fraction(-1, 2)
     assert parse_rational(" 7/3 ") == Fraction(7, 3)
-    for bad in ("1/0", "1.5", "one", "", "1/-2"):
+    # digits are ASCII only, as in labels: int() and Fraction() read any
+    # Unicode decimal digit
+    for bad in ("1/0", "1.5", "one", "", "1/-2", "\u0664", "1/\u0663", "-\u0662"):
         with pytest.raises(InputError):
             parse_rational(bad)
 

@@ -572,6 +572,36 @@ def test_json_output_is_deterministic(tmp_path, capsys):
     assert first == second
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["groebner", "--vars", "x", "--gens", "1/0*x"], "a number in the polynomial has a zero denominator"),
+        (["groebner", "--vars", "x", "--gens", "x^\u0663"], "bad character in polynomial at position 2: '\u0663'"),
+        (["fox", "--word", "a^\u0663", "--gen", "a"], "bad word token 'a^\u0663'"),
+        (["sigma1", "EDGE", "--char", "a=\u0664,b=1"], "bad rational '\u0664' (expected p or p/q with q > 0)"),
+        (["groebner", "--vars", ",", "--gens", "x"], "--vars must name at least one variable"),
+        (["groebner", "--vars", "x", "--gens", ","], "no generators given"),
+        (["kt-certify", "EDGE", "--bipartition", "a/b/c"], "bipartition must be two '/'-separated vertex lists"),
+    ],
+    ids=["zero-denominator", "poly-digit", "word-digit", "char-digit", "no-vars", "no-gens", "three-sides"],
+)
+def test_malformed_numbers_and_lists_are_input_errors(tmp_path, capsys, argv, message):
+    path = graph_file(tmp_path, F3_TEXT)
+    code, out, err = run_cli(capsys, [path if a == "EDGE" else a for a in argv])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "input", "message": message}
+
+
+@pytest.mark.parametrize("text, sides", [(F3_TEXT, ("a", "b")), (F5_TEXT, ("a", "b,c"))], ids=["edge", "path"])
+def test_kt_certify_takes_the_bipartition_sides_in_either_order(tmp_path, capsys, text, sides):
+    # dead_edge_forest puts the side of the graph's first vertex, a, on the left
+    path = graph_file(tmp_path, text)
+    plain, swapped = (run_json(capsys, ["kt-certify", path, "--bipartition", "/".join(order)])["result"]
+                      for order in (sides, sides[::-1]))
+    assert swapped == plain
+    assert plain["conclusion"] == "not_finitely_generated"
+
+
 def test_cli_import_leaves_networkx_unloaded():
     proc = run_python(["-c", "import sys, artin_sigma.cli; print('networkx' in sys.modules)"])
     assert proc.returncode == 0, proc.stderr

@@ -64,6 +64,8 @@ def test_parse_word_rejects_garbage():
         parse_word("x**2")
     with pytest.raises(InputError):
         parse_word("3x")
+    with pytest.raises(InputError, match="bad word token"):
+        parse_word("x^\u0663")  # a non-ASCII digit, which int() would read
 
 
 @pytest.mark.parametrize(

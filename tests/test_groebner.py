@@ -21,7 +21,7 @@ from artin_sigma import (
     unit_ideal_mod_p,
 )
 from artin_sigma.fields import FpElement
-from artin_sigma.groebner import ORDER_KEYS, leading_term, s_polynomial, saturation_variable
+from artin_sigma.groebner import ORDER_KEYS, s_polynomial, saturation_variable
 from oracles import fraction_rank, poly_gcd_univariate
 
 UV = ("u", "v")
@@ -31,14 +31,6 @@ UVSW = ("u", "v", "s", "w")
 
 def P(text, variables=UV):
     return parse_poly(text, variables, QQ)
-
-
-def test_leading_term_orders():
-    f = P("u^2 + u*v^2")
-    assert leading_term(f, "lex") == ((2, 0), Fraction(1))
-    assert leading_term(f, "grevlex") == ((1, 2), Fraction(1))
-    with pytest.raises(InputError, match="zero polynomial"):
-        leading_term(LaurentPoly.zero(UV))
 
 
 def test_reduce_poly():
@@ -189,8 +181,7 @@ def test_basis_is_interreduced_and_monic():
     gens = [P("2*u^2 + 2*v"), P("3*u*v - 3")]
     basis = buchberger(gens)
     for b in basis:
-        _, lc = leading_term(b)
-        assert lc == 1
+        assert b.terms[max(b.terms, key=ORDER_KEYS["grevlex"])] == 1
     for i, b in enumerate(basis):
         others = basis[:i] + basis[i + 1:]
         if others:
@@ -626,19 +617,25 @@ def test_packed_monomials_agree_with_their_definition(order):
     # a pair's first step, the S-polynomial, spills
     ("lex", ("x^16 - y", "y^16 - z", "x*z - 1"), ("_pair_loop", "_divide", True)),
     # the lcm of a new pair spills
-    ("grevlex", ("x^200*y - z", "x*y^200 - 1"), ("update", "lcm", False)),
+    ("grevlex", ("x^200*y - z", "x*y^200 - 1"), ("update", "lcm", None)),
     # interreduction spills, in reduce_poly: coprime leading monomials, so no
     # pair is formed
     ("lex", ("z - x^16", "x - y^16"), ("reduce_poly", "_divide", False)),
+    # a pair's division spills on entry, before any term is reduced: under lex
+    # the term of highest degree (x^3*y^100) is not the leading term (x^4*y),
+    # and the shift takes it past the width
+    ("lex", ("x^3*y^92 + x^2*y^80", "x^4*y + x^3*y^100 - x*y^98"), ("_pair_loop", "_divide", None)),
 ], ids=[
-    # the reduction, the S-polynomial, the pair update and reduce_poly
+    # the reduction, the S-polynomial, the pair update, reduce_poly and the
+    # entry of a pair's division
     "lex-gens0-reduce_poly", "lex-gens1-s_polynomial", "grevlex-gens2-_pair_loop",
-    "lex-gens3-reduce_poly",
+    "lex-gens3-reduce_poly", "lex-gens4-_divide_entry",
 ])
 def test_degree_past_the_initial_width_repacks_and_matches_sympy(monkeypatch, order, gens, path):
     # path: the function that catches the first spill (for _widening, the
     # retry loop of the library kernels, its caller), the one that raises it,
-    # and whether the term being reduced is the pair's lcm (the first step)
+    # and whether the term being reduced is the pair's lcm (the first step),
+    # None when no term is being reduced
     sympy = pytest.importorskip("sympy")
     widened = []
     original = groebner._PackedRing.wider
@@ -646,7 +643,8 @@ def test_degree_past_the_initial_width_repacks_and_matches_sympy(monkeypatch, or
     def wider(ring):
         frames = [frame for frame, _ in traceback.walk_tb(sys.exc_info()[2])]
         caught, raised = frames[0], frames[-1]
-        first = "lm" in raised.f_locals and raised.f_locals["lm"] == caught.f_locals.get("lcm")
+        lm = raised.f_locals.get("lm")
+        first = None if lm is None else lm == caught.f_locals.get("lcm")
         if caught.f_code.co_name == "_widening":
             caught = caught.f_back
         widened.append((caught.f_code.co_name, raised.f_code.co_name, first))
@@ -674,11 +672,15 @@ def _saturated_flag(gens):
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return False
-    variables = gens[0].variables
-    ext = variables + ("t",)
+    ext = gens[0].variables + ("t",)
     domain = gens[0].domain
+    cleared = []
+    for g in gens:
+        low = [min(0, *column) for column in zip(*g.terms)]
+        cleared.append(LaurentPoly(ext, {tuple(x - m for x, m in zip(e, low)) + (0,): c
+                                         for e, c in g.terms.items()}, domain))
     sat = LaurentPoly(ext, {(0,) * len(ext): 1, (1,) * len(ext): -1}, domain)
-    basis = buchberger([g.normalized().extend_variables(ext) for g in gens] + [sat])
+    basis = buchberger(cleared + [sat])
     return len(basis) == 1 and basis[0].is_constant()
 
 

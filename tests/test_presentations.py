@@ -12,6 +12,7 @@ from artin_sigma import (
     BipartiteForest,
     CyclotomicField,
     InputError,
+    LabeledGraph,
     LaurentPoly,
     MathError,
     PolyMatrix,
@@ -20,6 +21,7 @@ from artin_sigma import (
     character,
     dead_edge_forest,
     dead_edges,
+    decide_sigma1,
     forest_presentation,
     matrix_rank,
     parse_graph,
@@ -811,3 +813,44 @@ def test_forest_vertices_must_be_graph_names():
     assert forest.basepoints == ("a", "c", "e")
     moved = forest.with_basepoints(("e", "d", "b"))
     assert moved.basepoints == ("b", "d", "e")
+
+
+# ---------------------------------------------------------------------------
+# sigma1 against kt-certify
+
+
+def test_a_certificate_never_meets_an_in_verdict_and_backs_every_theorem_a():
+    # Full-support characters on seeded even graphs, each living component
+    # tried against the rest as kt-certify's bipartition.  sigma1 must not
+    # answer "in" beside a certificate; and under the hypothesis the crossing
+    # dead edges form a forest, so every theorem_a verdict has one.
+    rng = random.Random(2009)
+    verdicts = {"in": 0, "theorem_a": 0, "certified": 0}
+    for _ in range(600):
+        names = tuple(f"g{i}" for i in range(rng.randint(3, 7)))
+        edges = tuple((u, v, rng.choice((2, 4, 4, 6))) for u, v in combinations(names, 2)
+                      if rng.random() < 0.6)
+        graph = LabeledGraph(names, edges)
+        for _ in range(5):
+            chi = character(graph, {v: rng.choice((1, -1, 2, -2)) for v in names})
+            verdict = decide_sigma1(chi)
+            certified = False
+            for comp in connected_components(living_subgraph(chi)):
+                rest = tuple(v for v in names if v not in comp)
+                if not rest:  # the living subgraph is connected
+                    break
+                try:
+                    certify_not_finitely_generated(dead_edge_forest(chi, (comp, rest)), chi)
+                except MathError:  # the crossing dead edges hold a cycle
+                    continue
+                certified = True
+                break
+            assert not (certified and verdict.status == "in"), (edges, chi.entries)
+            if verdict.provenance == "theorem_a":
+                assert verdict.diagnostics.even and verdict.diagnostics.hypothesis_holds
+                assert certified, (edges, chi.entries)
+                verdicts["theorem_a"] += 1
+            verdicts["in"] += verdict.status == "in"
+            verdicts["certified"] += certified
+    # neither assertion holds vacuously
+    assert verdicts["in"] > 1000 and verdicts["theorem_a"] > 300 and verdicts["certified"] > 900, verdicts
