@@ -411,9 +411,26 @@ def _reach(adj: dict, start, idx: dict):
     return dist, shortest
 
 
-def _closed_path(adj: dict, start, dist: dict, length: int, idx: dict):
+MAX_CYCLE_SEARCH_STEPS = 2_000_000
+"""Most steps one ``hypothesis_witness`` call may take in its length-bounded
+searches, a step being one turn of the search loop: the path takes a vertex
+or drops its last one.  A call that needs more raises an InputError naming
+this limit.  The search is exponential on some graphs.  In ``simple-cycle``
+mode, on a ring of k label-4 triangles (the k-cycle with a path of two
+edges beside each edge, vertices declared around the ring), it takes 70,011
+steps at k = 21, 469,301 at k = 27, 1,620,719 at k = 31 and 1,723,509 at
+k = 32 (each at most about 0.6 s of CPU on a shared 2-core x86 box with
+Python 3.11), so these pass; k = 33 needs 2,995,533 and k = 34 3,176,008,
+and both are refused.  The 200-cycle takes 199 steps in either mode, and no
+golden case more than 9."""
+
+
+def _closed_path(adj: dict, start, dist: dict, length: int, idx: dict, budget: int):
     """The first cycle of exactly ``length`` vertices through ``start`` whose
-    other vertices have higher index, or None.
+    other vertices have higher index, or None; and what is left of
+    ``budget``, the steps the search may take (see
+    ``MAX_CYCLE_SEARCH_STEPS``).  A search that runs past it raises an
+    InputError.
 
     Neighbours are tried in index order, so the first closed path is the
     least index list.  It is in canonical rotation: ``start`` is its smallest
@@ -427,7 +444,11 @@ def _closed_path(adj: dict, start, dist: dict, length: int, idx: dict):
     frames = [iter(adj[start])]
     while frames:
         if len(path) == length:
-            return tuple(path)
+            return tuple(path), budget
+        budget -= 1
+        if budget < 0:
+            raise InputError("the witness cycle search would take more than "
+                             f"MAX_CYCLE_SEARCH_STEPS = {MAX_CYCLE_SEARCH_STEPS} steps")
         for w in frames[-1]:
             if idx[w] > idx[start] and w not in on_path and dist[w] <= length - len(path):
                 path.append(w)
@@ -437,7 +458,7 @@ def _closed_path(adj: dict, start, dist: dict, length: int, idx: dict):
         else:
             frames.pop()
             on_path.discard(path.pop())
-    return None
+    return None, budget
 
 
 def hypothesis_witness(graph: LabeledGraph, mode: str = SIMPLE_CYCLE):
@@ -451,6 +472,8 @@ def hypothesis_witness(graph: LabeledGraph, mode: str = SIMPLE_CYCLE):
     Only the edges of failing blocks are searched: every simple cycle lies
     in one block.  Lengths are tried in increasing order, from the shortest
     cycle through any start vertex, each by a search bounded by that length.
+    The searches together may take at most ``MAX_CYCLE_SEARCH_STEPS``
+    steps; past that the call raises an InputError.
     """
     failing = _failing_blocks(graph, mode)
     if not failing:
@@ -469,10 +492,11 @@ def hypothesis_witness(graph: LabeledGraph, mode: str = SIMPLE_CYCLE):
         lengths = range(max(4, low + low % 2), len(adj) + 1, 2)
     else:
         lengths = range(low, len(adj) + 1)
+    budget = MAX_CYCLE_SEARCH_STEPS
     for length in lengths:
         for start, dist, shortest in searches:
             if shortest <= length:
-                cycle = _closed_path(adj, start, dist, length, idx)
+                cycle, budget = _closed_path(adj, start, dist, length, idx, budget)
                 if cycle:
                     return cycle
     return None

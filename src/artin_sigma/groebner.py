@@ -22,8 +22,7 @@ fields C - x_i make a larger x_n lose a grevlex tie, as its key -x_n says.
 With the offset Z (C in every complemented field; 0 for lex), a product is
 a + b - Z and a quotient a - b + Z, and b divides a iff that quotient has no
 guard bit set.  A product whose degree exceeds C sets a guard bit (every
-exponent is at most the degree); that is a spill, and the polynomials are
-repacked with twice the width and the step run again.
+exponent is at most the degree); that is a spill.
 
 The lcm of two packed monomials is packed too, for both orders
 (``_PackedRing.lcm``).  XOR with Z makes every exponent field plain; then
@@ -36,7 +35,7 @@ deg a + deg b - deg gcd: deg gcd is at most min(deg a, deg b) <= C, so one
 multiplication by an int with a 1 at the foot of each exponent field sums
 them into one field with no carry.  A degree past C raises a spill, as
 ``pack`` does.  So the pair update never unpacks a monomial: only
-``to_poly`` and ``repack`` do.
+``to_poly`` does.
 
 Division takes each leading term from a max-heap of the dividend's packed
 monomials (lazy deletion), so no term is re-keyed on a division step
@@ -44,21 +43,30 @@ monomials (lazy deletion), so no term is re-keyed on a division step
 2011).  Reading each leading term as max(work), with no heap, measured as no
 gain on the ``algebra-evidence`` systems and 1-2% slower on the label-6
 five-cycle, whose dividends are long; it also makes a division quadratic in
-the dividend's length, so the heap stays.  Term dicts are packed once on
-entry (``_packed_system``) and the reduced basis unpacked once on exit.
-``s_polynomial`` and ``reduce_poly`` are library entry points on
-``LaurentPoly``s, which must share one variable list
+the dividend's length, so the heap stays.
+
+Every entry point runs its kernel through one runner, ``_run``: it packs
+the term dicts once, into the ring whose capacity is at least twice every
+input degree, and the kernel unpacks its answer once on exit.  The kernels
+(the pair loop, its update, ``_divide`` and interreduction) raise a spill
+and never catch one; ``_run`` alone does, packs the same term dicts with
+fields twice as wide and reruns the kernel from the start.  Packed
+comparisons do not depend on the width, so the rerun forms the pairs the
+spilled run formed and gives the answer it would have given.  No golden,
+benchmark or CI system of the package spills at the fitting width, and
+packing every system wide from the start measured about 4% slower, so the
+width stays adaptive.  ``s_polynomial`` and ``reduce_poly`` are library
+entry points on ``LaurentPoly``s, which must share one variable list
 (``laurent.common_ring``; a second list is an ``InputError``); the pair
-loop calls neither, and ``reduce_poly`` also takes the packed polynomials
-that interreduction hands it.
+loop and interreduction call neither.
 
 Packed coefficients are ints over QQ and GF(p), and field elements over
 QQ(zeta_M).  A packed polynomial is its terms over a positive int ``den``,
 which is 1 but over QQ: a QQ generator packs with its denominators cleared,
 and "monic" over QQ means primitive with a positive leading coefficient,
 with that coefficient as ``den``.  There is one division kernel,
-``_divide``, which ``s_polynomial``, ``reduce_poly`` and the pair loop all
-call.  It reduces by a table of reducer rows, each a divisor's ``lead``
+``_divide``, which ``s_polynomial``, ``reduce_poly``, the pair loop and
+interreduction all call.  It reduces by a table of reducer rows, each a divisor's ``lead``
 (leading monomial and coefficient, tail, top-degree term), tried in table
 order; given a first row, it reduces the leading term by that one first,
 and that first step on x^(L - lm f) * f by g is the S-polynomial of f and
@@ -80,9 +88,9 @@ updates them as Gebauer and Moller do ("On an installation of Buchberger's
 algorithm", JSC 6, 1988): criteria M and F and the product criterion prune
 the new pairs, and criterion B the old ones.  It keeps one reducer table,
 the rows of its basis in index order, which gains a row with each new
-element and is rebuilt only when the ring widens, and it divides each pair
-(i, j) in one ``_divide`` call: x^(L - lm_i) * g_i, first by g_j (the
-S-polynomial) and then, on the same heap and term dict, by the table.
+element and is never rebuilt, and it divides each pair (i, j) in one
+``_divide`` call: x^(L - lm_i) * g_i, first by g_j (the S-polynomial) and
+then, on the same heap and term dict, by the table.
 That is the remainder of the S-polynomial divided by the basis, so the
 pairs formed and the bases are those of an S-polynomial step followed by a
 full division.  A packed polynomial's ``lead`` row is built with it, once,
@@ -138,7 +146,7 @@ def _check_order(order):
 
 # -- packed monomials ---------------------------------------------------------
 
-# a ring packs degrees up to at least 2**8 - 1 before its first repack
+# a ring packs degrees up to at least 2**8 - 1
 _MIN_WIDTH = 8
 
 
@@ -192,9 +200,6 @@ class _PackedRing:
         degree = max(map(sum, exps), default=0)
         return cls(variables, order, domain, max(_MIN_WIDTH, (2 * degree).bit_length()))
 
-    def wider(self) -> "_PackedRing":
-        return _PackedRing(self.variables, self.order, self.domain, 2 * self.width)
-
     def pack(self, exps) -> int:
         if sum(exps) > self.cap:
             raise _Spill
@@ -227,10 +232,6 @@ class _PackedRing:
         else:
             terms = {unpack(m): Fraction(c, den) if den != 1 else c for m, c in p.terms.items()}
         return LaurentPoly(self.variables, terms, self.domain)
-
-    def repack(self, p: "_Packed") -> "_Packed":
-        unpack = p.ring.unpack
-        return _Packed(self, {self.pack(unpack(m)): c for m, c in p.terms.items()}, p.den)
 
 
 class _Packed:
@@ -271,34 +272,36 @@ class _Packed:
         return _Packed(ring, {lm: lc, **dict(tail)}, lc if ring.domain is QQ else 1, (lm, lc, tail, top))
 
 
-def _widening(kernel, polys):
-    """kernel(polys) in their one ring; after a spill, repack wider and rerun."""
-    while True:
-        try:
-            return kernel(polys)
-        except _Spill:
-            ring = polys[0].ring.wider()
-            polys = [ring.repack(p) for p in polys]
-
-
-def _packed_system(variables, order, domain, systems):
-    """Term dicts over one variable list and one domain packed into one
-    fitting ring; over GF(p) their coefficients are ints in [0, p), and over
-    QQ each packs with its denominators cleared."""
-    _check_order(order)
-    ring = _PackedRing.fitting(variables, order, domain, systems)
+def _pack(ring, systems):
+    """Term dicts packed into ring; over GF(p) their coefficients are ints in
+    [0, p), and over QQ each packs with its denominators cleared."""
     pack = ring.pack
-    if domain is not QQ:
+    if ring.domain is not QQ:
         return [_Packed(ring, {pack(e): c for e, c in t.items()}) for t in systems]
     dens = [lcm(*(c.denominator for c in t.values())) for t in systems]
     return [_Packed(ring, {pack(e): c.numerator * (den // c.denominator) for e, c in t.items()}, den)
             for t, den in zip(systems, dens)]
 
 
+def _run(kernel, order, domain, variables, systems):
+    """kernel(packed), for packed the term dicts systems over one domain and
+    one variable list, packed into the fitting ring.  The one place a spill
+    is caught (see the module docstring): the same term dicts are packed with
+    fields twice as wide and the kernel reruns from the start.  A kernel
+    returns no packed polynomial."""
+    _check_order(order)
+    ring = _PackedRing.fitting(variables, order, domain, systems)
+    while True:
+        try:
+            return kernel(_pack(ring, systems))
+        except _Spill:
+            ring = _PackedRing(variables, order, domain, 2 * ring.width)
+
+
 def _term_dicts(polys):
     """The variable list and domain of LaurentPolys (see ``common_ring``) and
-    their term dicts, with coefficients as ``_packed_system`` takes them:
-    over GF(p) each is read as its int in [0, p)."""
+    their term dicts, with coefficients as ``_pack`` takes them: over GF(p)
+    each is read as its int in [0, p)."""
     variables, domain, polys = common_ring(polys)
     systems = [p.terms for p in polys]
     if isinstance(domain, PrimeField):
@@ -306,11 +309,11 @@ def _term_dicts(polys):
     return variables, domain, systems
 
 
-def _packed_inputs(polys, order):
-    """LaurentPolys over one variable list (none for no polynomials), packed
-    into one fitting ring."""
+def _run_on(kernel, polys, order):
+    """``_run`` on LaurentPolys over one variable list (none for no
+    polynomials)."""
     variables, domain, systems = _term_dicts(polys)
-    return _packed_system(variables or (), order, domain, systems)
+    return _run(kernel, order, domain, variables or (), systems)
 
 
 def _divide(f, table, first=None, shift=0):
@@ -371,43 +374,36 @@ def _divide(f, table, first=None, shift=0):
     return _Packed(f.ring, rem, den)
 
 
-def _remainder(polys):
-    """polys[0] modulo polys[1:], all in one ring, the divisors monic but
-    over QQ."""
-    return _divide(polys[0], [g.lead for g in polys[1:]])
+def _remainder(packed):
+    """packed[0] modulo packed[1:], unpacked: the divisors are made monic,
+    and over QQ the fraction-free remainder's scale is divided out."""
+    f, *basis = packed
+    r = _divide(f, [g.monic().lead for g in basis if g.terms])
+    return r.ring.to_poly(r)
 
 
-def _s_kernel(polys):
-    """The S-polynomial of f and g, in one ring and monic but over QQ, where
-    it is a positive multiple, with lcm(lc f, lc g) in ``den``."""
-    f, g = polys
-    return _divide(f, (), g.lead, f.ring.lcm(f.lead[0], g.lead[0]) - f.lead[0])
+def _s_kernel(packed):
+    """The S-polynomial of packed f and g, unpacked."""
+    if not all(p.terms for p in packed):
+        raise InputError("the zero polynomial has no S-polynomial")
+    f, g = (p.monic() for p in packed)
+    s = _divide(f, (), g.lead, f.ring.lcm(f.lead[0], g.lead[0]) - f.lead[0])
+    return s.ring.to_poly(s)
 
 
 def reduce_poly(f, basis, order=DEFAULT_ORDER):
-    """Normal form of f modulo the basis (full multivariate division).
+    """Normal form of the LaurentPoly f modulo the LaurentPolys basis (full
+    multivariate division).
 
-    Takes LaurentPolys and returns one, or takes packed polynomials in one
-    ring with a monic basis (as ``_interreduced`` calls it), whose order is
-    then used, and returns a packed remainder, in a wider ring after a
-    spill; over QQ that remainder is a positive multiple of the true one,
-    which ``to_poly`` divides out.  The division runs on a private copy of
-    f's terms; neither f nor any basis element is modified.
+    The division runs on a private copy of f's terms; neither f nor any
+    basis element is modified.
     """
-    if isinstance(f, _Packed):
-        return _widening(_remainder, [f, *basis])
-    packed = _packed_inputs([f, *basis], order)
-    r = _widening(_remainder, [packed[0]] + [g.monic() for g in packed[1:] if g.terms])
-    return r.ring.to_poly(r)
+    return _run_on(_remainder, [f, *basis], order)
 
 
 def s_polynomial(f, g, order=DEFAULT_ORDER):
     """S-polynomial of the LaurentPolys f and g."""
-    packed = _packed_inputs([f, g], order)
-    if not all(p.terms for p in packed):
-        raise InputError("the zero polynomial has no S-polynomial")
-    s = _widening(_s_kernel, [p.monic() for p in packed])
-    return s.ring.to_poly(s)
+    return _run_on(_s_kernel, [f, g], order)
 
 
 def _is_one(p: _Packed) -> bool:
@@ -444,9 +440,9 @@ def _pair_loop(basis):
     """Buchberger's pair loop on monic packed polynomials in one ring.
 
     Returns a Groebner basis of their ideal, monic but neither minimal nor
-    interreduced, in the ring the loop ended in; or, as soon as a constant
-    turns up (an input generator included, before any pair is formed),
-    just that constant.
+    interreduced, in their ring; or, as soon as a constant turns up (an
+    input generator included, before any pair is formed), just that
+    constant.
 
     Pairs pop in (packed lcm, i, j) order.  Adding element t updates the
     pairs as Gebauer and Moller do ("On an installation of Buchberger's
@@ -460,36 +456,24 @@ def _pair_loop(basis):
     does, in index order.
 
     The reducer table holds the ``lead`` rows of the basis in index order;
-    it gains a row with each element and is rebuilt only when the ring
-    widens.  A pair (i, j) is one ``_divide`` call: x^(L - lm_i) * g_i,
-    reduced first by g_j, which forms the S-polynomial, and on by the table.
+    it gains a row with each element and is never rebuilt.  A pair (i, j)
+    is one ``_divide`` call: x^(L - lm_i) * g_i, reduced first by g_j, which
+    forms the S-polynomial, and on by the table.  A spill, in the pair
+    update's lcm or in a division, propagates to ``_run``.
     """
     for b in basis:
         if _is_one(b):
             return [b]
     ring = basis[0].ring
+    offset, guards, lcm_of = ring.offset, ring.guards, ring.lcm
     table = [b.lead for b in basis]
     active = []  # in index order
     queue = []
 
-    def widen():
-        # repacking preserves the order, so the queue is still a heap
-        nonlocal ring, basis, table, queue
-        ring = ring.wider()
-        basis = [ring.repack(b) for b in basis]
-        table = [b.lead for b in basis]
-        queue = [(ring.lcm(table[i][0], table[j][0]), i, j) for _, i, j in queue]
-
     def update(t):
         nonlocal active, queue
-        while True:
-            lt = table[t][0]
-            try:
-                new = sorted([(ring.lcm(table[i][0], lt), i) for i in active])
-                break
-            except _Spill:
-                widen()
-        offset, guards, lcm_of = ring.offset, ring.guards, ring.lcm
+        lt = table[t][0]
+        new = sorted([(lcm_of(table[i][0], lt), i) for i in active])
         with_t = {i: lcm for lcm, i in new}
 
         def t_keeps(k, lcm):
@@ -519,12 +503,7 @@ def _pair_loop(basis):
         update(t)
     while queue:
         lcm, i, j = heappop(queue)
-        try:
-            r = _divide(basis[i], table, table[j], lcm - table[i][0])
-        except _Spill:
-            heappush(queue, (lcm, i, j))
-            widen()
-            continue
+        r = _divide(basis[i], table, table[j], lcm - table[i][0])
         if not r.terms:
             continue
         r = r.monic()
@@ -566,11 +545,7 @@ def _interreduced(basis):
     # primitive again before it reduces the larger elements
     reduced = minimal[:1]
     for p in minimal[1:]:
-        p = reduce_poly(p if p.ring is ring else ring.repack(p), reduced).monic()
-        if p.ring is not ring:
-            ring = p.ring
-            reduced = [ring.repack(q) for q in reduced]
-        reduced.append(p)
+        reduced.append(_divide(p, [q.lead for q in reduced]).monic())
     return [ring.to_poly(p) for p in reduced]
 
 
@@ -589,10 +564,13 @@ def _reduced_basis(packed):
 
 def buchberger(gens, order=DEFAULT_ORDER) -> list[LaurentPoly]:
     """Reduced Groebner basis (monic, sorted by leading monomial)."""
-    return _reduced_basis(_packed_inputs(gens, order))
+    return _run_on(_reduced_basis, gens, order)
 
 
-def _is_unit(basis) -> bool:
+def _is_unit(packed) -> bool:
+    """Whether the pair loop on packed polynomials in one ring meets a
+    nonzero constant."""
+    basis = _groebner_basis(packed)
     return len(basis) == 1 and _is_one(basis[0])
 
 
@@ -601,7 +579,7 @@ def is_unit_ideal(gens, order=DEFAULT_ORDER) -> bool:
 
     The pair loop stops at the first constant, and nothing is interreduced.
     """
-    return _is_unit(_groebner_basis(_packed_inputs(gens, order)))
+    return _run_on(_is_unit, gens, order)
 
 
 def saturation_variable(variables) -> str:
@@ -675,12 +653,12 @@ def _lattice_unit(systems, prime=None):
     return False, None
 
 
-def _saturated(variables, order, domain, systems):
-    """The saturated system of Laurent generators, packed over variables +
-    (t_aux,): each of the term dicts ``systems`` (nonzero, coefficients as
-    ``_packed_system`` takes them) times the monomial that clears its
-    negative exponents, with a zero exponent of t_aux appended, and then
-    1 - t_aux * x_1 * ... * x_n."""
+def _saturated(variables, domain, systems):
+    """The saturated system of Laurent generators: its variable list,
+    variables + (t_aux,), and its term dicts, each of the term dicts
+    ``systems`` (nonzero, coefficients as ``_pack`` takes them) times the
+    monomial that clears its negative exponents, with a zero exponent of
+    t_aux appended, and then 1 - t_aux * x_1 * ... * x_n."""
     cleared = []
     for terms in systems:
         low = [min(0, *column) for column in zip(*terms)]
@@ -688,7 +666,7 @@ def _saturated(variables, order, domain, systems):
     n = len(variables) + 1
     p = domain.p if isinstance(domain, PrimeField) else None
     cleared.append({(0,) * n: 1 if p else domain.one, (1,) * n: p - 1 if p else domain.coerce(-1)})
-    return _packed_system(variables + (saturation_variable(variables),), order, domain, cleared)
+    return variables + (saturation_variable(variables),), cleared
 
 
 def laurent_unit_report(gens, order=DEFAULT_ORDER):
@@ -719,7 +697,7 @@ def laurent_unit_report(gens, order=DEFAULT_ORDER):
             at = dict(zip(positions, value))
             value = [at.get(i, 0) for i in range(len(terms))]
         return True, [one], aux, "lattice", {kind: value}
-    basis = _reduced_basis(_saturated(variables, order, domain, systems))
+    basis = _run(_reduced_basis, order, domain, *_saturated(variables, domain, systems))
     if decided is not None:
         return False, basis, aux, "lattice", None
     return len(basis) == 1 and basis[0].is_constant(), basis, aux, "buchberger", None
@@ -763,9 +741,8 @@ def unit_ideal_mod_p(gens, prime: int, laurent: bool = True) -> bool:
     field = PrimeField(prime)
     systems = [t for g in polys if (t := {e: r for e, c in g.terms.items() if (r := _residue(c, field))})]
     if not laurent:
-        return bool(systems) and _is_unit(_groebner_basis(
-            _packed_system(variables, DEFAULT_ORDER, field, systems)))
+        return bool(systems) and _run(_is_unit, DEFAULT_ORDER, field, variables, systems)
     decided = _lattice_unit(systems, prime)
     if decided is not None:
         return decided[0]
-    return _is_unit(_groebner_basis(_saturated(variables, DEFAULT_ORDER, field, systems)))
+    return _run(_is_unit, DEFAULT_ORDER, field, *_saturated(variables, field, systems))

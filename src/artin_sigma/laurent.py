@@ -277,7 +277,8 @@ def common_ring(polys):
 # Buchberger may grow) past the limit.  Numbers are read in ASCII digits only,
 # and a zero denominator is an InputError.
 
-_TOKEN = re.compile(r"\s*([0-9]+/[0-9]+|[0-9]+|[A-Za-z_][A-Za-z0-9_]*|\^|\*|\+|\-|\(|\))")
+_IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_]*"
+_TOKEN = re.compile(rf"\s*([0-9]+/[0-9]+|[0-9]+|{_IDENTIFIER}|\^|\*|\+|\-|\(|\))")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -323,6 +324,9 @@ class _PolyParser:
     def __init__(self, text: str, variables, domain):
         self.variables = tuple(variables)
         for i, name in enumerate(self.variables):
+            if not re.fullmatch(_IDENTIFIER, name):
+                raise InputError(f"variable name {name!r} is not an identifier "
+                                 "(ASCII letters, digits and _, not starting with a digit)")
             if name in self.variables[:i]:
                 raise InputError(f"variable {name!r} is declared twice")
         self.tokens = _tokenize(text)
@@ -397,7 +401,7 @@ class _PolyParser:
             except ZeroDivisionError:
                 raise InputError("a number in the polynomial has a zero denominator") from None
             return LaurentPoly.constant(self.domain.coerce(value), self.variables, self.domain)
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
+        if re.fullmatch(_IDENTIFIER, tok):
             if tok not in self.variables:
                 raise InputError(f"unknown variable {tok!r} (declared: {', '.join(self.variables)})")
             return LaurentPoly.variable(tok, self.variables, self.domain)
@@ -406,7 +410,8 @@ class _PolyParser:
 
 def parse_poly(text: str, variables, domain=QQ) -> LaurentPoly:
     """Parse ``1 + s*u + (s*u)^2``-style syntax into a LaurentPoly.  A
-    variable list that names one variable twice is an InputError.
+    variable list that names one variable twice, or a name the tokenizer
+    would not read as one identifier, is an InputError.
 
     >>> parse_poly("(a*b)^2 - a^2*b", ("a", "b")).to_string()
     'a^2*b^2 - a^2*b'

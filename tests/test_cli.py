@@ -10,6 +10,7 @@ import time
 import pytest
 
 import artin_sigma
+import artin_sigma.graphs as graphs
 from artin_sigma import cli, parse_poly
 from artin_sigma.cli import main
 
@@ -438,6 +439,13 @@ def test_groebner_refuses_a_repeated_variable(capsys, extra):
     assert json.loads(err) == {"error": "input", "message": "variable 'x' is declared twice"}
 
 
+def test_groebner_refuses_a_variable_name_that_is_not_an_identifier(capsys):
+    code, out, err = run_cli(capsys, ["groebner", "--vars", "x*y", "--gens", "x*y - 1"])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "input", "message": "variable name 'x*y' is not an identifier "
+                               "(ASCII letters, digits and _, not starting with a digit)"}
+
+
 def test_groebner_non_unit(capsys):
     blob = run_json(
         capsys, ["groebner", "--vars", "x,y", "--gens", "x^2-y", "y^2-1"]
@@ -631,6 +639,21 @@ def test_graph_commands_refuse_a_label_past_the_digit_limit(tmp_path, capsys, co
     # a label of exactly that many digits is read
     path = graph_file(tmp_path, "v a\nv b\ne a b " + "9" * 4300 + "\n")
     assert run_json(capsys, ["hypothesis", path])["result"]["holds"] is True
+
+
+def test_hypothesis_refuses_a_witness_search_past_its_step_budget(tmp_path, capsys, monkeypatch):
+    # the ring of 5 label-4 triangles: the search for its even cycle of 6
+    # takes 73 steps, past a budget of 72
+    path = tmp_path / "ring5.artin"
+    path.write_text("".join(f"v c{i}\nv a{i}\n" for i in range(5)) + "".join(
+        f"e c{i} c{(i + 1) % 5} 4\ne c{i} a{i} 4\ne a{i} c{(i + 1) % 5} 4\n" for i in range(5)))
+    assert len(run_json(capsys, ["hypothesis", str(path)])["result"]["witness_cycle"]) == 6
+    monkeypatch.setattr(graphs, "MAX_CYCLE_SEARCH_STEPS", 72)
+    code, out, err = run_cli(capsys, ["hypothesis", str(path)])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "input",
+                               "message": "the witness cycle search would take more than "
+                                          "MAX_CYCLE_SEARCH_STEPS = 72 steps"}
 
 
 @pytest.mark.parametrize("from_stdin", [False, True])

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+import artin_sigma.graphs as graphs
 from artin_sigma import (
     InputError,
     LabeledGraph,
@@ -320,6 +321,30 @@ def test_witness_on_a_long_cycle_is_the_whole_cycle_and_fast(mode):
     start = time.perf_counter()
     assert hypothesis_witness(c1000, mode) == names
     assert time.perf_counter() - start < 1.0
+
+
+def _triangle_ring(k):
+    """The label-4 k-cycle c0 ... c(k-1) with a path of two edges through a
+    vertex a_i beside each edge, declared around the ring: its only cycles
+    are the k triangles and the cycles round the ring."""
+    names = tuple(v for i in range(k) for v in (f"c{i}", f"a{i}"))
+    edges = tuple(e for i in range(k) for e in (
+        (f"c{i}", f"c{(i + 1) % k}", 4), (f"c{i}", f"a{i}", 4), (f"a{i}", f"c{(i + 1) % k}", 4)))
+    return LabeledGraph(names, edges)
+
+
+def test_witness_search_past_its_step_budget_is_an_input_error(monkeypatch):
+    # the simple-cycle search on the ring of 21 triangles takes 70,011 steps
+    # before it closes the even cycle of 22 (the search is exponential in
+    # the number of triangles); a budget of 70,011 lets it through and
+    # 70,010 refuses it, naming the limit
+    ring = _triangle_ring(21)
+    monkeypatch.setattr(graphs, "MAX_CYCLE_SEARCH_STEPS", 70_011)
+    assert len(hypothesis_witness(ring)) == 22
+    monkeypatch.setattr(graphs, "MAX_CYCLE_SEARCH_STEPS", 70_010)
+    with pytest.raises(InputError, match="more than MAX_CYCLE_SEARCH_STEPS = 70010 steps"):
+        hypothesis_witness(ring)
+    assert hypothesis_witness(ring, "strict") == ("c0", "a0", "c1")
 
 
 def test_has_edge_rejects_unknown_vertex(f3):

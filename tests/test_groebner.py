@@ -1,7 +1,6 @@
 import itertools
 import random
 import sys
-import traceback
 from fractions import Fraction
 
 import pytest
@@ -292,20 +291,20 @@ def test_pair_order_fixes_the_s_polynomials_formed(monkeypatch, order, expected)
 
 @pytest.mark.parametrize("order, expected", [("grevlex", (0, 11)), ("lex", (0, 5))])
 def test_pair_order_fixes_the_reductions_made(monkeypatch, order, expected):
-    # reduce_poly calls through the module global only in interreduction,
-    # one per minimal element but the least, which no smaller element reduces
-    # (the pair loop divides each pair in one _divide call, counted above;
-    # crit2 is the unit ideal: the loop stops at its constant and
-    # interreduces nothing); together with the test above they pin the
-    # routing and the division, not only the answer
+    # interreduction calls _divide once per minimal element but the least,
+    # which no smaller element reduces (the pair loop divides each pair in
+    # one _divide call, counted above; crit2 is the unit ideal: the loop
+    # stops at its constant and interreduces nothing); together with the
+    # test above they pin the routing and the division, not only the answer
     calls = []
-    original = groebner.reduce_poly
+    original = groebner._divide
 
-    def counted(f, basis, key=groebner.DEFAULT_ORDER):
-        calls.append(f)
-        return original(f, basis, key)
+    def counted(f, table, first=None, shift=0):
+        if sys._getframe(1).f_code.co_name == "_interreduced":
+            calls.append(f)
+        return original(f, table, first, shift)
 
-    monkeypatch.setattr(groebner, "reduce_poly", counted)
+    monkeypatch.setattr(groebner, "_divide", counted)
     crit2 = [P(t, UVSW) for t in ("1 + u*v", "1 + s*u + (s*u)^2", "1 + v*w", "1 + s*w")]
     X = ("x0", "x1", "x2", "x3")
     cycle4 = [P(f"1 + {X[i]}*{X[i - 3]} + ({X[i]}*{X[i - 3]})^2", X) for i in range(4)]
@@ -618,43 +617,50 @@ def test_packed_monomials_agree_with_their_definition(order):
     ("lex", ("x^16 - y", "y^16 - z", "x*z - 1"), ("_pair_loop", "_divide", True)),
     # the lcm of a new pair spills
     ("grevlex", ("x^200*y - z", "x*y^200 - 1"), ("update", "lcm", None)),
-    # interreduction spills, in reduce_poly: coprime leading monomials, so no
-    # pair is formed
-    ("lex", ("z - x^16", "x - y^16"), ("reduce_poly", "_divide", False)),
+    # interreduction spills: coprime leading monomials, so no pair is formed
+    ("lex", ("z - x^16", "x - y^16"), ("_interreduced", "_divide", False)),
     # a pair's division spills on entry, before any term is reduced: under lex
     # the term of highest degree (x^3*y^100) is not the leading term (x^4*y),
     # and the shift takes it past the width
     ("lex", ("x^3*y^92 + x^2*y^80", "x^4*y + x^3*y^100 - x*y^98"), ("_pair_loop", "_divide", None)),
 ], ids=[
-    # the reduction, the S-polynomial, the pair update, reduce_poly and the
-    # entry of a pair's division
+    # the step that spills: a pair's reduction, its S-polynomial, the pair
+    # update, a reduction in interreduction and the entry of a pair's division
     "lex-gens0-reduce_poly", "lex-gens1-s_polynomial", "grevlex-gens2-_pair_loop",
     "lex-gens3-reduce_poly", "lex-gens4-_divide_entry",
 ])
 def test_degree_past_the_initial_width_repacks_and_matches_sympy(monkeypatch, order, gens, path):
-    # path: the function that catches the first spill (for _widening, the
-    # retry loop of the library kernels, its caller), the one that raises it,
-    # and whether the term being reduced is the pair's lcm (the first step),
-    # None when no term is being reduced
+    # path: the site of the one spill, as the function that called the one
+    # raising it (comprehension frames skipped), that one, and whether the
+    # term being reduced is the pair's lcm (the first step), None when no
+    # term is being reduced; _run then packs the inputs once more, at twice
+    # the width, and that rerun does not spill
     sympy = pytest.importorskip("sympy")
-    widened = []
-    original = groebner._PackedRing.wider
+    spills, widths = [], []
 
-    def wider(ring):
-        frames = [frame for frame, _ in traceback.walk_tb(sys.exc_info()[2])]
-        caught, raised = frames[0], frames[-1]
-        lm = raised.f_locals.get("lm")
-        first = None if lm is None else lm == caught.f_locals.get("lcm")
-        if caught.f_code.co_name == "_widening":
-            caught = caught.f_back
-        widened.append((caught.f_code.co_name, raised.f_code.co_name, first))
-        return original(ring)
+    class Recorded(groebner._Spill):
+        def __init__(self):
+            raised = sys._getframe(1)
+            caller = raised.f_back
+            while caller.f_code.co_name.startswith("<"):
+                caller = caller.f_back
+            lm = raised.f_locals.get("lm")
+            first = None if lm is None else lm == caller.f_locals.get("lcm")
+            spills.append((caller.f_code.co_name, raised.f_code.co_name, first))
 
-    monkeypatch.setattr(groebner._PackedRing, "wider", wider)
+    original = groebner._PackedRing.__init__
+
+    def init(ring, variables, order, domain, width):
+        widths.append(width)
+        original(ring, variables, order, domain, width)
+
+    monkeypatch.setattr(groebner, "_Spill", Recorded)
+    monkeypatch.setattr(groebner._PackedRing, "__init__", init)
     variables = ("z", "x", "y")
     polys = [P(g, variables) for g in gens]
     basis = buchberger(polys, order)
-    assert widened and widened[0] == path
+    assert spills == [path]
+    assert len(widths) == 2 and widths[1] == 2 * widths[0]
     assert max(sum(e) for b in basis for e in b.terms) > 255  # past _MIN_WIDTH
     terms = [p.terms for p in polys]
     ours = {frozenset(b.terms.items()) for b in basis}

@@ -104,6 +104,17 @@ def test_parse_examples():
             parse_poly(text, VARS)
 
 
+def test_parse_refuses_variable_names_no_polynomial_can_use():
+    # a declared name must be one identifier token, or no generator could
+    # name it; each refusal names the bad name
+    for bad in ("x*y", "a b", "1x", "", "x ", "x\n", "\u00e4"):
+        with pytest.raises(InputError, match="is not an identifier") as raised:
+            parse_poly("1", ("u", bad))
+        assert repr(bad) in str(raised.value)
+    names = ("_t", "x0", "t_aux", "X_1")
+    assert parse_poly("_t*x0 - t_aux*X_1", names).terms == {(1, 1, 0, 0): 1, (0, 0, 1, 1): -1}
+
+
 def test_power_guard_fires_before_expanding(monkeypatch):
     x = LaurentPoly.variable("x", VARS, QQ)
     # the bound is the product over the variables of e * degree span + 1
